@@ -11,7 +11,7 @@ import json
 import sys
 from pathlib import Path
 
-from .config import load_config
+from .config import RunConfig, load_config
 from .eda.fixtures import (
     DEFAULT_PATHS,
     DEFAULT_SEED,
@@ -60,35 +60,36 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_validate(args: argparse.Namespace) -> int:
+def _load(path: str) -> RunConfig | None:
+    """Load a config, or print each of its problems and return None."""
     try:
-        config = load_config(args.config)
+        return load_config(path)
     except ConfigError as exc:
         for problem in exc.problems:
             print(f"invalid: {problem}", file=sys.stderr)
+        return None
+
+
+def _cmd_validate(args: argparse.Namespace) -> int:
+    config = _load(args.config)
+    if config is None:
         return 1
     print(f"ok: {len(config.graph.nodes)} node(s), {len(config.agents)} agent(s), mode={config.graph.mode}")
     return 0
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    try:
-        config = load_config(args.config)
-    except ConfigError as exc:
-        for problem in exc.problems:
-            print(f"invalid: {problem}", file=sys.stderr)
+    config = _load(args.config)
+    if config is None:
         return 1
     runner = run_baseline if args.baseline else run
     try:
         trace = runner(config, backend_override=args.backend, deterministic=args.deterministic)
-    except EngineError as exc:
-        print(f"error: {exc.code}: {exc}", file=sys.stderr)
-        if args.trace_out and exc.trace is not None:
+    except MarcoError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        if args.trace_out and isinstance(exc, EngineError) and exc.trace is not None:
             exc.trace.write(args.trace_out)
             print(f"partial trace written to {args.trace_out}", file=sys.stderr)
-        return 1
-    except MarcoError as exc:
-        print(f"error: {exc.code}: {exc}", file=sys.stderr)
         return 1
     for outcome in trace.outcomes:
         print(f"{outcome['node_id']}: {outcome['status']} (turns={outcome['turns_used']})")
@@ -100,11 +101,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_graph_export(args: argparse.Namespace) -> int:
-    try:
-        config = load_config(args.config)
-    except ConfigError as exc:
-        for problem in exc.problems:
-            print(f"invalid: {problem}", file=sys.stderr)
+    config = _load(args.config)
+    if config is None:
         return 1
     dot = export_dot(config.graph)
     if args.dot == "-":

@@ -120,6 +120,13 @@ def load_config(path: str | Path) -> RunConfig:
     for name, backend in backends.items():
         if backend.kind == "replay" and backend.inner is not None and backend.inner not in backends:
             problems.append(f"backends.{name}: inner backend {backend.inner!r} is not defined")
+    inner_of = {name: b.inner for name, b in backends.items() if b.kind == "replay"}
+    for name in inner_of:
+        chain = [name]
+        while inner_of[chain[-1]] in inner_of and inner_of[chain[-1]] not in chain:
+            chain.append(inner_of[chain[-1]])
+        if inner_of[chain[-1]] == name == min(chain):  # each cycle once, from its least name
+            problems.append(f"backends.{name}: circular replay inner chain {' -> '.join([*chain, name])}")
 
     knowledge_bases: dict[str, Path] = {}
     for name, raw_dir in (raw.get("knowledge_bases") or {}).items():

@@ -40,6 +40,14 @@ def _parse_id_list(text: str | None) -> list[str] | None:
     return [chunk.strip() for chunk in text.split(",") if chunk.strip()]
 
 
+def _tool_result(payload: dict, lines: list[str], context: ToolContext, save_as: str | None) -> ToolResult:
+    """Store the payload under ``save_as`` when given, and wrap it with its text."""
+    if save_as:
+        context.write(save_as, payload)
+        lines.append(f"saved to '{save_as}'")
+    return ToolResult(ok=True, content="\n".join(lines), data=payload)
+
+
 def _anomaly_result(
     op: str,
     report_ids: Sequence[str],
@@ -58,10 +66,7 @@ def _anomaly_result(
     }
     lines = [f"{op}: {len(anomalies)} finding(s)"]
     lines.extend(f"  {anomaly_identity(a)} measure={a.measure:.6g}" for a in anomalies)
-    if save_as:
-        context.write(save_as, payload)
-        lines.append(f"saved to '{save_as}'")
-    return ToolResult(ok=True, content="\n".join(lines), data=payload)
+    return _tool_result(payload, lines, context, save_as)
 
 
 def _save_as_param() -> Param:
@@ -124,11 +129,7 @@ def _h_timing_distribution(args: dict, context: ToolContext) -> ToolResult:
             f" min={row['min']:.6g} max={row['max']:.6g} mean={row['mean']:.6g}"
         )
     lines.append(f"  pooled n={payload['pooled']['count']}")
-    save_as = args.get("save_as")
-    if save_as:
-        context.write(save_as, payload)
-        lines.append(f"saved to '{save_as}'")
-    return ToolResult(ok=True, content="\n".join(lines), data=payload)
+    return _tool_result(payload, lines, context, args.get("save_as"))
 
 
 def _h_timing_metric_compare(args: dict, context: ToolContext) -> ToolResult:
@@ -143,11 +144,7 @@ def _h_timing_metric_compare(args: dict, context: ToolContext) -> ToolResult:
         )
     worst = payload["worst"]
     lines.append(f"worst {args['metric']}: {worst['corner']} {worst['mode']} value={worst['value']:.6g}")
-    save_as = args.get("save_as")
-    if save_as:
-        context.write(save_as, payload)
-        lines.append(f"saved to '{save_as}'")
-    return ToolResult(ok=True, content="\n".join(lines), data=payload)
+    return _tool_result(payload, lines, context, args.get("save_as"))
 
 
 def _spec(name: str, description: str, params: tuple[Param, ...]) -> ToolSpec:

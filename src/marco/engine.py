@@ -34,7 +34,7 @@ class TraceDocument:
 
     config_digest: str
     graph_initial: dict
-    graph_final: dict
+    graph_final: dict = field(default_factory=dict)
     outcomes: list[dict] = field(default_factory=list)
     expansions: list[dict] = field(default_factory=list)
     blackboard: dict = field(default_factory=dict)
@@ -102,29 +102,30 @@ class TraceDocument:
 def build_backends(config: RunConfig, override: str | None = None) -> dict[str, Backend]:
     """Instantiate every configured backend; override maps all names to one."""
     built: dict[str, Backend] = {}
-    for name, bdef in config.backends.items():
-        if bdef.kind == "mock":
-            built[name] = MockBackend.from_script_file(bdef.script)
-        elif bdef.kind == "http":
-            built[name] = HttpBackend(
-                base_url=bdef.base_url,
-                timeout=bdef.timeout,
-                strict_tool_args=bdef.strict_tool_args,
-            )
-    pending = [(n, b) for n, b in config.backends.items() if b.kind == "replay"]
-    while pending:
-        rest = [(n, b) for n, b in pending if b.inner is not None and b.inner not in built]
-        for name, bdef in pending:
-            if (name, bdef) in rest:
-                continue
-            inner = built[bdef.inner] if bdef.inner is not None else None
-            built[name] = ReplayBackend(bdef.cache_dir, inner=inner, record=bdef.record)
-        if len(rest) == len(pending):
-            # circular inner chain: remaining replays run cache-only
-            for name, bdef in rest:
-                built[name] = ReplayBackend(bdef.cache_dir, inner=None, record=bdef.record)
-            break
-        pending = rest
+    for name in config.backends:
+        chain: list[str] = []  # name, then its replay inners not built yet
+        link = name
+        while link is not None and link not in built:
+            if link in chain:
+                raise EngineError("BACKEND_CYCLE", f"replay inner chain {' -> '.join([*chain, link])} is circular")
+            if link not in config.backends:
+                raise EngineError("UNKNOWN_BACKEND", f"inner backend {link!r} names no configured backend")
+            chain.append(link)
+            bdef = config.backends[link]
+            link = bdef.inner if bdef.kind == "replay" else None
+        for link in reversed(chain):
+            bdef = config.backends[link]
+            if bdef.kind == "mock":
+                built[link] = MockBackend.from_script_file(bdef.script)
+            elif bdef.kind == "http":
+                built[link] = HttpBackend(
+                    base_url=bdef.base_url,
+                    timeout=bdef.timeout,
+                    strict_tool_args=bdef.strict_tool_args,
+                )
+            else:
+                inner = built[bdef.inner] if bdef.inner is not None else None
+                built[link] = ReplayBackend(bdef.cache_dir, inner=inner, record=bdef.record)
     if override is not None:
         if override not in built:
             raise EngineError("UNKNOWN_BACKEND", f"backend override {override!r} names no configured backend")
@@ -155,9 +156,12 @@ def _seed_blackboard(config: RunConfig, graph: TaskGraph) -> Blackboard:
     return blackboard
 
 
-def _abort(trace: TraceDocument, blackboard: Blackboard) -> TraceDocument:
+def _finish(trace: TraceDocument, graph: TaskGraph, blackboard: Blackboard, status: str) -> TraceDocument:
+    """Close a completed or aborted run: record the graph as grown so far and
+    the blackboard, then check the outcome order once."""
+    trace.graph_final = graph.to_dict()
     trace.blackboard = blackboard.snapshot()
-    trace.status = "aborted"
+    trace.status = status
     trace.validate()
     return trace
 
@@ -176,26 +180,21 @@ def _execute(
     agent_names = tuple(config.agents)
     zero_clock = deterministic or any(b.kind == "replay" for b in config.backends.values())
     done: set[str] = set()
-    executed = 0
-    while True:
-        frontier = ready_frontier(graph, done)
-        if not frontier:
-            break
-        if executed >= config.max_node_executions:
+    while frontier := ready_frontier(graph, done):
+        if len(done) >= config.max_node_executions:
             raise EngineError(
                 "BUDGET_EXCEEDED",
                 f"node execution budget {config.max_node_executions} exhausted"
                 f" with {len(frontier)} node(s) still ready",
-                trace=_abort(trace, blackboard),
+                trace=_finish(trace, graph, blackboard, "aborted"),
             )
         node = graph.node_map()[frontier[0]]
-        agent = config.agents[node.agent_ref]
         started = time.perf_counter()
         try:
             outcome = run_node(
                 node,
                 graph,
-                agent,
+                config.agents[node.agent_ref],
                 backends,
                 registry,
                 blackboard,
@@ -203,15 +202,13 @@ def _execute(
                 agent_names=agent_names,
             )
         except EngineError as exc:
-            trace.timings[node.id] = 0.0 if zero_clock else round(time.perf_counter() - started, 6)
-            exc.trace = _abort(trace, blackboard)
+            exc.trace = _finish(trace, graph, blackboard, "aborted")
             raise
-        executed += 1
+        finally:
+            # runs before an error leaves, so an aborted trace still times this node
+            trace.timings[node.id] = 0.0 if zero_clock else round(time.perf_counter() - started, 6)
         done.add(node.id)
         trace.outcomes.append(outcome.to_dict())
-        trace.timings[node.id] = 0.0 if zero_clock else round(time.perf_counter() - started, 6)
-        trace.graph_final = graph.to_dict()
-        trace.validate()
         if outcome.expansion is not None and outcome.status == "solved":
             try:
                 graph = apply_expansion(graph, outcome.expansion)
@@ -219,17 +216,12 @@ def _execute(
                 raise EngineError(
                     "EXPANSION_REJECTED",
                     f"planner {node.id} produced an unusable expansion: {exc}",
-                    trace=_abort(trace, blackboard),
+                    trace=_finish(trace, graph, blackboard, "aborted"),
                 ) from exc
             for new_node in outcome.expansion.new_nodes:
                 blackboard.declare_outputs(new_node.id, new_node.outputs)
             trace.expansions.append(outcome.expansion.to_dict())
-            trace.graph_final = graph.to_dict()
-            trace.validate()
-    trace.blackboard = blackboard.snapshot()
-    trace.status = "completed"
-    trace.validate()
-    return trace
+    return _finish(trace, graph, blackboard, "completed")
 
 
 def run(
@@ -243,7 +235,6 @@ def run(
     trace = TraceDocument(
         config_digest=config.digest(),
         graph_initial=graph.to_dict(),
-        graph_final=graph.to_dict(),
         meta={"deterministic": bool(deterministic)},
     )
     return _execute(config, graph, backends, deterministic, trace)
@@ -319,7 +310,6 @@ def run_baseline(
     trace = TraceDocument(
         config_digest=config.digest(),
         graph_initial=graph.to_dict(),
-        graph_final=graph.to_dict(),
         meta={"deterministic": bool(deterministic), **meta},
     )
     return _execute(base_config, graph, backends, deterministic, trace)

@@ -30,6 +30,21 @@ def write_bad_config(tmp_path: Path) -> Path:
     return path
 
 
+def write_one_node_config(tmp_path: Path, **extra_backends: dict) -> Path:
+    """A valid one-node config whose mock script matches no request."""
+    script = [{"matcher": {"kind": "substring", "value": "absent"}, "responses": [{"content": "x"}]}]
+    (tmp_path / "scripts.json").write_text(json.dumps(script), encoding="utf-8")
+    payload = {
+        "graph": {"mode": "static", "nodes": [{"id": "n1", "title": "t", "goal": "g", "agent_ref": "solo"}]},
+        "agents": {"solo": {"topology": "single", "roles": [{"name": "w", "model_ref": "mock"}]}},
+        "backends": {"mock": {"kind": "mock", "script": "scripts.json"}, **extra_backends},
+        "limits": {"max_node_executions": 1},
+    }
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    return path
+
+
 class TestValidate:
     def test_bundled_config_ok(self, capsys):
         code, out, err = run_cli(capsys, "validate", TIMING_DEBUG)
@@ -43,6 +58,17 @@ class TestValidate:
         assert out == ""
         assert err.count("invalid: ") == len(err.splitlines())
         assert len(err.splitlines()) >= 1
+
+    def test_circular_replay_chain_invalid(self, capsys, tmp_path):
+        config_path = write_one_node_config(
+            tmp_path,
+            r1={"kind": "replay", "cache_dir": "c1", "inner": "r2", "record": True},
+            r2={"kind": "replay", "cache_dir": "c2", "inner": "r1", "record": True},
+        )
+        code, out, err = run_cli(capsys, "validate", str(config_path))
+        assert code == 1
+        assert out == ""
+        assert err == "invalid: backends.r1: circular replay inner chain r1 -> r2 -> r1\n"
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "validate", str(tmp_path / "ghost.json"))
@@ -122,6 +148,13 @@ class TestRun:
         assert f"partial trace written to {trace_path}" in err
         payload = json.loads(trace_path.read_text(encoding="utf-8"))
         assert payload["status"] == "aborted"
+
+    def test_error_code_printed_once(self, capsys, tmp_path):
+        config_path = write_one_node_config(tmp_path)
+        code, _, err = run_cli(capsys, "run", str(config_path), "--deterministic")
+        assert code == 1
+        assert err.startswith("error: BACKEND_ERROR: ")
+        assert err.count("BACKEND_ERROR") == 1
 
 
 class TestGraphExport:

@@ -143,6 +143,18 @@ class TestValidationProblems:
         problems = problems_of(workdir, payload)
         assert any("inner backend 'ghost' is not defined" in p for p in problems)
 
+    def test_circular_replay_inner_chains_rejected(self, workdir):
+        payload = base_payload()
+        payload["backends"]["r2"] = {"kind": "replay", "cache_dir": "c2", "inner": "r1", "record": True}
+        payload["backends"]["r1"] = {"kind": "replay", "cache_dir": "c1", "inner": "r2", "record": True}
+        payload["backends"]["self"] = {"kind": "replay", "cache_dir": "c3", "inner": "self"}
+        payload["backends"]["outer"] = {"kind": "replay", "cache_dir": "c4", "inner": "r1"}
+        payload["backends"]["ok"] = {"kind": "replay", "cache_dir": "c5", "inner": "mock"}
+        assert problems_of(workdir, payload) == [
+            "backends.r1: circular replay inner chain r1 -> r2 -> r1",
+            "backends.self: circular replay inner chain self -> self",
+        ]
+
     def test_missing_kb_directory(self, workdir):
         payload = base_payload()
         payload["knowledge_bases"] = {"rtl": "no_such_dir"}

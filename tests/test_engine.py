@@ -8,7 +8,7 @@ import pytest
 
 import marco
 import marco.engine
-from marco.config import load_config
+from marco.config import BackendDef, load_config
 from marco.engine import (
     TraceDocument,
     build_backends,
@@ -240,14 +240,31 @@ class TestBuildBackends:
         assert built["rec"].inner is built["mock"]
         assert built["rec"].record is True
 
-    def test_circular_replay_chain_runs_cache_only(self, tmp_path):
+    def test_replay_chain_built_innermost_first(self, tmp_path):
         payload = chain_payload()
-        payload["backends"]["r1"] = {"kind": "replay", "cache_dir": "c1", "inner": "r2"}
-        payload["backends"]["r2"] = {"kind": "replay", "cache_dir": "c2", "inner": "r1"}
+        payload["backends"]["outer"] = {"kind": "replay", "cache_dir": "c1", "inner": "middle"}
+        payload["backends"]["middle"] = {"kind": "replay", "cache_dir": "c2", "inner": "mock"}
         config = load_payload(tmp_path, payload, ALWAYS_TWO)
         built = build_backends(config)
-        assert built["r1"].inner is None
-        assert built["r2"].inner is None
+        assert built["outer"].inner is built["middle"]
+        assert built["middle"].inner is built["mock"]
+
+    def test_circular_replay_chain_is_a_coded_error(self, tmp_path):
+        config = load_payload(tmp_path, chain_payload(), ALWAYS_TWO)
+        backends = dict(config.backends)
+        backends["r1"] = BackendDef(name="r1", kind="replay", cache_dir=tmp_path / "c1", inner="r2")
+        backends["r2"] = BackendDef(name="r2", kind="replay", cache_dir=tmp_path / "c2", inner="r1")
+        with pytest.raises(EngineError) as exc:
+            build_backends(dataclasses.replace(config, backends=backends))
+        assert exc.value.code == "BACKEND_CYCLE"
+        assert "r1 -> r2 -> r1" in str(exc.value)
+
+    def test_unknown_replay_inner_is_a_coded_error(self, tmp_path):
+        config = load_payload(tmp_path, chain_payload(), ALWAYS_TWO)
+        backends = {**config.backends, "rep": BackendDef(name="rep", kind="replay", cache_dir=tmp_path, inner="ghost")}
+        with pytest.raises(EngineError) as exc:
+            build_backends(dataclasses.replace(config, backends=backends))
+        assert exc.value.code == "UNKNOWN_BACKEND"
 
 
 class TestBuildRegistry:
@@ -346,6 +363,31 @@ class TestRunDynamic:
         assert partial.status == "aborted"
         assert outcome_ids(partial) == ["P"]
         assert partial.expansions == []
+
+    def test_budget_abort_after_applied_expansion(self, tmp_path):
+        scripts = [
+            {
+                "matcher": {"kind": "always"},
+                "responses": [
+                    {"content": "```PLAN\nt1 | first | do one\nt2 | second | do two\n```\nTASK COMPLETE"},
+                    {"content": "first follow-up handled TASK COMPLETE"},
+                ],
+            }
+        ]
+        config = load_payload(tmp_path, planner_payload(), scripts)
+        # P, t1 and t2 need three executions; the budget allows two.
+        with pytest.raises(EngineError) as exc:
+            run(dataclasses.replace(config, max_node_executions=2), deterministic=True)
+        assert exc.value.code == "BUDGET_EXCEEDED"
+        partial = exc.value.trace
+        assert partial.status == "aborted"
+        assert outcome_ids(partial) == ["P", "t1"]
+        assert set(partial.timings) == {"P", "t1"}
+        assert {n["id"] for n in partial.graph_final["nodes"]} == {"P", "t1", "t2"}
+        assert {n["id"] for n in partial.graph_initial["nodes"]} == {"P"}
+        assert len(partial.expansions) == 1
+        rendered = json.loads(partial.render())
+        assert rendered["graph_final"] == partial.graph_final
 
 
 class TestReplayRecording:
