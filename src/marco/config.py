@@ -16,7 +16,7 @@ from typing import Any, Mapping
 from .agents import AgentConfig, RETRIEVE_TOOL, WRITE_TOOL
 from .eda.toolpack import HANDLER_CATALOG
 from .errors import ConfigError
-from .gateway import canonical_json
+from .gateway import Script, canonical_json, read_script_file
 from .graph import TaskGraph, validate_graph
 
 BACKEND_KINDS = ("mock", "http", "replay")
@@ -28,6 +28,7 @@ class BackendDef:
     name: str
     kind: str
     script: Path | None = None
+    scripts: tuple[Script, ...] = ()  # mock: the scripts load_config read from ``script``
     cache_dir: Path | None = None
     record: bool = False
     inner: str | None = None
@@ -58,6 +59,7 @@ def _load_backend(name: str, payload: Mapping, base_dir: Path, problems: list[st
     if kind not in BACKEND_KINDS:
         problems.append(f"backends.{name}: kind must be one of {BACKEND_KINDS}, got {kind!r}")
         return None
+    scripts: list[Script] = []
     script = cache_dir = None
     if kind == "mock":
         raw_script = payload.get("script")
@@ -67,6 +69,9 @@ def _load_backend(name: str, payload: Mapping, base_dir: Path, problems: list[st
         script = (base_dir / raw_script).resolve()
         if not script.is_file():
             problems.append(f"backends.{name}: script file {str(script)!r} does not exist")
+        else:
+            scripts, script_problems = read_script_file(script)
+            problems.extend(f"backends.{name}: {problem}" for problem in script_problems)
     elif kind == "replay":
         raw_dir = payload.get("cache_dir")
         if not raw_dir:
@@ -77,6 +82,7 @@ def _load_backend(name: str, payload: Mapping, base_dir: Path, problems: list[st
         name=name,
         kind=kind,
         script=script,
+        scripts=tuple(scripts),
         cache_dir=cache_dir,
         record=bool(payload.get("record", False)),
         inner=payload.get("inner"),

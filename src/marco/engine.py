@@ -116,7 +116,7 @@ def build_backends(config: RunConfig, override: str | None = None) -> dict[str, 
         for link in reversed(chain):
             bdef = config.backends[link]
             if bdef.kind == "mock":
-                built[link] = MockBackend.from_script_file(bdef.script)
+                built[link] = MockBackend(bdef.scripts)
             elif bdef.kind == "http":
                 built[link] = HttpBackend(
                     base_url=bdef.base_url,

@@ -17,7 +17,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 from .errors import GatewayError
 
@@ -191,6 +191,11 @@ class ScriptMatcher:
     def __post_init__(self) -> None:
         if self.kind not in ("substring", "turn_index", "always"):
             raise ValueError(f"unknown matcher kind {self.kind!r}")
+        if self.kind == "turn_index":
+            try:
+                int(self.value)
+            except (TypeError, ValueError):
+                raise ValueError(f"turn_index matcher needs an integer value, got {self.value!r}") from None
 
     def matches(self, req: CompletionRequest) -> bool:
         if self.kind == "always":
@@ -198,6 +203,10 @@ class ScriptMatcher:
         if self.kind == "substring":
             return str(self.value) in req.last_message().content
         return req.assistant_turns() == int(self.value)
+
+
+# A mock script: its matcher and the responses it yields in turn.
+Script = tuple[ScriptMatcher, tuple[ChatMessage, ...]]
 
 
 class MockBackend(Backend):
@@ -208,8 +217,10 @@ class MockBackend(Backend):
     element on each successive match and errors once exhausted.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, scripts: Iterable[Script] = ()) -> None:
         self._scripts: list[tuple[ScriptMatcher, list[ChatMessage], list[int]]] = []
+        for matcher, responses in scripts:
+            self.register_script(matcher, responses)
 
     def register_script(self, matcher: ScriptMatcher, responses: Sequence[ChatMessage]) -> int:
         responses = list(responses)
@@ -237,17 +248,36 @@ class MockBackend(Backend):
     @classmethod
     def from_script_file(cls, path: str | Path) -> "MockBackend":
         """Load scripts from a JSON file (see README for the schema)."""
-        backend = cls()
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        for entry in payload:
+        scripts, problems = read_script_file(Path(path))
+        if problems:
+            raise ValueError(f"{path}: {problems[0]}")
+        return cls(scripts)
+
+
+def read_script_file(path: Path) -> tuple[list[Script], list[str]]:
+    """The usable scripts of a mock script file, and one line for every reason
+    the file or one of its entries cannot be used."""
+    try:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:  # ValueError covers bad JSON and bad UTF-8
+        return [], [f"script file {str(path)!r} is not readable JSON: {exc}"]
+    if not isinstance(payload, list):
+        return [], [f"script file {str(path)!r} must hold a JSON list, got {type(payload).__name__}"]
+    scripts: list[Script] = []
+    problems = []
+    probe = MockBackend()  # register_script holds the checks on responses
+    for index, entry in enumerate(payload):
+        try:
             matcher = ScriptMatcher(kind=entry["matcher"]["kind"], value=entry["matcher"].get("value"))
-            responses = []
-            for raw in entry["responses"]:
-                raw = dict(raw)
-                raw.setdefault("role", "assistant")
-                responses.append(ChatMessage.from_dict(raw))
-            backend.register_script(matcher, responses)
-        return backend
+            responses = tuple(ChatMessage.from_dict({"role": "assistant", **raw}) for raw in entry["responses"])
+            probe.register_script(matcher, responses)
+        except KeyError as exc:
+            problems.append(f"script entry {index}: missing key {exc}")
+        except (AttributeError, TypeError, ValueError) as exc:
+            problems.append(f"script entry {index}: {exc}")
+        else:
+            scripts.append((matcher, responses))
+    return scripts, problems
 
 
 class ReplayBackend(Backend):
@@ -272,8 +302,10 @@ class ReplayBackend(Backend):
         digest = canonical_hash(req)
         path = self._path(digest)
         if path.exists():
-            payload = json.loads(path.read_text(encoding="utf-8"))
-            return ChatMessage.from_dict(payload["response"])
+            try:
+                return ChatMessage.from_dict(json.loads(path.read_text(encoding="utf-8"))["response"])
+            except (AttributeError, KeyError, OSError, TypeError, ValueError) as exc:
+                raise GatewayError("CACHE_CORRUPT", f"cache entry {str(path)!r} is unreadable: {exc}") from exc
         if not self.record:
             raise GatewayError("CACHE_MISS", f"no cache entry for digest {digest}")
         if self.inner is None:
@@ -286,7 +318,13 @@ class ReplayBackend(Backend):
                     "request": canonical_request(req),
                     "response": response.to_dict(),
                 }
-                path.write_text(canonical_json(entry), encoding="utf-8")
+                # written whole under a temporary name, so a reader never sees part of an entry
+                temp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+                try:
+                    temp.write_text(canonical_json(entry), encoding="utf-8")
+                    os.replace(temp, path)
+                finally:
+                    temp.unlink(missing_ok=True)
         return response
 
 

@@ -181,27 +181,26 @@ def _find_execution_cycle(graph: TaskGraph) -> list[str] | None:
 
     WHITE, GRAY, BLACK = 0, 1, 2
     color = {nid: WHITE for nid in adj}
-    stack: list[str] = []
-
-    def visit(nid: str) -> list[str] | None:
-        color[nid] = GRAY
-        stack.append(nid)
-        for nxt in adj[nid]:
-            if color[nxt] == GRAY:
-                return stack[stack.index(nxt):] + [nxt]
-            if color[nxt] == WHITE:
-                found = visit(nxt)
-                if found:
-                    return found
-        stack.pop()
-        color[nid] = BLACK
-        return None
-
-    for nid in sorted(adj):
-        if color[nid] == WHITE:
-            found = visit(nid)
-            if found:
-                return found
+    for root in sorted(adj):
+        if color[root] != WHITE:
+            continue
+        # depth-first with explicit stacks: ``path`` holds the gray nodes and
+        # ``pending`` the successors each has left to visit
+        color[root] = GRAY
+        path = [root]
+        pending = [iter(adj[root])]
+        while pending:
+            for nxt in pending[-1]:
+                if color[nxt] == GRAY:
+                    return path[path.index(nxt):] + [nxt]
+                if color[nxt] == WHITE:
+                    color[nxt] = GRAY
+                    path.append(nxt)
+                    pending.append(iter(adj[nxt]))
+                    break
+            else:
+                color[path.pop()] = BLACK
+                pending.pop()
     return None
 
 

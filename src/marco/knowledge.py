@@ -108,13 +108,29 @@ class Document:
         object.__setattr__(self, "tags", tuple(self.tags))
 
 
+def _add_postings(postings: dict[str, dict[str, int]], doc: Document) -> None:
+    doc_id = doc.id
+    for token in tokenize(doc.text):
+        posting = postings.get(token)
+        if posting is None:
+            postings[token] = {doc_id: 1}
+        else:
+            posting[doc_id] = posting.get(doc_id, 0) + 1
+
+
 class KnowledgeBase:
-    """Document store with a token index kept consistent on every ingest."""
+    """Document store with an inverted index built on the first query.
+
+    ``parsed`` holds what tools derive from a document (doc id -> parsed
+    form), so each document is parsed at most once while the knowledge base
+    lives; the engine builds fresh knowledge bases for every run.
+    """
 
     def __init__(self, name: str, documents: Iterable[Document] = ()) -> None:
         self.name = name
+        self.parsed: dict[str, Any] = {}
         self._docs: dict[str, Document] = {}
-        self._counts: dict[str, dict[str, int]] = {}  # doc id -> token -> count
+        self._postings: dict[str, dict[str, int]] | None = None  # token -> doc id -> count
         for doc in documents:
             self.ingest(doc)
 
@@ -122,10 +138,16 @@ class KnowledgeBase:
         if doc.id in self._docs:
             raise KnowledgeError("DUPLICATE_DOC", f"document id {doc.id!r} already ingested in {self.name!r}")
         self._docs[doc.id] = doc
-        counts: dict[str, int] = {}
-        for token in tokenize(doc.text):
-            counts[token] = counts.get(token, 0) + 1
-        self._counts[doc.id] = counts
+        if self._postings is not None:
+            _add_postings(self._postings, doc)
+
+    def postings(self, token: str) -> Mapping[str, int]:
+        """Doc id -> count of ``token``, for the documents that contain it."""
+        if self._postings is None:
+            self._postings = {}
+            for doc in self._docs.values():
+                _add_postings(self._postings, doc)
+        return self._postings.get(token, {})
 
     def get(self, doc_id: str) -> Document | None:
         return self._docs.get(doc_id)
@@ -137,18 +159,21 @@ class KnowledgeBase:
         return len(self._docs)
 
     def token_count(self, doc_id: str, token: str) -> int:
-        return self._counts.get(doc_id, {}).get(token, 0)
+        return self.postings(token).get(doc_id, 0)
 
     def doc_frequency(self, token: str) -> int:
-        return sum(1 for counts in self._counts.values() if token in counts)
+        return len(self.postings(token))
 
 
 def retrieve(kb: KnowledgeBase, query: str, k: int) -> list[tuple[Document, float]]:
     """Top-k documents by tf-idf: score(d) = sum over query tokens of
     tf(token, d) * (ln((N+1)/(df+1)) + 1).
 
-    Ranked by score descending then id ascending; zero-score documents are
-    dropped. Raises EMPTY_QUERY when the query normalizes to no tokens.
+    Ranked by score descending then id ascending. Only documents holding a
+    query token are scored (every idf is at least 1, so all others score 0
+    and are dropped); each score sums its terms in query-token order, so
+    scores match a naive pass over every document bit for bit. Raises
+    EMPTY_QUERY when the query normalizes to no tokens.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -157,15 +182,15 @@ def retrieve(kb: KnowledgeBase, query: str, k: int) -> list[tuple[Document, floa
         raise KnowledgeError("EMPTY_QUERY", "query has no tokens after normalization")
 
     n_docs = len(kb)
-    idf = {token: math.log((n_docs + 1) / (kb.doc_frequency(token) + 1)) + 1.0 for token in set(tokens)}
+    postings = {token: kb.postings(token) for token in set(tokens)}
+    idf = {token: math.log((n_docs + 1) / (len(posting) + 1)) + 1.0 for token, posting in postings.items()}
 
     scored: list[tuple[Document, float]] = []
-    for doc_id in kb.ids():
-        score = sum(kb.token_count(doc_id, token) * idf[token] for token in tokens)
-        if score > 0:
-            doc = kb.get(doc_id)
-            assert doc is not None
-            scored.append((doc, score))
+    for doc_id in sorted(set().union(*postings.values())):
+        score = sum(postings[token].get(doc_id, 0) * idf[token] for token in tokens)
+        doc = kb.get(doc_id)
+        assert doc is not None
+        scored.append((doc, score))
     scored.sort(key=lambda pair: (-pair[1], pair[0].id))
     return scored[:k]
 

@@ -15,7 +15,7 @@ from typing import Any, Callable, Mapping, TYPE_CHECKING
 from .errors import ToolError
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .knowledge import Blackboard, KnowledgeBase
+    from .knowledge import Blackboard, Document, KnowledgeBase
 
 PARAM_KINDS = ("string", "integer", "number", "boolean", "string_list")
 
@@ -186,14 +186,18 @@ class ToolContext:
             return {ref: self.knowledge_bases[ref] for ref in self.kb_refs if ref in self.knowledge_bases}
         return dict(self.knowledge_bases)
 
-    def get_document(self, doc_id: str) -> str:
-        """Resolve a document by id across the context's accessible KBs."""
+    def find_document(self, doc_id: str) -> tuple["KnowledgeBase", "Document"]:
+        """Resolve a document by id: the first accessible KB in name order
+        that holds it, and the document."""
         for name in sorted(self.accessible_kbs()):
             kb = self.knowledge_bases[name]
             doc = kb.get(doc_id)
             if doc is not None:
-                return doc.text
+                return kb, doc
         raise KeyError(f"document {doc_id!r} not found in any accessible knowledge base")
+
+    def get_document(self, doc_id: str) -> str:
+        return self.find_document(doc_id)[1].text
 
 
 Handler = Callable[[dict, ToolContext], ToolResult]

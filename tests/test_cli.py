@@ -70,6 +70,16 @@ class TestValidate:
         assert out == ""
         assert err == "invalid: backends.r1: circular replay inner chain r1 -> r2 -> r1\n"
 
+    def test_empty_mock_responses_invalid(self, capsys, tmp_path):
+        config_path = write_one_node_config(tmp_path)
+        (tmp_path / "scripts.json").write_text(
+            json.dumps([{"matcher": {"kind": "always"}, "responses": []}]), encoding="utf-8"
+        )
+        code, out, err = run_cli(capsys, "validate", str(config_path))
+        assert code == 1
+        assert out == ""
+        assert err == "invalid: backends.mock: script entry 0: a script needs at least one response\n"
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "validate", str(tmp_path / "ghost.json"))
         assert code == 1

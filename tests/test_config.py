@@ -134,6 +134,29 @@ class TestValidationProblems:
         problems = problems_of(workdir, payload)
         assert any("needs a 'script' path" in p for p in problems)
 
+    def test_unusable_mock_script_entries_listed(self, workdir):
+        script = workdir / "script.json"
+        script.write_text(
+            json.dumps(
+                [
+                    {"matcher": {"kind": "always"}, "responses": [{"content": "fine"}]},
+                    {"matcher": {"kind": "always"}, "responses": []},
+                    {"matcher": {"kind": "sometimes"}, "responses": [{"content": "x"}]},
+                    {"matcher": {"kind": "turn_index", "value": "two"}, "responses": [{"content": "x"}]},
+                ]
+            ),
+            encoding="utf-8",
+        )
+        assert problems_of(workdir, base_payload()) == [
+            "backends.mock: script entry 1: a script needs at least one response",
+            "backends.mock: script entry 2: unknown matcher kind 'sometimes'",
+            "backends.mock: script entry 3: turn_index matcher needs an integer value, got 'two'",
+        ]
+        script.write_text(json.dumps({"matcher": {"kind": "always"}}), encoding="utf-8")
+        assert problems_of(workdir, base_payload()) == [
+            f"backends.mock: script file {str(script)!r} must hold a JSON list, got dict"
+        ]
+
     def test_replay_needs_cache_dir_and_known_inner(self, workdir):
         payload = base_payload()
         payload["backends"]["rep"] = {"kind": "replay"}

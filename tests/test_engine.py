@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import marco
+import marco.eda.toolpack
 import marco.engine
 from marco.config import BackendDef, load_config
 from marco.engine import (
@@ -404,13 +405,27 @@ class TestReplayRecording:
         assert cache_files
         entry = json.loads(cache_files[0].read_text(encoding="utf-8"))
         assert set(entry) == {"digest", "request", "response"}
-        # corrupt the inner script; a true replay never consults it
+        # corrupt the inner script and load it again; a true replay never consults it
         (tmp_path / "scripts.json").write_text(
             json.dumps([{"matcher": {"kind": "always"}, "responses": [{"content": "WRONG"}]}]),
             encoding="utf-8",
         )
-        second = run(config, deterministic=True).render()
+        second = run(load_config(config.path), deterministic=True).render()
         assert second == first
+
+    def test_truncated_entry_aborts_with_coded_error(self, tmp_path):
+        config = self.replay_config(tmp_path)
+        run(config, deterministic=True)
+        n2_entry = next(
+            path for path in (tmp_path / "cache").glob("*.json") if "second artifact" in path.read_text(encoding="utf-8")
+        )
+        n2_entry.write_text(n2_entry.read_text(encoding="utf-8")[:40], encoding="utf-8")
+        with pytest.raises(EngineError) as exc:
+            run(config, deterministic=True)
+        assert exc.value.code == "BACKEND_ERROR"
+        assert f"CACHE_CORRUPT: cache entry {str(n2_entry)!r} is unreadable" in str(exc.value)
+        assert exc.value.trace.status == "aborted"
+        assert outcome_ids(exc.value.trace) == ["n1"]
 
     def test_replay_presence_zeroes_wall_clock(self, tmp_path):
         config = self.replay_config(tmp_path)
@@ -490,6 +505,19 @@ class TestBundledRuns:
         written = set(trace.blackboard)
         assert {"m1_findings", "m5_findings", "m7_rc_findings", "m7_lc_findings"} <= written
         assert "m6_findings" not in written
+
+    def test_each_report_parsed_once_per_run(self, monkeypatch):
+        texts: list[str] = []
+        real = marco.eda.toolpack.parse_timing_report
+        monkeypatch.setattr(marco.eda.toolpack, "parse_timing_report", lambda text: texts.append(text) or real(text))
+        config = load_config(BUNDLED / "timing_debug.json")
+        per_run = []
+        for _ in range(2):
+            texts.clear()
+            run(config, deterministic=True)
+            per_run.append(sorted(texts))
+        assert per_run[0] and per_run[0] == per_run[1]
+        assert len(set(per_run[0])) == len(per_run[0])
 
     def test_timing_debug_baseline_completes(self):
         config = load_config(BUNDLED / "timing_debug.json")

@@ -221,6 +221,17 @@ class TestReplayBackend:
         assert entry["digest"] == digest
         assert entry["request"] == canonical_request(r)
         assert entry["response"]["content"] == "recorded"
+        assert [path.name for path in tmp_path.iterdir()] == [f"{digest}.json"]  # no temporary file left
+
+    @pytest.mark.parametrize("text", ['{"digest": "ab', '{"digest": "ab"}', "[1, 2]", '{"response": 7}'])
+    def test_unreadable_entry_is_coded(self, tmp_path, text):
+        r = req(sys_msg(), user("q"))
+        entry = tmp_path / f"{canonical_hash(r)}.json"
+        entry.write_text(text, encoding="utf-8")
+        with pytest.raises(GatewayError) as exc:
+            ReplayBackend(tmp_path).complete(r)
+        assert exc.value.code == "CACHE_CORRUPT"
+        assert str(entry) in str(exc.value)
 
     def test_mutated_request_misses(self, tmp_path):
         inner = MockBackend()

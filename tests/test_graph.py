@@ -123,6 +123,32 @@ class TestValidate:
         graph = TaskGraph(nodes=(node("A", outputs=("",)),))
         assert "EMPTY_KEY" in validate_graph(graph).codes()
 
+    def test_long_chain_validates(self):
+        ids = [f"n{i:05d}" for i in range(10_000)]
+        graph = TaskGraph(nodes=tuple(map(node, ids)), edges=tuple(TaskEdge(a, b) for a, b in zip(ids, ids[1:])))
+        assert validate_graph(graph).ok
+
+    def test_long_ring_reports_one_cycle(self):
+        ids = [f"n{i:05d}" for i in range(10_000)]
+        edges = tuple(TaskEdge(a, b) for a, b in zip(ids, ids[1:] + ids[:1]))
+        report = validate_graph(TaskGraph(nodes=tuple(map(node, ids)), edges=edges))
+        assert report.codes() == ("CYCLE",)
+        assert report.violations[0].subject == " -> ".join(ids + ids[:1])
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_cycle_check_matches_oracle(self, seed):
+        rng = random.Random(seed)
+        graph = random_dag(rng, max_nodes=12)
+        ids = [n.id for n in graph.nodes]
+        back_edges = tuple(TaskEdge(rng.choice(ids), rng.choice(ids)) for _ in range(rng.randint(0, 3)))
+        graph = TaskGraph(nodes=graph.nodes, edges=graph.edges + tuple(e for e in back_edges if e.src != e.dst))
+        cycles = [v.subject.split(" -> ") for v in validate_graph(graph).violations if v.code == "CYCLE"]
+        assert bool(cycles) == has_execution_cycle(graph)
+        links = {(e.src, e.dst) for e in graph.execution_edges()}
+        for cycle in cycles:
+            assert cycle[0] == cycle[-1]
+            assert all((a, b) in links for a, b in zip(cycle, cycle[1:]))
+
     def test_violations_accumulate(self):
         graph = TaskGraph(
             nodes=(node("A"), node("A")),

@@ -106,6 +106,10 @@ CORPUS = {
 }
 
 
+DOC_WORDS = ["slack", "net", "clock", "skew", "cap", "hold"]
+QUERY_WORDS = DOC_WORDS + ["zebra", "quartz"]  # the last two appear in no document
+
+
 def corpus_kb(docs: dict[str, str] = CORPUS) -> KnowledgeBase:
     return KnowledgeBase("test", [Document(doc_id, text) for doc_id, text in docs.items()])
 
@@ -149,13 +153,8 @@ class TestRetrieve:
 
     @settings(max_examples=80, deadline=None)
     @given(
-        texts=st.lists(
-            st.lists(st.sampled_from(["slack", "net", "clock", "skew", "cap", "hold"]), max_size=6).map(" ".join),
-            max_size=8,
-        ),
-        query=st.lists(
-            st.sampled_from(["slack", "net", "clock", "skew", "cap", "hold"]), min_size=1, max_size=4
-        ).map(" ".join),
+        texts=st.lists(st.lists(st.sampled_from(DOC_WORDS), max_size=6).map(" ".join), max_size=8),
+        query=st.lists(st.sampled_from(QUERY_WORDS), min_size=1, max_size=5).map(" ".join),
         k=st.integers(min_value=1, max_value=9),
     )
     def test_matches_naive_oracle(self, texts, query, k):
@@ -163,6 +162,23 @@ class TestRetrieve:
         kb = corpus_kb(docs)
         got = [(doc.id, score) for doc, score in retrieve(kb, query, k)]
         assert got == tfidf_rank(docs, query, k)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        texts=st.lists(st.lists(st.sampled_from(DOC_WORDS), max_size=6).map(" ".join), min_size=1, max_size=8),
+        split=st.integers(min_value=0, max_value=8),
+        queries=st.lists(st.lists(st.sampled_from(QUERY_WORDS), min_size=1, max_size=5).map(" ".join), min_size=2, max_size=2),
+    )
+    def test_ingest_after_retrieve_matches_oracle(self, texts, split, queries):
+        docs = {f"d{i}": text for i, text in enumerate(texts)}
+        kb = KnowledgeBase("test")
+        for doc_id in list(docs)[:split]:
+            kb.ingest(Document(doc_id, docs[doc_id]))
+        retrieve(kb, queries[0], 9)
+        for doc_id in list(docs)[split:]:
+            kb.ingest(Document(doc_id, docs[doc_id]))
+        got = [(doc.id, score) for doc, score in retrieve(kb, queries[1], 9)]
+        assert got == tfidf_rank(docs, queries[1], 9)
 
 
 class TestKnowledgeBase:
@@ -180,6 +196,19 @@ class TestKnowledgeBase:
         assert kb.doc_frequency("zebra") == 0
         assert len(kb) == 3
         assert kb.ids() == ["d1", "d2", "d3"]
+
+    def test_tokenized_only_when_queried(self, monkeypatch):
+        import marco.knowledge
+
+        calls = []
+        real = marco.knowledge.tokenize
+        monkeypatch.setattr(marco.knowledge, "tokenize", lambda text: calls.append(text) or real(text))
+        kb = corpus_kb()
+        assert calls == []
+        assert kb.doc_frequency("slack") == 2
+        assert sorted(calls) == sorted(CORPUS.values())
+        retrieve(kb, "slack margin", k=3)
+        assert len(calls) == 4  # the query only; the index is kept
 
     def test_get(self):
         kb = corpus_kb()

@@ -278,3 +278,59 @@ class TestContext:
         assert context.get_document("shared") == "from a"
         with pytest.raises(KeyError):
             context.get_document("ghost")
+
+
+REPORT = (
+    "corner: tt mode: func check: max\n"
+    "PATH p0 start=a end=b clk=clk edges=rise slack=0.1\n"
+    "  STAGE 0 net=n0 cell=U0 R=100 C=2 delay=0.05 lc=0.1 xtd=0.0 aggr=none\n"
+)
+
+
+class TestReportLoading:
+    @pytest.fixture
+    def parses(self, monkeypatch):
+        import marco.eda.toolpack
+
+        texts = []
+        real = marco.eda.toolpack.parse_timing_report
+        monkeypatch.setattr(marco.eda.toolpack, "parse_timing_report", lambda text: texts.append(text) or real(text))
+        return texts
+
+    def invoke(self, context: ToolContext, report: str) -> ToolResult:
+        from marco.eda.toolpack import HANDLER_CATALOG
+
+        spec, handler = HANDLER_CATALOG["eda.find_missing_clock_edges"]
+        registry = ToolRegistry()
+        registry.register_tool(spec, handler)
+        return registry.invoke_tool(spec.name, {"report": report}, context)
+
+    def test_parsed_once_from_first_kb_in_name_order(self, parses):
+        from marco.knowledge import Document, KnowledgeBase
+
+        kb_a = KnowledgeBase("a", [Document("r", REPORT)])
+        kb_b = KnowledgeBase("b", [Document("r", "not a report")])
+        context = ToolContext(knowledge_bases={"b": kb_b, "a": kb_a})
+        first, second = self.invoke(context, "r"), self.invoke(context, "r")
+        assert first.ok and second == first
+        assert parses == [REPORT]
+        assert set(kb_a.parsed) == {"r"} and kb_b.parsed == {}
+
+    def test_parse_failure_not_kept(self, parses):
+        from marco.knowledge import Document, KnowledgeBase
+
+        kb = KnowledgeBase("a", [Document("r", "not a report")])
+        context = ToolContext(knowledge_bases={"a": kb})
+        first, second = self.invoke(context, "r"), self.invoke(context, "r")
+        assert not first.ok and second == first
+        assert parses == ["not a report"] * 2
+        assert kb.parsed == {}
+
+    def test_missing_document(self, parses):
+        from marco.knowledge import KnowledgeBase
+
+        result = self.invoke(ToolContext(knowledge_bases={"a": KnowledgeBase("a")}), "ghost")
+        assert result.content == (
+            "ERROR: find_missing_clock_edges failed: \"document 'ghost' not found in any accessible knowledge base\""
+        )
+        assert parses == []
