@@ -54,7 +54,86 @@ class RunConfig:
         return hashlib.sha256(canonical_json(self.raw).encode("utf-8")).hexdigest()
 
 
-def _load_backend(name: str, payload: Mapping, base_dir: Path, problems: list[str]) -> BackendDef | None:
+# What a JSON value must be, as a check and the words a problem line uses.
+_KINDS = {
+    "text": (lambda v: isinstance(v, str), "a string"),
+    "text?": (lambda v: v is None or isinstance(v, str), "a string or null"),
+    "texts": (lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v), "a list of strings"),
+    "flag": (lambda v: isinstance(v, bool), "true or false"),
+    "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    "seconds": (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool) and v > 0, "a positive number"),
+    "object": (lambda v: isinstance(v, dict), "a JSON object"),
+    "list": (lambda v: isinstance(v, list), "a list"),
+}
+_NODE_FIELDS = {"id": "text", "title": "text", "goal": "text", "agent_ref": "text",
+                "inputs": "texts", "outputs": "texts", "expansion": "text"}
+_EDGE_FIELDS = {"src": "text", "dst": "text", "kind": "text", "key": "text?"}
+_AGENT_FIELDS = {"topology": "text", "roles": "list", "termination": "object"}
+_ROLE_FIELDS = {"name": "text", "system_prompt": "text", "model_ref": "text", "tool_names": "texts",
+                "knowledge_base_refs": "texts"}
+_TERMINATION_FIELDS = {"max_turns": "int", "stop_phrase": "text?", "require_outputs": "flag"}
+_BACKEND_FIELDS = {"kind": "text?", "script": "text?", "cache_dir": "text?", "inner": "text?", "base_url": "text?",
+                   "record": "flag", "timeout": "seconds", "strict_tool_args": "flag"}
+
+
+def _object(where: str, value: Any, problems: list[str]) -> dict:
+    """``value`` if it is a JSON object; absent or null count as empty."""
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        problems.append(f"{where}: must be a JSON object, got {type(value).__name__}")
+        return {}
+    return value
+
+
+def _fields_ok(where: str, payload: Any, fields: Mapping[str, str], required: tuple[str, ...], problems: list[str]) -> bool:
+    """Check a JSON object's fields against their kinds; False, with the
+    reasons in ``problems``, if any is missing or of the wrong kind."""
+    if not isinstance(payload, dict):
+        problems.append(f"{where}: must be a JSON object, got {type(payload).__name__}")
+        return False
+    found = [f"{where}: missing key {key!r}" for key in required if key not in payload]
+    for key, kind in fields.items():
+        check, words = _KINDS[kind]
+        if key in payload and not check(payload[key]):
+            found.append(f"{where}.{key}: must be {words}, got {type(payload[key]).__name__}")
+    problems.extend(found)
+    return not found
+
+
+def _load_graph(raw: Any, problems: list[str]) -> TaskGraph:
+    """The graph section, checked for shape before it is built; a section
+    that cannot be built counts as an empty graph."""
+    graph = _object("graph", raw, problems)
+    ok = _fields_ok("graph", graph, {"mode": "text"}, (), problems)
+    for section, fields, required in (("nodes", _NODE_FIELDS, ("id",)), ("edges", _EDGE_FIELDS, ("src", "dst"))):
+        items = graph.get(section, [])
+        if not isinstance(items, list):
+            problems.append(f"graph.{section}: must be a list, got {type(items).__name__}")
+            ok = False
+            continue
+        for index, item in enumerate(items):
+            ok = _fields_ok(f"graph.{section}[{index}]", item, fields, required, problems) and ok
+    return TaskGraph.from_dict(graph) if ok else TaskGraph()
+
+
+def _agent_shape_ok(name: str, payload: Any, problems: list[str]) -> bool:
+    where = f"agents.{name}"
+    if not _fields_ok(where, payload, _AGENT_FIELDS, (), problems):
+        return False
+    ok = _fields_ok(f"{where}.termination", payload.get("termination", {}), _TERMINATION_FIELDS, (), problems)
+    for index, role in enumerate(payload.get("roles", [])):
+        at = f"{where}.roles[{index}]"
+        if not _fields_ok(at, role, _ROLE_FIELDS, ("name", "model_ref"), problems):
+            ok = False
+        elif role.get("memory"):  # an absent or empty memory means no window
+            ok = _fields_ok(f"{at}.memory", role["memory"], {"max_messages": "int"}, ("max_messages",), problems) and ok
+    return ok
+
+
+def _load_backend(name: str, payload: Any, base_dir: Path, problems: list[str]) -> BackendDef | None:
+    if not _fields_ok(f"backends.{name}", payload, _BACKEND_FIELDS, (), problems):
+        return None
     kind = payload.get("kind")
     if kind not in BACKEND_KINDS:
         problems.append(f"backends.{name}: kind must be one of {BACKEND_KINDS}, got {kind!r}")
@@ -106,20 +185,22 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError([f"{path}: config root must be a JSON object"])
     base_dir = path.resolve().parent
 
-    graph = TaskGraph.from_dict(raw.get("graph", {}))
+    graph = _load_graph(raw.get("graph"), problems)
     report = validate_graph(graph)
     for violation in report.violations:
         problems.append(f"graph: {violation.code} on {violation.subject}: {violation.detail}")
 
     agents: dict[str, AgentConfig] = {}
-    for name, payload in (raw.get("agents") or {}).items():
+    for name, payload in _object("agents", raw.get("agents"), problems).items():
+        if not _agent_shape_ok(name, payload, problems):
+            continue
         try:
             agents[name] = AgentConfig.from_dict({"name": name, **payload})
         except (KeyError, ValueError, TypeError) as exc:
             problems.append(f"agents.{name}: {exc}")
 
     backends: dict[str, BackendDef] = {}
-    for name, payload in (raw.get("backends") or {}).items():
+    for name, payload in _object("backends", raw.get("backends"), problems).items():
         backend = _load_backend(name, payload, base_dir, problems)
         if backend is not None:
             backends[name] = backend
@@ -135,15 +216,18 @@ def load_config(path: str | Path) -> RunConfig:
             problems.append(f"backends.{name}: circular replay inner chain {' -> '.join([*chain, name])}")
 
     knowledge_bases: dict[str, Path] = {}
-    for name, raw_dir in (raw.get("knowledge_bases") or {}).items():
+    for name, raw_dir in _object("knowledge_bases", raw.get("knowledge_bases"), problems).items():
+        if not isinstance(raw_dir, str):
+            problems.append(f"knowledge_bases.{name}: must be a directory path string, got {type(raw_dir).__name__}")
+            continue
         kb_dir = (base_dir / raw_dir).resolve()
         if not kb_dir.is_dir():
             problems.append(f"knowledge_bases.{name}: directory {str(kb_dir)!r} does not exist")
         knowledge_bases[name] = kb_dir
 
-    tool_bindings: dict[str, str] = dict(raw.get("tool_bindings") or {})
+    tool_bindings: dict[str, str] = dict(_object("tool_bindings", raw.get("tool_bindings"), problems))
     for tool_name, handler_ref in tool_bindings.items():
-        if handler_ref not in HANDLER_CATALOG:
+        if not isinstance(handler_ref, str) or handler_ref not in HANDLER_CATALOG:
             problems.append(f"tool_bindings.{tool_name}: unknown handler ref {handler_ref!r}")
 
     known_tools = set(tool_bindings) | set(BUILTIN_TOOLS)
@@ -161,9 +245,9 @@ def load_config(path: str | Path) -> RunConfig:
                 if kb_ref not in knowledge_bases:
                     problems.append(f"agents.{name}.{role.name}: unknown knowledge base {kb_ref!r}")
 
-    limits = raw.get("limits") or {}
+    limits = _object("limits", raw.get("limits"), problems)
     max_exec = limits.get("max_node_executions")
-    if not isinstance(max_exec, int) or max_exec < 1:
+    if not _KINDS["int"][0](max_exec) or max_exec < 1:
         problems.append("limits.max_node_executions: required positive integer")
         max_exec = 0
     elif max_exec < len(graph.nodes):
@@ -171,7 +255,7 @@ def load_config(path: str | Path) -> RunConfig:
             f"limits.max_node_executions: {max_exec} is below the initial node count {len(graph.nodes)}"
         )
 
-    seeds = dict(raw.get("seeds") or {})
+    seeds = dict(_object("seeds", raw.get("seeds"), problems))
 
     if problems:
         raise ConfigError(problems)

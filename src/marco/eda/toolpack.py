@@ -27,11 +27,8 @@ from .report import TimingReport, parse_timing_report
 def _load_report(context: ToolContext, doc_id: str) -> TimingReport:
     """Parse a report document once per knowledge base that holds it; a parse
     failure raises and is not kept."""
-    kb, doc = context.find_document(doc_id)
-    report = kb.parsed.get(doc_id)
-    if report is None:
-        report = kb.parsed[doc_id] = parse_timing_report(doc.text)
-    return report
+    kb, _ = context.find_document(doc_id)
+    return kb.parse_once(doc_id, parse_timing_report)
 
 
 def _parse_index_list(text: str | None) -> list[int] | None:

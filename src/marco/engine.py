@@ -1,30 +1,36 @@
 """End-to-end run engine: schedule ready nodes, run each through its
 agent, apply planner expansions, and persist a replayable trace.
 
-Deterministic mode executes the frontier strictly in sorted order, one
-node at a time, and zeroes wall-clock timings so two runs of the same
-config and scripts serialize identically.
+Nodes commit strictly in sorted-frontier order, one at a time: a node's
+outcome, blackboard writes and expansion land exactly as if the nodes had
+run one after another, even when nodes served by waiting backends ran side
+by side. Deterministic mode also zeroes wall-clock timings, so two runs of
+the same config and scripts serialize identically.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import heapq
 import json
 import time
+from collections import Counter
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
 
-from .agents import register_builtin_tools, run_node
+from .agents import NodeOutcome, register_builtin_tools, run_node
 from .config import RunConfig
 from .eda.toolpack import HANDLER_CATALOG
 from .errors import EngineError
 from .gateway import Backend, HttpBackend, MockBackend, ReplayBackend
 from .graph import TaskGraph, TaskNode, apply_expansion, ready_frontier
-from .knowledge import Blackboard, KnowledgeBase, load_kb_dir
+from .knowledge import Blackboard, BlackboardStage, KnowledgeBase, load_kb_dir
 from .tools import ToolRegistry
 
 TRACE_STATUSES = ("completed", "aborted")
+MAX_AHEAD = 8  # nodes running ahead of the head on worker threads at once
 BASELINE_NODE_ID = "baseline"
 
 
@@ -166,6 +172,35 @@ def _finish(trace: TraceDocument, graph: TaskGraph, blackboard: Blackboard, stat
     return trace
 
 
+class _Schedule:
+    """Kahn's algorithm over the execution edges: for every uncommitted node
+    the number of its uncommitted predecessors, and a min-heap of the ready
+    ids, so ``heap[0]`` is always ``ready_frontier(graph, done)[0]``."""
+
+    def __init__(self, graph: TaskGraph, done: set[str]) -> None:
+        self.reseed(graph, done)
+
+    def reseed(self, graph: TaskGraph, done: set[str]) -> None:
+        """Rebuild from the graph; an expansion may add edges into existing nodes."""
+        self.heap = ready_frontier(graph, done)  # id-sorted, so already a heap
+        self.waiting: dict[str, int] = {}
+        self.successors: dict[str, list[str]] = {}
+        for nid, preds in graph.execution_predecessors().items():
+            if nid not in done:
+                self.waiting[nid] = len(preds - done)
+                for pred in preds:
+                    self.successors.setdefault(pred, []).append(nid)
+
+    def pop(self) -> str:
+        """Commit the head and return its id; successors it frees become ready."""
+        nid = heapq.heappop(self.heap)
+        for succ in self.successors.get(nid, ()):
+            self.waiting[succ] -= 1
+            if not self.waiting[succ]:
+                heapq.heappush(self.heap, succ)
+        return nid
+
+
 def _execute(
     config: RunConfig,
     graph: TaskGraph,
@@ -173,54 +208,111 @@ def _execute(
     deterministic: bool,
     trace: TraceDocument,
 ) -> TraceDocument:
-    """Shared scheduling loop for run and run_baseline."""
+    """Shared scheduling loop for run and run_baseline.
+
+    Nodes commit one at a time in Kahn order: outcome, blackboard writes and
+    expansion of the least ready id. While the head runs, other ready nodes
+    may run ahead on worker threads when (a) no planner is uncommitted, so
+    the graph is final, (b) every role of their agent is served by a backend
+    that waits, and (c) no other uncommitted node declares one of their input
+    or output keys. Their writes are staged and committed, or dropped, when
+    they reach the head.
+    """
     registry = build_registry(config)
     knowledge_bases = build_knowledge_bases(config)
     blackboard = _seed_blackboard(config, graph)
     agent_names = tuple(config.agents)
     zero_clock = deterministic or any(b.kind == "replay" for b in config.backends.values())
+    waiting_agents = {
+        name
+        for name, agent in config.agents.items()
+        if all(role.model_ref in backends and backends[role.model_ref].waits for role in agent.roles)
+    }
+    nodes = {node.id: node for node in graph.nodes}
     done: set[str] = set()
-    while frontier := ready_frontier(graph, done):
-        if len(done) >= config.max_node_executions:
-            raise EngineError(
-                "BUDGET_EXCEEDED",
-                f"node execution budget {config.max_node_executions} exhausted"
-                f" with {len(frontier)} node(s) still ready",
-                trace=_finish(trace, graph, blackboard, "aborted"),
-            )
-        node = graph.node_map()[frontier[0]]
+    schedule = _Schedule(graph, done)
+    planners = sum(node.expansion == "planner" for node in graph.nodes)  # uncommitted ones
+    producers = Counter(key for node in graph.nodes for key in node.outputs)  # uncommitted declarers
+    ahead: dict[str, tuple[Future, BlackboardStage]] = {}
+    elapsed: dict[str, float] = {}
+
+    def attempt(node: TaskNode, graph: TaskGraph, stage: BlackboardStage) -> NodeOutcome:
         started = time.perf_counter()
         try:
-            outcome = run_node(
+            return run_node(
                 node,
                 graph,
                 config.agents[node.agent_ref],
                 backends,
                 registry,
-                blackboard,
+                stage,
                 knowledge_bases=knowledge_bases,
                 agent_names=agent_names,
             )
-        except EngineError as exc:
-            exc.trace = _finish(trace, graph, blackboard, "aborted")
-            raise
         finally:
-            # runs before an error leaves, so an aborted trace still times this node
-            trace.timings[node.id] = 0.0 if zero_clock else round(time.perf_counter() - started, 6)
-        done.add(node.id)
-        trace.outcomes.append(outcome.to_dict())
-        if outcome.expansion is not None and outcome.status == "solved":
-            try:
-                graph = apply_expansion(graph, outcome.expansion)
-            except Exception as exc:
+            elapsed[node.id] = time.perf_counter() - started
+
+    def may_run_ahead(node: TaskNode) -> bool:
+        if node.agent_ref not in waiting_agents:
+            return False
+        return all(producers[key] == (key in node.outputs) for key in {*node.inputs, *node.outputs})
+
+    with ThreadPoolExecutor(max_workers=MAX_AHEAD, thread_name_prefix="marco-node") as pool:
+        while schedule.heap:
+            if len(done) >= config.max_node_executions:
                 raise EngineError(
-                    "EXPANSION_REJECTED",
-                    f"planner {node.id} produced an unusable expansion: {exc}",
+                    "BUDGET_EXCEEDED",
+                    f"node execution budget {config.max_node_executions} exhausted"
+                    f" with {len(schedule.heap)} node(s) still ready",
                     trace=_finish(trace, graph, blackboard, "aborted"),
-                ) from exc
-            for new_node in outcome.expansion.new_nodes:
-                blackboard.declare_outputs(new_node.id, new_node.outputs)
-            trace.expansions.append(outcome.expansion.to_dict())
+                )
+            head = schedule.heap[0]
+            if waiting_agents and not planners:
+                # committed plus running nodes, the head included, stay within the budget
+                room = min(MAX_AHEAD, config.max_node_executions - len(done) - (head not in ahead)) - len(ahead)
+                for nid in sorted(schedule.heap)[1:]:
+                    if room <= 0:
+                        break
+                    if nid not in ahead and may_run_ahead(nodes[nid]):
+                        stage = blackboard.stage(nid)
+                        ahead[nid] = (pool.submit(attempt, nodes[nid], graph, stage), stage)
+                        room -= 1
+            node = nodes[head]
+            if head in ahead:
+                future, stage = ahead.pop(head)
+            else:
+                future, stage = None, blackboard.stage(head)
+            try:
+                outcome = future.result() if future is not None else attempt(node, graph, stage)
+            except EngineError as exc:
+                stage.commit()  # what the head wrote before it failed, as a serial run keeps it
+                exc.trace = _finish(trace, graph, blackboard, "aborted")
+                raise
+            finally:
+                # runs before an error leaves, so an aborted trace still times this node
+                trace.timings[head] = 0.0 if zero_clock else round(elapsed[head], 6)
+            stage.commit()
+            schedule.pop()
+            done.add(head)
+            planners -= node.expansion == "planner"
+            producers.subtract(node.outputs)
+            trace.outcomes.append(outcome.to_dict())
+            if outcome.expansion is not None and outcome.status == "solved":
+                try:
+                    graph = apply_expansion(graph, outcome.expansion)
+                except Exception as exc:
+                    raise EngineError(
+                        "EXPANSION_REJECTED",
+                        f"planner {node.id} produced an unusable expansion: {exc}",
+                        trace=_finish(trace, graph, blackboard, "aborted"),
+                    ) from exc
+                for new_node in outcome.expansion.new_nodes:
+                    blackboard.declare_outputs(new_node.id, new_node.outputs)
+                    nodes[new_node.id] = new_node
+                    planners += new_node.expansion == "planner"
+                    producers.update(new_node.outputs)
+                trace.expansions.append(outcome.expansion.to_dict())
+                schedule.reseed(graph, done)
     return _finish(trace, graph, blackboard, "completed")
 
 
@@ -241,14 +333,11 @@ def run(
 
 
 def _scheduled_order(graph: TaskGraph) -> list[str]:
+    schedule = _Schedule(graph, set())
     order: list[str] = []
-    done: set[str] = set()
-    while True:
-        frontier = ready_frontier(graph, done)
-        if not frontier:
-            return order
-        order.append(frontier[0])
-        done.add(frontier[0])
+    while schedule.heap:
+        order.append(schedule.pop())
+    return order
 
 
 def collapse_graph(config: RunConfig) -> tuple[TaskGraph, dict]:

@@ -175,7 +175,14 @@ def parse_tool_arguments(text: str, strict: bool = True) -> dict:
 
 
 class Backend:
-    """Interface every backend implements."""
+    """Interface every backend implements.
+
+    ``waits`` is true when a call spends its time waiting on another process
+    rather than computing; the engine runs nodes served only by such backends
+    side by side.
+    """
+
+    waits = False
 
     def complete(self, req: CompletionRequest) -> ChatMessage:
         raise NotImplementedError
@@ -295,6 +302,10 @@ class ReplayBackend(Backend):
         if record:
             self.cache_dir.mkdir(parents=True, exist_ok=True)
 
+    @property
+    def waits(self) -> bool:
+        return self.record and self.inner is not None and self.inner.waits
+
     def _path(self, digest: str) -> Path:
         return self.cache_dir / f"{digest}.json"
 
@@ -333,6 +344,8 @@ class HttpBackend(Backend):
 
     Transient failures (connection errors, 5xx) get a single linear retry.
     """
+
+    waits = True
 
     def __init__(
         self,

@@ -12,7 +12,7 @@ import re
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 from .errors import KnowledgeError
 from .gateway import ChatMessage
@@ -54,20 +54,24 @@ class Blackboard:
         with self._lock:
             self._declarations.setdefault(node_id, set()).update(keys)
 
+    def _next(self, key: str, value: Any, producer: str, previous: Artifact | None) -> Artifact:
+        """The artifact a write makes after ``previous``; call with the lock held."""
+        if producer != self.SEED_PRODUCER and key not in self._declarations.get(producer, ()):
+            raise KnowledgeError(
+                "UNDECLARED_OUTPUT",
+                f"node {producer!r} did not declare output key {key!r}",
+            )
+        return Artifact(value=value, producer=producer, version=1 if previous is None else previous.version + 1)
+
     def write(self, key: str, value: Any, producer: str) -> int:
         """Write one artifact version; returns the new version number."""
         with self._lock:
-            if producer != self.SEED_PRODUCER:
-                declared = self._declarations.get(producer, set())
-                if key not in declared:
-                    raise KnowledgeError(
-                        "UNDECLARED_OUTPUT",
-                        f"node {producer!r} did not declare output key {key!r}",
-                    )
-            previous = self._entries.get(key)
-            version = 1 if previous is None else previous.version + 1
-            self._entries[key] = Artifact(value=value, producer=producer, version=version)
-            return version
+            artifact = self._entries[key] = self._next(key, value, producer, self._entries.get(key))
+            return artifact.version
+
+    def stage(self, node_id: str) -> "BlackboardStage":
+        """A view that holds one node's writes apart until they are committed."""
+        return BlackboardStage(self, node_id)
 
     def seed(self, key: str, value: Any) -> int:
         return self.write(key, value, producer=self.SEED_PRODUCER)
@@ -98,6 +102,42 @@ class Blackboard:
             }
 
 
+class BlackboardStage:
+    """One node's view of the blackboard while it runs.
+
+    Writes are checked against the declarations and held here; reads see
+    them first and then the shared board, and versions are numbered as the
+    shared board would number them. ``commit`` applies the held writes to
+    the shared board; a stage never committed leaves no trace on it.
+    """
+
+    def __init__(self, board: Blackboard, node_id: str) -> None:
+        self.node_id = node_id
+        self._board = board
+        self._writes: dict[str, Artifact] = {}
+
+    def write(self, key: str, value: Any, producer: str) -> int:
+        board = self._board
+        with board._lock:
+            previous = self._writes.get(key) or board._entries.get(key)
+            artifact = self._writes[key] = board._next(key, value, producer, previous)
+        return artifact.version
+
+    def read(self, key: str) -> Any:
+        return self.entry(key).value
+
+    def entry(self, key: str) -> Artifact:
+        return self._writes.get(key) or self._board.entry(key)
+
+    def has(self, key: str) -> bool:
+        return key in self._writes or self._board.has(key)
+
+    def commit(self) -> None:
+        with self._board._lock:
+            self._board._entries.update(self._writes)
+        self._writes = {}
+
+
 @dataclass(frozen=True)
 class Document:
     id: str
@@ -123,7 +163,9 @@ class KnowledgeBase:
 
     ``parsed`` holds what tools derive from a document (doc id -> parsed
     form), so each document is parsed at most once while the knowledge base
-    lives; the engine builds fresh knowledge bases for every run.
+    lives; the engine builds fresh knowledge bases for every run. One lock
+    guards the index build and ``parsed``, as nodes may query a knowledge
+    base from several threads at once.
     """
 
     def __init__(self, name: str, documents: Iterable[Document] = ()) -> None:
@@ -131,23 +173,36 @@ class KnowledgeBase:
         self.parsed: dict[str, Any] = {}
         self._docs: dict[str, Document] = {}
         self._postings: dict[str, dict[str, int]] | None = None  # token -> doc id -> count
+        self._lock = threading.Lock()
         for doc in documents:
             self.ingest(doc)
 
     def ingest(self, doc: Document) -> None:
-        if doc.id in self._docs:
-            raise KnowledgeError("DUPLICATE_DOC", f"document id {doc.id!r} already ingested in {self.name!r}")
-        self._docs[doc.id] = doc
-        if self._postings is not None:
-            _add_postings(self._postings, doc)
+        with self._lock:
+            if doc.id in self._docs:
+                raise KnowledgeError("DUPLICATE_DOC", f"document id {doc.id!r} already ingested in {self.name!r}")
+            self._docs[doc.id] = doc
+            if self._postings is not None:
+                _add_postings(self._postings, doc)
 
     def postings(self, token: str) -> Mapping[str, int]:
         """Doc id -> count of ``token``, for the documents that contain it."""
         if self._postings is None:
-            self._postings = {}
-            for doc in self._docs.values():
-                _add_postings(self._postings, doc)
+            with self._lock:
+                if self._postings is None:
+                    postings: dict[str, dict[str, int]] = {}
+                    for doc in self._docs.values():
+                        _add_postings(postings, doc)
+                    self._postings = postings
         return self._postings.get(token, {})
+
+    def parse_once(self, doc_id: str, parse: Callable[[str], Any]) -> Any:
+        """``parse`` of the document's text, kept in ``parsed``; a parse that
+        raises is not kept."""
+        with self._lock:
+            if doc_id not in self.parsed:
+                self.parsed[doc_id] = parse(self._docs[doc_id].text)
+            return self.parsed[doc_id]
 
     def get(self, doc_id: str) -> Document | None:
         return self._docs.get(doc_id)
@@ -233,11 +288,15 @@ class MemoryWindow:
 
 def apply_window(messages: list[ChatMessage], window: MemoryWindow) -> list[ChatMessage]:
     """Trim to at most max_messages, keeping the system message plus the
-    most recent remainder. Idempotent; retained order is preserved."""
+    most recent remainder. A tool round is evicted as a unit: tool replies
+    whose requesting assistant message falls outside the window go too, as
+    chat-completions endpoints reject them. Idempotent; retained order is
+    preserved."""
     if len(messages) <= window.max_messages:
         return list(messages)
-    if messages and messages[0].role == "system":
-        keep = window.max_messages - 1
-        tail = messages[1:][-keep:] if keep > 0 else []
-        return [messages[0]] + tail
-    return list(messages[-window.max_messages:])
+    head = [messages[0]] if messages and messages[0].role == "system" else []
+    keep = window.max_messages - len(head)
+    start = len(messages) - keep
+    while start < len(messages) and messages[start].role == "tool":
+        start += 1
+    return head + list(messages[start:])

@@ -80,6 +80,19 @@ class TestValidate:
         assert out == ""
         assert err == "invalid: backends.mock: script entry 0: a script needs at least one response\n"
 
+    def test_malformed_sections_listed_without_traceback(self, capsys, tmp_path):
+        config_path = write_one_node_config(tmp_path, live={"kind": "http", "timeout": "fast"})
+        payload = json.loads(config_path.read_text(encoding="utf-8"))
+        payload["graph"]["nodes"][0]["inputs"] = "abc"
+        config_path.write_text(json.dumps(payload), encoding="utf-8")
+        code, out, err = run_cli(capsys, "validate", str(config_path))
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "invalid: graph.nodes[0].inputs: must be a list of strings, got str\n"
+            "invalid: backends.live.timeout: must be a positive number, got str\n"
+        )
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "validate", str(tmp_path / "ghost.json"))
         assert code == 1

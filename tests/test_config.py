@@ -9,6 +9,12 @@ import marco
 from marco.config import load_config
 from marco.errors import ConfigError
 
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+except ImportError:  # pragma: no cover - hypothesis is a dev dependency
+    st = None
+
 BUNDLED = Path(marco.__file__).resolve().parent / "data" / "configs"
 
 
@@ -234,6 +240,9 @@ class TestValidationProblems:
         payload["limits"] = {"max_node_executions": 0}
         problems = problems_of(workdir, payload)
         assert "limits.max_node_executions: required positive integer" in problems
+        payload["limits"] = {"max_node_executions": True}
+        problems = problems_of(workdir, payload)
+        assert "limits.max_node_executions: required positive integer" in problems
 
     def test_limits_below_node_count(self, workdir):
         payload = base_payload()
@@ -251,6 +260,91 @@ class TestValidationProblems:
         del payload["limits"]
         problems = problems_of(workdir, payload)
         assert len(problems) >= 3
+
+
+class TestMalformedSections:
+    """Sections of the wrong JSON shape are problem lines, never raw exceptions."""
+
+    def test_graph_not_an_object(self, workdir):
+        payload = base_payload()
+        payload["graph"] = []
+        assert problems_of(workdir, payload) == ["graph: must be a JSON object, got list"]
+
+    def test_node_without_id(self, workdir):
+        payload = base_payload()
+        del payload["graph"]["nodes"][0]["id"]
+        assert problems_of(workdir, payload) == ["graph.nodes[0]: missing key 'id'"]
+
+    def test_backend_not_an_object(self, workdir):
+        payload = base_payload()
+        payload["backends"]["mock"] = "mock"
+        problems = problems_of(workdir, payload)
+        assert "backends.mock: must be a JSON object, got str" in problems
+
+    def test_http_timeout_not_a_number(self, workdir):
+        payload = base_payload()
+        payload["backends"]["live"] = {"kind": "http", "timeout": "fast"}
+        assert problems_of(workdir, payload) == ["backends.live.timeout: must be a positive number, got str"]
+
+    def test_inputs_string_not_split_into_letters(self, workdir):
+        payload = base_payload()
+        payload["graph"]["nodes"][0]["inputs"] = "abc"
+        assert problems_of(workdir, payload) == ["graph.nodes[0].inputs: must be a list of strings, got str"]
+
+    def test_role_and_section_shapes(self, workdir):
+        payload = base_payload()
+        payload["agents"]["a1"]["roles"][0]["model_ref"] = ["mock"]
+        payload["agents"]["a1"]["termination"] = {"max_turns": "8"}
+        payload["tool_bindings"] = ["eda.find_rc_mismatch_pairs"]
+        payload["seeds"] = "none"
+        problems = problems_of(workdir, payload)
+        assert "agents.a1.roles[0].model_ref: must be a string, got list" in problems
+        assert "agents.a1.termination.max_turns: must be an integer, got str" in problems
+        assert "tool_bindings: must be a JSON object, got list" in problems
+        assert "seeds: must be a JSON object, got str" in problems
+
+
+def _json_paths(value, prefix=()):
+    """Every path to a value inside a JSON document, the root excluded."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _json_paths(child, prefix + (key,))
+
+
+if st is not None:
+    JSON_VALUES = st.recursive(
+        st.none() | st.booleans() | st.integers(-3, 3) | st.floats(allow_nan=False) | st.text(max_size=4),
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+        max_leaves=6,
+    )
+    PATHS = sorted(_json_paths(base_payload()), key=repr)
+
+    class TestConfigFuzz:
+        @settings(max_examples=300, deadline=None)
+        @given(path=st.sampled_from(PATHS), value=JSON_VALUES, delete=st.booleans())
+        def test_any_one_value_replaced_loads_or_lists_problems(self, tmp_path_factory, path, value, delete):
+            workdir = tmp_path_factory.mktemp("fuzz")
+            (workdir / "script.json").write_text(
+                json.dumps([{"matcher": {"kind": "always"}, "responses": [{"content": "done"}]}]), encoding="utf-8"
+            )
+            payload = base_payload()
+            parent = payload
+            for key in path[:-1]:
+                parent = parent[key]
+            if delete:
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = value
+            try:
+                load_config(write_config(workdir, payload))
+            except ConfigError as exc:
+                assert exc.problems and all(isinstance(p, str) for p in exc.problems)
 
 
 class TestPathsAndDigest:

@@ -1,7 +1,11 @@
 """Run engine: trace documents, backend assembly, scheduling, baseline."""
 
 import dataclasses
+import http.server
 import json
+import shutil
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -19,7 +23,7 @@ from marco.engine import (
     run_baseline,
 )
 from marco.errors import EngineError, GraphError
-from marco.gateway import MockBackend, ReplayBackend
+from marco.gateway import ChatMessage, CompletionRequest, HttpBackend, MockBackend, ReplayBackend, ToolCallRequest
 
 BUNDLED = Path(marco.__file__).resolve().parent / "data" / "configs"
 
@@ -338,6 +342,16 @@ class TestRunStaticChain:
         assert exc.value.code == "BACKEND_ERROR"
         assert exc.value.trace.status == "aborted"
 
+    def test_failed_node_keeps_writes_made_before_the_error(self, tmp_path):
+        # n1 writes n1_out, then its script runs dry on the next turn
+        scripts = [dict(WRITER_SCRIPTS[1], responses=WRITER_SCRIPTS[1]["responses"][:1])]
+        config = load_payload(tmp_path, chain_payload(), scripts)
+        with pytest.raises(EngineError) as exc:
+            run(config, deterministic=True)
+        assert exc.value.code == "BACKEND_ERROR"
+        assert outcome_ids(exc.value.trace) == []
+        assert exc.value.trace.blackboard == {"n1_out": {"value": "alpha", "producer": "n1", "version": 1}}
+
 
 class TestRunDynamic:
     def test_expansion_applied_and_recorded(self, tmp_path):
@@ -533,3 +547,234 @@ class TestBundledRuns:
         new_nodes = trace.expansions[0]["new_nodes"]
         assert len(new_nodes) == 4
         assert "mcmm_takeaways" in trace.blackboard
+
+
+# --- overlapped runs against a local chat-completions server -------------------
+
+def _request_from_payload(payload: dict) -> CompletionRequest:
+    """Invert HttpBackend's request body back into a CompletionRequest."""
+    messages = []
+    for entry in payload["messages"]:
+        calls = tuple(
+            ToolCallRequest(id=c["id"], tool_name=c["function"]["name"], arguments=json.loads(c["function"]["arguments"]))
+            for c in entry.get("tool_calls", ())
+        )
+        messages.append(
+            ChatMessage(role=entry["role"], content=entry["content"], tool_calls=calls, tool_call_id=entry.get("tool_call_id"))
+        )
+    return CompletionRequest(model_ref=payload["model"], messages=tuple(messages), temperature=payload["temperature"])
+
+
+def _completion_body(message: ChatMessage) -> dict:
+    reply: dict = {"role": "assistant", "content": message.content}
+    if message.tool_calls:
+        reply["tool_calls"] = [
+            {"id": c.id, "type": "function", "function": {"name": c.tool_name, "arguments": json.dumps(c.arguments)}}
+            for c in message.tool_calls
+        ]
+    return {"choices": [{"message": reply}]}
+
+
+class _ScriptHandler(http.server.BaseHTTPRequestHandler):
+    def do_POST(self):
+        payload = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        status, body = self.server.answer(payload)
+        data = json.dumps(body).encode("utf-8")
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+    def log_message(self, *args):
+        pass
+
+
+class ScriptServer(http.server.ThreadingHTTPServer):
+    """Serves a mock script over HTTP, one request per thread, after ``delay``
+    seconds; records when each node's requests were in flight. Requests of
+    ``fail_node`` get a 400 after ``fail_delay`` seconds."""
+
+    daemon_threads = True
+
+    def __init__(self, script: Path, delay: float, fail_node: str | None = None, fail_delay: float = 0.0) -> None:
+        super().__init__(("127.0.0.1", 0), _ScriptHandler)
+        self.mock = MockBackend.from_script_file(script)
+        self.delay, self.fail_node, self.fail_delay = delay, fail_node, fail_delay
+        self.lock = threading.Lock()
+        self.inflight = self.max_inflight = 0
+        self.spans: list[tuple[str, float, float]] = []  # node id, start, end
+
+    @property
+    def url(self) -> str:
+        return f"http://127.0.0.1:{self.server_port}"
+
+    def answer(self, payload: dict) -> tuple[int, dict]:
+        request = _request_from_payload(payload)
+        node = request.messages[1].content.splitlines()[0].removeprefix("Task node: ")
+        start = time.perf_counter()
+        with self.lock:
+            self.inflight += 1
+            self.max_inflight = max(self.max_inflight, self.inflight)
+        try:
+            if node == self.fail_node:
+                time.sleep(self.fail_delay)
+                return 400, {}
+            time.sleep(self.delay)
+            with self.lock:
+                return 200, _completion_body(self.mock.complete(request))
+        finally:
+            with self.lock:
+                self.inflight -= 1
+                self.spans.append((node, start, time.perf_counter()))
+
+    def span_of(self, node: str) -> tuple[float, float]:
+        (span,) = [(start, end) for name, start, end in self.spans if name == node]
+        return span
+
+
+@pytest.fixture
+def script_server():
+    started = []
+
+    def start(script: Path, delay: float = 0.05, **kwargs) -> ScriptServer:
+        server = ScriptServer(script, delay, **kwargs)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        started.append((server, thread))
+        return server
+
+    yield start
+    for server, thread in started:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+
+
+def mcmm_over_http(tmp_path: Path, url: str) -> "marco.config.RunConfig":
+    """Bundled mcmm with its roles served by a recording replay over HTTP;
+    ``cached`` replays the same cache without recording."""
+    payload = json.loads((BUNDLED / "mcmm.json").read_text(encoding="utf-8"))
+    payload["backends"] = {
+        "mock": {"kind": "replay", "cache_dir": "cache", "record": True, "inner": "http"},
+        "http": {"kind": "http", "base_url": url, "timeout": 10},
+        "cached": {"kind": "replay", "cache_dir": "cache"},
+    }
+    payload["knowledge_bases"] = {"timing_reports": str(BUNDLED.parent / "fixtures_3corner")}
+    path = tmp_path / "mcmm_http.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    return load_config(path)
+
+
+def new_non_daemon_threads(before: set) -> list[threading.Thread]:
+    return [t for t in threading.enumerate() if t not in before and not t.daemon]
+
+
+class TestOverlappedRuns:
+    def test_waiting_backends_overlap_and_trace_matches_serial_replay(self, tmp_path, script_server):
+        server = script_server(BUNDLED / "mcmm_scripts.json")
+        config = mcmm_over_http(tmp_path, server.url)
+        before = set(threading.enumerate())
+        recorded = run(config, deterministic=True)
+        assert new_non_daemon_threads(before) == []
+        assert server.max_inflight >= 2
+        corners = [server.span_of(node) for node in ("corner_ff", "corner_ss", "corner_tt")]
+        assert max(start for start, _ in corners) < min(end for _, end in corners)
+        replayed = run(config, backend_override="cached", deterministic=True)
+        assert replayed.render() == recorded.render()
+        mocked = run(load_config(BUNDLED / "mcmm.json"), deterministic=True)
+        assert recorded.outcomes == mocked.outcomes
+        assert recorded.blackboard == mocked.blackboard
+
+    def test_error_at_head_gives_serial_aborted_trace(self, tmp_path, script_server, monkeypatch):
+        # corner_ff is the head after the plan; it fails once corner_ss and
+        # corner_tt have finished ahead of it and staged their takeaways
+        server = script_server(BUNDLED / "mcmm_scripts.json", fail_node="corner_ff", fail_delay=0.3)
+        config = mcmm_over_http(tmp_path, server.url)
+        before = set(threading.enumerate())
+        with pytest.raises(EngineError) as overlapped:
+            run(config, deterministic=True)
+        assert new_non_daemon_threads(before) == []
+        assert {"corner_ss", "corner_tt"} <= {node for node, _, _ in server.spans}
+        assert overlapped.value.code == "BACKEND_ERROR"
+        trace = overlapped.value.trace
+        assert outcome_ids(trace) == ["plan_mcmm"]
+        assert list(trace.blackboard) == ["mcmm_plan"]
+
+        shutil.rmtree(tmp_path / "cache")
+        server.mock = MockBackend.from_script_file(BUNDLED / "mcmm_scripts.json")
+        server.spans.clear()
+        monkeypatch.setattr(HttpBackend, "waits", False)
+        with pytest.raises(EngineError) as serial:
+            run(config, deterministic=True)
+        assert {node for node, _, _ in server.spans} == {"plan_mcmm", "corner_ff"}
+        assert serial.value.trace.render() == trace.render()
+        assert str(serial.value) == str(overlapped.value)
+
+    def test_nodes_sharing_an_output_key_never_overlap(self, tmp_path, script_server):
+        (tmp_path / "scripts.json").write_text(
+            json.dumps([{"matcher": {"kind": "always"}, "responses": [{"content": "done"}] * 3}]), encoding="utf-8"
+        )
+        server = script_server(tmp_path / "scripts.json")
+        nodes = [
+            {"id": nid, "title": nid, "goal": "report", "agent_ref": "solo", "outputs": [key]}
+            for nid, key in (("n1", "shared"), ("n2", "shared"), ("n3", "own"))
+        ]
+        payload = {
+            "graph": {"mode": "static", "nodes": nodes, "edges": []},
+            "agents": {"solo": {"topology": "single", "roles": [{"name": "w", "model_ref": "live"}]}},
+            "backends": {"live": {"kind": "http", "base_url": server.url, "timeout": 10}},
+            "limits": {"max_node_executions": 3},
+        }
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps(payload), encoding="utf-8")
+        trace = run(load_config(config_path), deterministic=True)
+        assert outcome_ids(trace) == ["n1", "n2", "n3"]
+        (n1_start, n1_end), (n2_start, _), (n3_start, n3_end) = (server.span_of(n) for n in ("n1", "n2", "n3"))
+        assert n2_start >= n1_end
+        assert n3_start < n1_end and n1_start < n3_end
+
+    def test_nothing_runs_ahead_of_an_uncommitted_planner(self, tmp_path, script_server, monkeypatch):
+        # planner a adds b, which writes k; c reads k and would see only the
+        # seed if it ran while a was still planning
+        scripts = [
+            {"matcher": {"kind": "substring", "value": "Task node: a"},
+             "responses": [{"content": "```PLAN\nb | make k | write k | out=k\n```"}]},
+            {"matcher": {"kind": "substring", "value": "Task node: b"},
+             "responses": [{"content": "writing", "tool_calls": [
+                 {"id": "w1", "tool_name": "write_artifact", "arguments": {"key": "k", "value": "from b"}}]}]},
+            {"matcher": {"kind": "substring", "value": "Task node: c"}, "responses": [{"content": "read it"}]},
+        ]
+        (tmp_path / "scripts.json").write_text(json.dumps(scripts), encoding="utf-8")
+        server = script_server(tmp_path / "scripts.json")
+        payload = {
+            "graph": {
+                "mode": "dynamic",
+                "nodes": [
+                    {"id": "a", "title": "a", "goal": "plan", "agent_ref": "solo", "outputs": ["plan"], "expansion": "planner"},
+                    {"id": "c", "title": "c", "goal": "use k", "agent_ref": "solo", "inputs": ["k"]},
+                ],
+                "edges": [],
+            },
+            "agents": {"solo": {"topology": "single", "roles": [{"name": "w", "model_ref": "live"}]}},
+            "backends": {"live": {"kind": "http", "base_url": server.url, "timeout": 10}},
+            "seeds": {"k": "seed"},
+            "limits": {"max_node_executions": 3},
+        }
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps(payload), encoding="utf-8")
+        trace = run(load_config(config_path), deterministic=True)
+        assert outcome_ids(trace) == ["a", "b", "c"]
+        assert '  k = "from b"' in trace.outcomes[2]["transcript"][0]["message"]["content"]
+        server.mock = MockBackend.from_script_file(tmp_path / "scripts.json")
+        monkeypatch.setattr(HttpBackend, "waits", False)
+        assert run(load_config(config_path), deterministic=True).render() == trace.render()
+
+    def test_budget_bounds_nodes_run_ahead(self, tmp_path, script_server):
+        server = script_server(BUNDLED / "mcmm_scripts.json")
+        config = dataclasses.replace(mcmm_over_http(tmp_path, server.url), max_node_executions=3)
+        with pytest.raises(EngineError) as exc:
+            run(config, deterministic=True)
+        assert exc.value.code == "BUDGET_EXCEEDED"
+        assert outcome_ids(exc.value.trace) == ["plan_mcmm", "corner_ff", "corner_ss"]
+        assert {node for node, _, _ in server.spans} == {"plan_mcmm", "corner_ff", "corner_ss"}

@@ -1,6 +1,7 @@
 """Blackboard versioning, tf-idf retrieval, and memory windows."""
 
 import threading
+import time
 
 import pytest
 
@@ -12,8 +13,9 @@ except ModuleNotFoundError:  # pragma: no cover
 
 from oracles import tfidf_rank
 from marco.errors import KnowledgeError
-from marco.gateway import ChatMessage
+from marco.gateway import ChatMessage, ToolCallRequest
 from marco.knowledge import (
+    Artifact,
     Blackboard,
     Document,
     KnowledgeBase,
@@ -89,6 +91,41 @@ class TestBlackboard:
             t.join()
         assert sorted(seen) == list(range(1, 201))
         assert board.entry("shared").version == 200
+
+
+class TestBlackboardStage:
+    def test_reads_own_writes_then_shared_board(self):
+        board = Blackboard({"n1": ["a", "b"]})
+        board.seed("brief", "shared text")
+        stage = board.stage("n1")
+        stage.write("a", "staged", producer="n1")
+        assert stage.read("a") == "staged" and stage.has("a")
+        assert stage.read("brief") == "shared text" and stage.has("brief")
+        assert not stage.has("b")
+        assert not board.has("a")
+
+    def test_versions_numbered_as_the_shared_board_would(self):
+        board = Blackboard({"n1": ["a"], "n2": ["b"]})
+        board.write("a", "v1", producer="n1")
+        stage = board.stage("n1")
+        assert stage.write("a", "v2", producer="n1") == 2
+        assert stage.write("a", "v3", producer="n1") == 3
+        assert stage.entry("a") == Artifact(value="v3", producer="n1", version=3)
+        assert board.entry("a").version == 1
+        stage.commit()
+        assert board.entry("a").version == 3 and board.read("a") == "v3"
+        assert board.write("a", "v4", producer="n1") == 4
+
+    def test_undeclared_key_raises(self):
+        stage = Blackboard({"n1": ["a"]}).stage("n1")
+        with pytest.raises(KnowledgeError) as exc:
+            stage.write("other", "x", producer="n1")
+        assert exc.value.code == "UNDECLARED_OUTPUT"
+
+    def test_uncommitted_stage_leaves_no_trace(self):
+        board = Blackboard({"n1": ["a"]})
+        board.stage("n1").write("a", "dropped", producer="n1")
+        assert board.snapshot() == {}
 
 
 class TestTokenize:
@@ -210,6 +247,58 @@ class TestKnowledgeBase:
         retrieve(kb, "slack margin", k=3)
         assert len(calls) == 4  # the query only; the index is kept
 
+    def test_concurrent_first_queries_build_index_once(self, monkeypatch):
+        import marco.knowledge
+
+        docs = {f"d{i}": " ".join(DOC_WORDS[(i * j) % len(DOC_WORDS)] for j in range(i + 3)) for i in range(40)}
+        built = []
+        real = marco.knowledge._add_postings
+
+        def add_postings(postings, doc):
+            built.append(doc.id)
+            time.sleep(0.001)  # yields, so the other threads reach the index meanwhile
+            real(postings, doc)
+
+        monkeypatch.setattr(marco.knowledge, "_add_postings", add_postings)
+        kb = corpus_kb(docs)
+        queries = [" ".join(QUERY_WORDS[i:i + 3]) for i in range(8)]
+        start = threading.Barrier(len(queries))
+        results: dict[str, list] = {}
+
+        def query(text):
+            start.wait(timeout=10)
+            results[text] = [(doc.id, score) for doc, score in retrieve(kb, text, k=5)]
+
+        threads = [threading.Thread(target=query, args=(text,)) for text in queries]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+        assert sorted(built) == sorted(docs)
+        assert results == {text: tfidf_rank(docs, text, 5) for text in queries}
+
+    def test_concurrent_parses_run_once(self):
+        kb = corpus_kb()
+        calls = []
+        start = threading.Barrier(8)
+
+        def parse(text):
+            calls.append(text)
+            time.sleep(0.01)
+            return text.upper()
+
+        def use():
+            start.wait(timeout=10)
+            assert kb.parse_once("d1", parse) == CORPUS["d1"].upper()
+
+        threads = [threading.Thread(target=use) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+        assert calls == [CORPUS["d1"]]
+        assert kb.parsed == {"d1": CORPUS["d1"].upper()}
+
     def test_get(self):
         kb = corpus_kb()
         assert kb.get("d1").text == CORPUS["d1"]
@@ -282,4 +371,43 @@ class TestMemoryWindow:
         assert len(out) <= max_messages
         positions = [messages.index(m) for m in out]
         assert positions == sorted(positions)
+        assert apply_window(out, window) == out
+
+    def test_tool_round_evicted_as_a_unit(self):
+        call = ToolCallRequest(id="c1", tool_name="t")
+        messages = [
+            msg("system", "s"),
+            msg("user", "u"),
+            ChatMessage(role="assistant", tool_calls=(call,)),
+            ChatMessage(role="tool", content="r", tool_call_id="c1"),
+            msg("assistant", "a"),
+        ]
+        assert apply_window(messages, MemoryWindow(max_messages=3)) == [messages[0], messages[4]]
+        assert apply_window(messages, MemoryWindow(max_messages=4)) == [messages[0]] + messages[2:]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        with_system=st.booleans(),
+        body=st.lists(st.one_of(st.sampled_from(["user", "assistant"]), st.integers(1, 3)), max_size=10),
+        max_messages=st.integers(min_value=1, max_value=12),
+    )
+    def test_no_orphan_tool_reply(self, with_system, body, max_messages):
+        """An integer in ``body`` is a tool round: an assistant message
+        requesting that many calls, then one tool reply per call."""
+        messages = [msg("system", "s")] if with_system else []
+        for i, part in enumerate(body):
+            if isinstance(part, str):
+                messages.append(msg(part, f"m{i}"))
+                continue
+            calls = tuple(ToolCallRequest(id=f"c{i}_{j}", tool_name="t") for j in range(part))
+            messages.append(ChatMessage(role="assistant", content=f"m{i}", tool_calls=calls))
+            messages += [ChatMessage(role="tool", content=f"r{i}_{j}", tool_call_id=c.id) for j, c in enumerate(calls)]
+        window = MemoryWindow(max_messages=max_messages)
+        out = apply_window(messages, window)
+        assert len(out) <= max_messages
+        requested = set()
+        for message in out:
+            requested.update(c.id for c in message.tool_calls)
+            if message.role == "tool":
+                assert message.tool_call_id in requested
         assert apply_window(out, window) == out
