@@ -37,7 +37,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("config")
     p_run.add_argument("--backend", help="run every role against this configured backend")
     p_run.add_argument("--trace-out", help="write the trace document to this path")
-    p_run.add_argument("--deterministic", action="store_true", help="sorted frontier order, zeroed timings")
+    p_run.add_argument("--deterministic", action="store_true", help="zero the wall-clock timings in the trace")
     p_run.add_argument("--baseline", action="store_true", help="collapse the graph into one node first")
 
     p_graph = sub.add_parser("graph", help="graph inspection commands")

@@ -8,11 +8,8 @@ structured payload on the blackboard under ``save_as``. Payloads carry an
 
 from __future__ import annotations
 
-from typing import Sequence
-
-from ..tools import Param, ParamSchema, ToolContext, ToolResult, ToolSpec, error_result
-from .anomalies import (
-    Anomaly,
+from ..tools import Handler, Param, ParamSchema, ToolContext, ToolResult, ToolSpec
+from .anomalies import (  # detectors are called through globals(), see _anomaly_tool
     anomaly_identity,
     aggressor_anomalies,
     compare_timing_tables,
@@ -51,74 +48,54 @@ def _tool_result(payload: dict, lines: list[str], context: ToolContext, save_as:
     return ToolResult(ok=True, content="\n".join(lines), data=payload)
 
 
-def _anomaly_result(
-    op: str,
-    report_ids: Sequence[str],
-    params: dict,
-    anomalies: list[Anomaly],
-    context: ToolContext,
-    save_as: str | None,
-) -> ToolResult:
-    payload = {
-        "op": op,
-        "reports": list(report_ids),
-        "params": params,
-        "count": len(anomalies),
-        "anomalies": [a.to_dict() for a in anomalies],
-        "identities": [anomaly_identity(a) for a in anomalies],
-    }
-    lines = [f"{op}: {len(anomalies)} finding(s)"]
-    lines.extend(f"  {anomaly_identity(a)} measure={a.measure:.6g}" for a in anomalies)
-    return _tool_result(payload, lines, context, save_as)
+REPORT = Param("report", "string", doc="Document id of the timing report.")
+REPORTS = Param("reports", "string_list", doc="Document ids of the timing reports.")
+STAGES = Param("stages", "string", required=False, doc="Comma-separated stage indices to restrict to.")
+PATHS = Param("paths", "string", required=False, doc="Comma-separated path ids to restrict to.")
+SAVE_AS = Param("save_as", "string", required=False, doc="Blackboard key to store the structured payload under.")
 
 
-def _save_as_param() -> Param:
-    return Param("save_as", "string", required=False, doc="Blackboard key to store the structured payload under.")
+def _spec(name: str, description: str, params: tuple[Param, ...]) -> ToolSpec:
+    return ToolSpec(name=name, description=description, params=ParamSchema(params), handler_ref=f"eda.{name}")
 
 
-def _h_missing_clock_edges(args: dict, context: ToolContext) -> ToolResult:
-    report = _load_report(context, args["report"])
-    anomalies = missing_clock_edges(report)
-    return _anomaly_result("find_missing_clock_edges", [args["report"]], {}, anomalies, context, args.get("save_as"))
+def _anomaly_tool(
+    name: str,
+    detector: str,
+    description: str,
+    reports: tuple[Param, ...],
+    params: tuple[Param, ...] = (),
+    filtered: bool = False,
+) -> tuple[ToolSpec, Handler]:
+    """Catalog entry for one detector: load the report arguments, pass the
+    parameters (and the stage/path filters when ``filtered``), and render the
+    anomalies. The detector is looked up in this module at call time, so a
+    wrapper installed here sees every call."""
+    report_names = [p.name for p in reports]
+    param_names = [p.name for p in params]
 
+    def handler(args: dict, context: ToolContext) -> ToolResult:
+        loaded = [_load_report(context, args[arg]) for arg in report_names]
+        used = {arg: args[arg] for arg in param_names}
+        if filtered:
+            used["stages"] = _parse_index_list(args.get("stages"))
+            used["paths"] = _parse_id_list(args.get("paths"))
+        # the payload's params are, in order, the detector's arguments after the reports
+        anomalies = globals()[detector](*loaded, *used.values())
+        payload = {
+            "op": name,
+            "reports": [args[arg] for arg in report_names],
+            "params": used,
+            "count": len(anomalies),
+            "anomalies": [a.to_dict() for a in anomalies],
+            "identities": [anomaly_identity(a) for a in anomalies],
+        }
+        lines = [f"{name}: {len(anomalies)} finding(s)"]
+        lines.extend(f"  {anomaly_identity(a)} measure={a.measure:.6g}" for a in anomalies)
+        return _tool_result(payload, lines, context, args.get("save_as"))
 
-def _h_rc_mismatch_pairs(args: dict, context: ToolContext) -> ToolResult:
-    report = _load_report(context, args["report"])
-    stages = _parse_index_list(args.get("stages"))
-    paths = _parse_id_list(args.get("paths"))
-    anomalies = rc_mismatch_pairs(report, args["ratio_threshold"], stage_filter=stages, path_filter=paths)
-    params = {"ratio_threshold": args["ratio_threshold"], "stages": stages, "paths": paths}
-    return _anomaly_result("find_rc_mismatch_pairs", [args["report"]], params, anomalies, context, args.get("save_as"))
-
-
-def _h_aggressor_anomalies(args: dict, context: ToolContext) -> ToolResult:
-    report = _load_report(context, args["report"])
-    stages = _parse_index_list(args.get("stages"))
-    paths = _parse_id_list(args.get("paths"))
-    anomalies = aggressor_anomalies(report, args["kind"], args["threshold"], stage_filter=stages, path_filter=paths)
-    params = {"kind": args["kind"], "threshold": args["threshold"], "stages": stages, "paths": paths}
-    return _anomaly_result("find_aggressor_anomalies", [args["report"]], params, anomalies, context, args.get("save_as"))
-
-
-def _h_slowest_stages(args: dict, context: ToolContext) -> ToolResult:
-    report = _load_report(context, args["report"])
-    anomalies = slowest_stage_constraints(report, args["top_k"])
-    params = {"top_k": args["top_k"]}
-    return _anomaly_result("find_slowest_stages", [args["report"]], params, anomalies, context, args.get("save_as"))
-
-
-def _h_compare_tables(args: dict, context: ToolContext) -> ToolResult:
-    report_a = _load_report(context, args["report_a"])
-    report_b = _load_report(context, args["report_b"])
-    anomalies = compare_timing_tables(report_a, report_b)
-    return _anomaly_result(
-        "compare_timing_tables",
-        [args["report_a"], args["report_b"]],
-        {},
-        anomalies,
-        context,
-        args.get("save_as"),
-    )
+    spec_params = (*reports, *params, *((STAGES, PATHS) if filtered else ()), SAVE_AS)
+    return _spec(name, description, spec_params), handler
 
 
 def _h_timing_distribution(args: dict, context: ToolContext) -> ToolResult:
@@ -150,84 +127,50 @@ def _h_timing_metric_compare(args: dict, context: ToolContext) -> ToolResult:
     return _tool_result(payload, lines, context, args.get("save_as"))
 
 
-def _spec(name: str, description: str, params: tuple[Param, ...]) -> ToolSpec:
-    return ToolSpec(name=name, description=description, params=ParamSchema(params), handler_ref=f"eda.{name}")
-
-
 HANDLER_CATALOG = {
-    "eda.find_missing_clock_edges": (
-        _spec(
-            "find_missing_clock_edges",
-            "List paths in a setup report whose clock has no rise/fall annotation.",
-            (
-                Param("report", "string", doc="Document id of the timing report."),
-                _save_as_param(),
-            ),
-        ),
-        _h_missing_clock_edges,
+    "eda.find_missing_clock_edges": _anomaly_tool(
+        "find_missing_clock_edges",
+        "missing_clock_edges",
+        "List paths in a setup report whose clock has no rise/fall annotation.",
+        (REPORT,),
     ),
-    "eda.find_rc_mismatch_pairs": (
-        _spec(
-            "find_rc_mismatch_pairs",
-            "Flag stage pairs within each path whose R or C ratio reaches the threshold.",
-            (
-                Param("report", "string", doc="Document id of the timing report."),
-                Param("ratio_threshold", "number", doc="Minimum max/min ratio that counts as a mismatch (> 1)."),
-                Param("stages", "string", required=False, doc="Comma-separated stage indices to restrict to."),
-                Param("paths", "string", required=False, doc="Comma-separated path ids to restrict to."),
-                _save_as_param(),
-            ),
-        ),
-        _h_rc_mismatch_pairs,
+    "eda.find_rc_mismatch_pairs": _anomaly_tool(
+        "find_rc_mismatch_pairs",
+        "rc_mismatch_pairs",
+        "Flag stage pairs within each path whose R or C ratio reaches the threshold.",
+        (REPORT,),
+        (Param("ratio_threshold", "number", doc="Minimum max/min ratio that counts as a mismatch (> 1)."),),
+        filtered=True,
     ),
-    "eda.find_aggressor_anomalies": (
-        _spec(
-            "find_aggressor_anomalies",
-            "Flag crosstalk trouble per stage: delta vs constraint, or coupling vs wire C.",
-            (
-                Param("report", "string", doc="Document id of the timing report."),
-                Param("kind", "string", doc="'constraint' or 'rc'."),
-                Param("threshold", "number", doc="Trigger ratio (> 0)."),
-                Param("stages", "string", required=False, doc="Comma-separated stage indices to restrict to."),
-                Param("paths", "string", required=False, doc="Comma-separated path ids to restrict to."),
-                _save_as_param(),
-            ),
-        ),
-        _h_aggressor_anomalies,
+    "eda.find_aggressor_anomalies": _anomaly_tool(
+        "find_aggressor_anomalies",
+        "aggressor_anomalies",
+        "Flag crosstalk trouble per stage: delta vs constraint, or coupling vs wire C.",
+        (REPORT,),
+        (Param("kind", "string", doc="'constraint' or 'rc'."), Param("threshold", "number", doc="Trigger ratio (> 0).")),
+        filtered=True,
     ),
-    "eda.find_slowest_stages": (
-        _spec(
-            "find_slowest_stages",
-            "Report the constraints of the top-k slowest stages across all paths.",
-            (
-                Param("report", "string", doc="Document id of the timing report."),
-                Param("top_k", "integer", doc="How many stages to rank (>= 1)."),
-                _save_as_param(),
-            ),
-        ),
-        _h_slowest_stages,
+    "eda.find_slowest_stages": _anomaly_tool(
+        "find_slowest_stages",
+        "slowest_stage_constraints",
+        "Report the constraints of the top-k slowest stages across all paths.",
+        (REPORT,),
+        (Param("top_k", "integer", doc="How many stages to rank (>= 1)."),),
     ),
-    "eda.compare_timing_tables": (
-        _spec(
-            "compare_timing_tables",
-            "Diff two comparable reports: stage counts, per-stage delays, slacks, orphans.",
-            (
-                Param("report_a", "string", doc="Document id of the first report."),
-                Param("report_b", "string", doc="Document id of the second report."),
-                _save_as_param(),
-            ),
+    "eda.compare_timing_tables": _anomaly_tool(
+        "compare_timing_tables",
+        "compare_timing_tables",
+        "Diff two comparable reports: stage counts, per-stage delays, slacks, orphans.",
+        (
+            Param("report_a", "string", doc="Document id of the first report."),
+            Param("report_b", "string", doc="Document id of the second report."),
         ),
-        _h_compare_tables,
     ),
     "eda.timing_distribution": (
         _spec(
             "timing_distribution",
             "Histogram path slacks per report and pooled, with min/max/mean.",
-            (
-                Param("reports", "string_list", doc="Document ids of the timing reports."),
-                Param("bin_width", "number", doc="Bin width in ns (> 0)."),
-                _save_as_param(),
-            ),
+            (REPORTS, Param("bin_width", "number", doc="Bin width in ns (> 0)."), SAVE_AS),
         ),
         _h_timing_distribution,
     ),
@@ -235,11 +178,7 @@ HANDLER_CATALOG = {
         _spec(
             "timing_metric_compare",
             "Tabulate wns/tns/failing-path-count per (corner, mode) and name the worst.",
-            (
-                Param("reports", "string_list", doc="Document ids of the timing reports."),
-                Param("metric", "string", doc="'wns', 'tns', or 'failing_path_count'."),
-                _save_as_param(),
-            ),
+            (REPORTS, Param("metric", "string", doc="'wns', 'tns', or 'failing_path_count'."), SAVE_AS),
         ),
         _h_timing_metric_compare,
     ),

@@ -201,14 +201,9 @@ class _Schedule:
         return nid
 
 
-def _execute(
-    config: RunConfig,
-    graph: TaskGraph,
-    backends: Mapping[str, Backend],
-    deterministic: bool,
-    trace: TraceDocument,
-) -> TraceDocument:
-    """Shared scheduling loop for run and run_baseline.
+def _execute(config: RunConfig, backend_override: str | None, deterministic: bool, meta: dict) -> TraceDocument:
+    """Shared run path for run and run_baseline: build the backends and the
+    trace, then schedule.
 
     Nodes commit one at a time in Kahn order: outcome, blackboard writes and
     expansion of the least ready id. While the head runs, other ready nodes
@@ -218,6 +213,13 @@ def _execute(
     or output keys. Their writes are staged and committed, or dropped, when
     they reach the head.
     """
+    backends = build_backends(config, backend_override)
+    graph = config.graph
+    trace = TraceDocument(
+        config_digest=config.digest(),
+        graph_initial=graph.to_dict(),
+        meta={"deterministic": bool(deterministic), **meta},
+    )
     registry = build_registry(config)
     knowledge_bases = build_knowledge_bases(config)
     blackboard = _seed_blackboard(config, graph)
@@ -322,14 +324,7 @@ def run(
     deterministic: bool = True,
 ) -> TraceDocument:
     """Run the configured graph to completion and return its trace."""
-    backends = build_backends(config, backend_override)
-    graph = config.graph
-    trace = TraceDocument(
-        config_digest=config.digest(),
-        graph_initial=graph.to_dict(),
-        meta={"deterministic": bool(deterministic)},
-    )
-    return _execute(config, graph, backends, deterministic, trace)
+    return _execute(config, backend_override, deterministic, {})
 
 
 def _scheduled_order(graph: TaskGraph) -> list[str]:
@@ -386,19 +381,9 @@ def run_baseline(
 ) -> TraceDocument:
     """Run the collapsed single-node version of the graph, same total budget."""
     graph, meta = collapse_graph(config)
-    budget = meta["baseline"]["max_turns"]
-    agents = dict(config.agents)
     name = graph.nodes[0].agent_ref
-    agent = agents[name]
-    agents[name] = dataclasses.replace(
-        agent,
-        termination=dataclasses.replace(agent.termination, max_turns=budget),
-    )
-    base_config = dataclasses.replace(config, graph=graph, agents=agents)
-    backends = build_backends(base_config, backend_override)
-    trace = TraceDocument(
-        config_digest=config.digest(),
-        graph_initial=graph.to_dict(),
-        meta={"deterministic": bool(deterministic), **meta},
-    )
-    return _execute(base_config, graph, backends, deterministic, trace)
+    agent = config.agents[name]
+    termination = dataclasses.replace(agent.termination, max_turns=meta["baseline"]["max_turns"])
+    agents = {**config.agents, name: dataclasses.replace(agent, termination=termination)}
+    # the collapsed config keeps ``raw``, so its trace carries the original config digest
+    return _execute(dataclasses.replace(config, graph=graph, agents=agents), backend_override, deterministic, meta)

@@ -339,6 +339,10 @@ class ReplayBackend(Backend):
         return response
 
 
+def _malformed(why: str) -> GatewayError:
+    return GatewayError("HTTP_ERROR", f"malformed completion body: {why}", status=200)
+
+
 class HttpBackend(Backend):
     """POSTs to ``{base_url}/chat/completions`` with a bearer token.
 
@@ -385,24 +389,38 @@ class HttpBackend(Backend):
             payload["tools"] = [spec_to_openai(dict(s)) for s in req.tool_specs]
         return payload
 
-    def _parse_response(self, body: Mapping[str, Any]) -> ChatMessage:
+    def _parse_response(self, body: Any) -> ChatMessage:
+        """Read the first choice's message, checking the kind of every field read."""
         try:
             message = body["choices"][0]["message"]
         except (KeyError, IndexError, TypeError) as exc:
-            raise GatewayError("HTTP_ERROR", f"malformed completion body: {exc}", status=200) from exc
+            raise _malformed(str(exc)) from exc
+        if not isinstance(message, dict):
+            raise _malformed("choices[0].message is not an object")
+        content = message.get("content")
+        raw_calls = message.get("tool_calls")
+        if not isinstance(content, (str, type(None))) or not isinstance(raw_calls, (list, type(None))):
+            raise _malformed("content is not a string or tool_calls is not a list")
         calls = []
-        for raw in message.get("tool_calls") or ():
-            fn = raw.get("function", {})
+        for raw in raw_calls or ():
+            fn = raw.get("function", {}) if isinstance(raw, dict) else None
+            if not isinstance(fn, dict):
+                raise _malformed(f"tool call {len(calls)} is not an object with a function object")
+            call_id = raw.get("id", f"call_{len(calls)}")
+            name = fn.get("name", "")
             raw_args = fn.get("arguments", "{}")
+            if not isinstance(call_id, str) or not isinstance(name, str) or not isinstance(raw_args, (str, dict)):
+                raise _malformed(f"tool call {len(calls)} has an id, name or arguments of the wrong kind")
             if isinstance(raw_args, str):
                 try:
-                    args = parse_tool_arguments(raw_args, strict=self.strict_tool_args)
-                except ValueError as exc:
+                    raw_args = parse_tool_arguments(raw_args, strict=self.strict_tool_args)
+                except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
                     raise GatewayError("HTTP_ERROR", f"unparseable tool arguments: {exc}", status=200) from exc
-            else:
-                args = dict(raw_args)
-            calls.append(ToolCallRequest(id=raw.get("id", f"call_{len(calls)}"), tool_name=fn.get("name", ""), arguments=args))
-        return ChatMessage(role="assistant", content=message.get("content") or "", tool_calls=tuple(calls))
+            calls.append(ToolCallRequest(id=call_id, tool_name=name, arguments=raw_args))
+        try:
+            return ChatMessage(role="assistant", content=content or "", tool_calls=tuple(calls))
+        except ValueError as exc:  # repeated tool call ids
+            raise _malformed(str(exc)) from exc
 
     def complete(self, req: CompletionRequest) -> ChatMessage:
         import requests
@@ -430,7 +448,11 @@ class HttpBackend(Backend):
                 continue
             if resp.status_code != 200:
                 raise GatewayError("HTTP_ERROR", f"unexpected status {resp.status_code}", status=resp.status_code)
-            return self._parse_response(resp.json())
+            try:
+                body = resp.json()
+            except (ValueError, RecursionError) as exc:
+                raise _malformed(f"not JSON: {exc}") from exc
+            return self._parse_response(body)
         if isinstance(last_error, GatewayError):
             raise last_error
         raise GatewayError("HTTP_ERROR", f"request failed: {last_error}", status=0)

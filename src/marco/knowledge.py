@@ -254,14 +254,18 @@ def load_kb_dir(name: str, directory: str | Path) -> KnowledgeBase:
     """Build a knowledge base from a directory of ``*.txt`` files.
 
     The file stem is the document id; an optional first line ``tags: a,b``
-    declares tags and is stripped from the text.
+    declares tags and is stripped from the text. A file that cannot be read
+    as UTF-8 is ``KB_UNREADABLE``.
     """
     kb = KnowledgeBase(name)
     directory = Path(directory)
     if not directory.is_dir():
         raise KnowledgeError("KB_DIR_MISSING", f"knowledge base directory {str(directory)!r} does not exist")
     for path in sorted(directory.glob("*.txt")):
-        raw = path.read_text(encoding="utf-8")
+        try:
+            raw = path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise KnowledgeError("KB_UNREADABLE", f"knowledge base file {str(path)!r} is unreadable: {exc}") from exc
         tags: tuple[str, ...] = ()
         text = raw
         first, _, rest = raw.partition("\n")

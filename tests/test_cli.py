@@ -1,10 +1,12 @@
 """Command-line surface: subcommands, output lines, exit codes."""
 
+import http.server
 import json
 import os
 import shutil
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -178,6 +180,47 @@ class TestRun:
         assert code == 1
         assert err.startswith("error: BACKEND_ERROR: ")
         assert err.count("BACKEND_ERROR") == 1
+
+
+    def test_unreadable_knowledge_base_file(self, capsys, tmp_path):
+        config_path = write_one_node_config(tmp_path)
+        payload = json.loads(config_path.read_text(encoding="utf-8"))
+        payload["knowledge_bases"] = {"notes": "kb"}
+        config_path.write_text(json.dumps(payload), encoding="utf-8")
+        (tmp_path / "kb").mkdir()
+        (tmp_path / "kb" / "bad.txt").write_bytes(b"\xff\xfe not utf-8")
+        code, out, err = run_cli(capsys, "run", str(config_path), "--deterministic")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: KB_UNREADABLE: knowledge base file ")
+        assert "bad.txt" in err and len(err.splitlines()) == 1
+
+    def test_malformed_completion_body(self, capsys, tmp_path):
+        class NotJson(http.server.BaseHTTPRequestHandler):
+            def do_POST(self):  # noqa: N802 - http.server API
+                self.rfile.read(int(self.headers.get("Content-Length", "0")))
+                self.send_response(200)
+                self.send_header("Content-Length", "9")
+                self.end_headers()
+                self.wfile.write(b"not json!")
+
+            def log_message(self, *args):
+                pass
+
+        server = http.server.HTTPServer(("127.0.0.1", 0), NotJson)
+        thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True)
+        thread.start()
+        try:
+            web = {"kind": "http", "base_url": f"http://127.0.0.1:{server.server_port}"}
+            config_path = write_one_node_config(tmp_path, web=web)
+            code, out, err = run_cli(capsys, "run", str(config_path), "--backend", "web", "--deterministic")
+        finally:
+            server.shutdown()
+            thread.join()
+        assert code == 1
+        assert err.startswith("error: BACKEND_ERROR: ")
+        assert "HTTP_ERROR: malformed completion body: not JSON" in err
+        assert len(err.splitlines()) == 1
 
 
 class TestGraphExport:

@@ -493,6 +493,23 @@ class TestBaseline:
             "source_nodes": ["m1", "m2", "m3", "m4", "m5", "m6", "m7"],
         }
 
+    def test_aborted_baseline_trace_keeps_baseline_meta(self):
+        config = load_config(BUNDLED / "timing_debug.json")
+        # every role is served by "mock"; with no scripts its first completion fails
+        dry = dataclasses.replace(config.backends["mock"], scripts=())
+        config = dataclasses.replace(config, backends={**config.backends, "mock": dry})
+        graph, meta = collapse_graph(config)
+        with pytest.raises(EngineError) as exc:
+            run_baseline(config, deterministic=True)
+        assert exc.value.code == "BACKEND_ERROR"
+        partial = exc.value.trace
+        assert partial.status == "aborted"
+        assert partial.outcomes == []
+        assert partial.meta == {"deterministic": True, **meta}
+        assert partial.graph_initial == partial.graph_final == graph.to_dict()
+        assert partial.config_digest == config.digest()
+        assert set(partial.timings) == {"baseline"}
+
     def test_single_node_baseline_matches_run(self, tmp_path):
         payload = chain_payload()
         payload["graph"]["nodes"] = [payload["graph"]["nodes"][0]]

@@ -7,6 +7,12 @@ import threading
 
 import pytest
 
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+except ImportError:  # pragma: no cover - hypothesis is a dev dependency
+    st = None
+
 from marco.errors import GatewayError
 from marco.gateway import (
     ChatMessage,
@@ -262,7 +268,7 @@ class TestReplayBackend:
 class _ChatHandler(http.server.BaseHTTPRequestHandler):
     """Scriptable chat-completions endpoint for HttpBackend tests."""
 
-    responses: list[tuple[int, dict]] = []
+    responses: list[tuple[int, dict | bytes]] = []  # bytes are sent as they are
     seen: list[dict] = []
 
     def do_POST(self):  # noqa: N802 - http.server API
@@ -270,7 +276,7 @@ class _ChatHandler(http.server.BaseHTTPRequestHandler):
         body = json.loads(self.rfile.read(length)) if length else {}
         type(self).seen.append({"path": self.path, "headers": dict(self.headers), "body": body})
         status, payload = type(self).responses.pop(0) if type(self).responses else (200, {})
-        raw = json.dumps(payload).encode("utf-8")
+        raw = payload if isinstance(payload, bytes) else json.dumps(payload).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(raw)))
@@ -284,7 +290,7 @@ class _ChatHandler(http.server.BaseHTTPRequestHandler):
 @pytest.fixture()
 def chat_server():
     server = http.server.HTTPServer(("127.0.0.1", 0), _ChatHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True)
     thread.start()
     _ChatHandler.responses = []
     _ChatHandler.seen = []
@@ -364,6 +370,41 @@ class TestHttpBackend:
         assert sent[2]["tool_calls"][0]["function"] == {"name": "t", "arguments": '{"n": 2}'}
         assert sent[3] == {"role": "tool", "content": "result", "tool_call_id": "c1"}
 
+    @pytest.mark.parametrize(
+        "body",
+        [
+            {"choices": [{"message": "hi"}]},
+            completion_body("", ["not a call"]),
+            completion_body("", [{"id": "c1", "function": {"name": "t", "arguments": [1]}}]),
+            completion_body(["a", "list"]),
+            completion_body("", [{"id": "c1", "function": {"name": 7, "arguments": "{}"}}]),
+            completion_body("", [{"id": "c1", "function": {"name": "t"}}, {"id": "c1", "function": {"name": "t"}}]),
+            completion_body("", [{"id": "c1", "function": {"name": "t", "arguments": "[" * 100_000}}]),
+            b"<html>not json</html>",
+            b"[" * 100_000,
+        ],
+        ids=[
+            "message_text",
+            "call_text",
+            "arguments_list",
+            "content_list",
+            "name_number",
+            "repeated_ids",
+            "arguments_too_deep",
+            "not_json",
+            "too_deep",
+        ],
+    )
+    def test_malformed_body_is_http_error(self, chat_server, body):
+        _ChatHandler.responses = [(200, body)]
+        backend = HttpBackend(base_url=chat_server, api_key="k", strict_tool_args=True)
+        with pytest.raises(GatewayError) as exc:
+            backend.complete(req(sys_msg(), user("q")))
+        assert exc.value.code == "HTTP_ERROR"
+        assert str(exc.value).startswith(("HTTP_ERROR: malformed completion body: ", "HTTP_ERROR: unparseable tool"))
+        assert exc.value.details["status"] == 200
+        assert len(_ChatHandler.seen) == 1
+
     def test_missing_base_url(self, monkeypatch):
         monkeypatch.delenv("MARCO_BASE_URL", raising=False)
         backend = HttpBackend(base_url=None, api_key="k")
@@ -378,6 +419,56 @@ class TestHttpBackend:
         backend = HttpBackend()
         backend.complete(req(sys_msg(), user("q")))
         assert _ChatHandler.seen[0]["headers"]["Authorization"] == "Bearer from-env"
+
+
+def _json_paths(value, prefix=()):
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _json_paths(child, prefix + (key,))
+
+
+if st is not None:
+    JSON_VALUES = st.recursive(
+        st.none() | st.booleans() | st.integers(-3, 3) | st.floats(allow_nan=False) | st.text(max_size=6),
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+        max_leaves=8,
+    )
+    TOOL_BODY = completion_body("ok", [{"id": "c1", "type": "function", "function": {"name": "t", "arguments": "{}"}}])
+    BODY_PATHS = sorted(_json_paths(TOOL_BODY), key=repr)
+
+    class TestCompletionBodyFuzz:
+        """Any JSON body parses to a message or is HTTP_ERROR. The parser is
+        called directly, so each example costs no request."""
+
+        def check(self, body):
+            try:
+                reply = HttpBackend(base_url="http://unused")._parse_response(body)
+            except GatewayError as exc:
+                assert exc.code == "HTTP_ERROR"
+                assert exc.details["status"] == 200
+            else:
+                assert isinstance(reply, ChatMessage)
+                assert isinstance(reply.content, str)
+                assert all(isinstance(c.tool_name, str) and isinstance(c.id, str) for c in reply.tool_calls)
+
+        @settings(max_examples=300, deadline=None)
+        @given(body=JSON_VALUES)
+        def test_any_json_body(self, body):
+            self.check(body)
+
+        @settings(max_examples=300, deadline=None)
+        @given(path=st.sampled_from(BODY_PATHS), value=JSON_VALUES, delete=st.booleans())
+        def test_any_one_field_replaced(self, path, value, delete):
+            body = json.loads(json.dumps(TOOL_BODY))
+            parent = body
+            for key in path[:-1]:
+                parent = parent[key]
+            if delete:
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = value
+            self.check(body)
 
 
 class TestToolArgumentParsing:

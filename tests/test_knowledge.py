@@ -322,6 +322,13 @@ class TestLoadKbDir:
             load_kb_dir("kb", tmp_path / "nowhere")
         assert exc.value.code == "KB_DIR_MISSING"
 
+    def test_non_utf8_file_is_coded_error(self, tmp_path):
+        (tmp_path / "bad.txt").write_bytes(b"\xff\xfe not utf-8")
+        with pytest.raises(KnowledgeError) as exc:
+            load_kb_dir("kb", tmp_path)
+        assert exc.value.code == "KB_UNREADABLE"
+        assert str(tmp_path / "bad.txt") in str(exc.value)
+
 
 def msg(role: str, content: str) -> ChatMessage:
     return ChatMessage(role=role, content=content)

@@ -1,5 +1,7 @@
 """Tool specs, closed-schema argument validation, guarded invocation."""
 
+import hashlib
+
 import pytest
 
 try:
@@ -8,7 +10,9 @@ try:
 except ModuleNotFoundError:  # pragma: no cover
     pytest.skip("hypothesis not installed", allow_module_level=True)
 
+from marco.eda.toolpack import HANDLER_CATALOG
 from marco.errors import ToolError
+from marco.gateway import canonical_json
 from marco.tools import (
     Param,
     ParamSchema,
@@ -54,6 +58,15 @@ class TestSpecs:
         with pytest.raises(ValueError):
             ToolResult(ok=False, content="quietly broken")
         assert error_result("boom").content == "ERROR: boom"
+
+
+class TestCatalogPin:
+    def test_spec_summaries_unchanged(self):
+        # Summaries are hashed into every completion request, so a changed
+        # doc, kind or parameter order would miss every recorded replay cache.
+        summaries = {key: spec.summary() for key, (spec, _) in HANDLER_CATALOG.items()}
+        digest = hashlib.sha256(canonical_json(summaries).encode("utf-8")).hexdigest()
+        assert digest == "0fca429b95d4ca69eb94059ac187bc2bd8a51e0a5b2b50e8958148b20875943d"
 
 
 class TestValidateArgs:
@@ -298,8 +311,6 @@ class TestReportLoading:
         return texts
 
     def invoke(self, context: ToolContext, report: str) -> ToolResult:
-        from marco.eda.toolpack import HANDLER_CATALOG
-
         spec, handler = HANDLER_CATALOG["eda.find_missing_clock_edges"]
         registry = ToolRegistry()
         registry.register_tool(spec, handler)
