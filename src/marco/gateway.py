@@ -139,7 +139,7 @@ def canonical_hash(req: CompletionRequest) -> str:
     return hashlib.sha256(canonical_json(canonical_request(req)).encode("utf-8")).hexdigest()
 
 
-_JSON_BLOCK = re.compile(r"\{", re.DOTALL)
+_BRACE = re.compile(r"[{}]")
 
 
 def parse_tool_arguments(text: str, strict: bool = True) -> dict:
@@ -147,30 +147,28 @@ def parse_tool_arguments(text: str, strict: bool = True) -> dict:
 
     Strict mode requires the whole string to be one JSON object. Lenient mode
     tolerates prose around the first balanced ``{...}`` block, which is how
-    live model output tends to arrive.
+    live model output tends to arrive: each ``{`` is paired with its matching
+    ``}`` in one pass, and the blocks are tried in the order they open.
     """
     if strict:
         parsed = json.loads(text)
         if not isinstance(parsed, dict):
             raise ValueError("tool arguments must be a JSON object")
         return parsed
-    for match in _JSON_BLOCK.finditer(text):
-        depth = 0
-        start = match.start()
-        for i in range(start, len(text)):
-            if text[i] == "{":
-                depth += 1
-            elif text[i] == "}":
-                depth -= 1
-                if depth == 0:
-                    try:
-                        parsed = json.loads(text[start : i + 1])
-                    except json.JSONDecodeError:
-                        break
-                    if isinstance(parsed, dict):
-                        return parsed
-                    break
-        # fall through to the next opening brace
+    closing: dict[int, int] = {}  # index of a "{" -> index of its matching "}"
+    open_braces: list[int] = []
+    for brace in _BRACE.finditer(text):
+        if brace.group() == "{":
+            open_braces.append(brace.start())
+        elif open_braces:
+            closing[open_braces.pop()] = brace.start()
+    for start in sorted(closing):
+        try:
+            parsed = json.loads(text[start : closing[start] + 1])
+        except json.JSONDecodeError:
+            continue
+        if isinstance(parsed, dict):
+            return parsed
     raise ValueError("no JSON object found in tool arguments")
 
 

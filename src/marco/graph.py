@@ -8,7 +8,7 @@ Graph values are immutable; growth happens by building a new graph.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterable
+from typing import Iterable, Mapping
 
 from .errors import GraphError
 
@@ -204,6 +204,25 @@ def _find_execution_cycle(graph: TaskGraph) -> list[str] | None:
     return None
 
 
+def _execution_successors(graph: TaskGraph) -> dict[str, list[str]]:
+    successors: dict[str, list[str]] = {}
+    for edge in graph.execution_edges():
+        successors.setdefault(edge.src, []).append(edge.dst)
+    return successors
+
+
+def _reachable(successors: Mapping[str, list[str]], start: str) -> set[str]:
+    """``start`` and every node reachable from it over execution edges."""
+    reached = {start}
+    pending = [start]
+    while pending:
+        for nxt in successors.get(pending.pop(), ()):
+            if nxt not in reached:
+                reached.add(nxt)
+                pending.append(nxt)
+    return reached
+
+
 def validate_graph(graph: TaskGraph) -> ValidationReport:
     """Check every graph/node/edge invariant; violations are data, not errors."""
     violations: list[Violation] = []
@@ -230,6 +249,7 @@ def validate_graph(graph: TaskGraph) -> ValidationReport:
             )
 
     node_map = {n.id: n for n in graph.nodes}
+    knowledge_edges: list[TaskEdge] = []
     for edge in graph.edges:
         subject = _edge_label(edge)
         if edge.kind not in EDGE_KINDS:
@@ -242,6 +262,7 @@ def validate_graph(graph: TaskGraph) -> ValidationReport:
             violations.append(Violation("UNKNOWN_ENDPOINT", subject, f"undefined node(s): {', '.join(missing)}"))
             continue
         if edge.kind == "knowledge":
+            knowledge_edges.append(edge)
             if not edge.key:
                 violations.append(Violation("MISSING_EDGE_KEY", subject, "knowledge edge requires a key"))
             else:
@@ -255,6 +276,21 @@ def validate_graph(graph: TaskGraph) -> ValidationReport:
                     )
         elif edge.key is not None:
             violations.append(Violation("UNEXPECTED_EDGE_KEY", subject, "execution edge must not carry a key"))
+
+    if knowledge_edges:
+        successors = _execution_successors(graph)
+        reach: dict[str, set[str]] = {}
+        for edge in knowledge_edges:
+            if edge.src not in reach:
+                reach[edge.src] = _reachable(successors, edge.src)
+            if edge.dst not in reach[edge.src]:
+                violations.append(
+                    Violation(
+                        "UNORDERED_KNOWLEDGE_EDGE",
+                        _edge_label(edge),
+                        f"no execution path from {edge.src!r} to {edge.dst!r}, so {edge.dst!r} may run first",
+                    )
+                )
 
     cycle = _find_execution_cycle(graph)
     if cycle:
@@ -327,17 +363,7 @@ def apply_expansion(graph: TaskGraph, req: ExpansionRequest) -> TaskGraph:
         first = report.violations[0]
         raise GraphError("INVALID_EXPANSION", f"{first.code} on {first.subject}: {first.detail}")
 
-    reachable = {req.planner_id}
-    pending = [req.planner_id]
-    succ: dict[str, list[str]] = {}
-    for e in candidate.execution_edges():
-        succ.setdefault(e.src, []).append(e.dst)
-    while pending:
-        for nxt in succ.get(pending.pop(), ()):
-            if nxt not in reachable:
-                reachable.add(nxt)
-                pending.append(nxt)
-    orphans = sorted(set(new_ids) - reachable)
+    orphans = sorted(set(new_ids) - _reachable(_execution_successors(candidate), req.planner_id))
     if orphans:
         raise GraphError(
             "UNREACHABLE_NODE",

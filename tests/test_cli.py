@@ -95,6 +95,21 @@ class TestValidate:
             "invalid: backends.live.timeout: must be a positive number, got str\n"
         )
 
+    def test_knowledge_edge_against_execution_order(self, capsys, tmp_path):
+        shutil.copytree(BUNDLED.parent, tmp_path / "data")
+        config_path = tmp_path / "data" / "configs" / "timing_debug.json"
+        payload = json.loads(config_path.read_text(encoding="utf-8"))
+        payload["graph"]["nodes"][0]["inputs"] = ["m3_findings"]
+        payload["graph"]["edges"].append({"src": "m3", "dst": "m1", "kind": "knowledge", "key": "m3_findings"})
+        config_path.write_text(json.dumps(payload), encoding="utf-8")
+        code, out, err = run_cli(capsys, "validate", str(config_path))
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "invalid: graph: UNORDERED_KNOWLEDGE_EDGE on m3->m1 [knowledge key='m3_findings']:"
+            " no execution path from 'm3' to 'm1', so 'm1' may run first\n"
+        )
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "validate", str(tmp_path / "ghost.json"))
         assert code == 1

@@ -4,6 +4,7 @@ import http.server
 import json
 import random
 import threading
+import time
 
 import pytest
 
@@ -492,6 +493,59 @@ class TestToolArgumentParsing:
     def test_lenient_no_object(self):
         with pytest.raises(ValueError):
             parse_tool_arguments("nothing here", strict=False)
+
+    def test_lenient_takes_first_opening_block(self):
+        assert parse_tool_arguments('{ {"a": 1} x {"b": 2}', strict=False) == {"a": 1}
+        assert parse_tool_arguments('{"a": {"b": 2}} {"c": 3}', strict=False) == {"a": {"b": 2}}
+        assert parse_tool_arguments('} {"a": 1} }', strict=False) == {"a": 1}
+
+    def test_lenient_unbalanced_braces_fail_in_linear_time(self):
+        text = "{" * 40_000
+        started = time.perf_counter()
+        with pytest.raises(ValueError):
+            parse_tool_arguments(text, strict=False)
+        assert time.perf_counter() - started < 0.1
+
+
+def rescanning_parse(text: str) -> dict:
+    """The lenient parser as it was before the one-pass pairing: from every
+    ``{``, scan forward to where its braces balance and try that block."""
+    for start in (i for i, ch in enumerate(text) if ch == "{"):
+        depth = 0
+        for i in range(start, len(text)):
+            if text[i] == "{":
+                depth += 1
+            elif text[i] == "}":
+                depth -= 1
+                if depth == 0:
+                    try:
+                        parsed = json.loads(text[start : i + 1])
+                    except json.JSONDecodeError:
+                        break
+                    if isinstance(parsed, dict):
+                        return parsed
+                    break
+    raise ValueError("no JSON object found in tool arguments")
+
+
+if st is not None:
+    BRACE_TEXT = st.lists(
+        st.sampled_from(['{', '}', '"a"', ':', ',', '1', '[', ']', ' ', 'x', '{}', '{"a": 1}', '"}"', '"{"']),
+        max_size=40,
+    ).map("".join)
+
+    class TestLenientParsingMatchesRescan:
+        @settings(max_examples=500, deadline=None)
+        @given(text=BRACE_TEXT)
+        def test_same_result_or_same_error(self, text):
+            try:
+                expected = rescanning_parse(text)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as got:
+                    parse_tool_arguments(text, strict=False)
+                assert str(got.value) == str(exc)
+            else:
+                assert parse_tool_arguments(text, strict=False) == expected
 
 
 class TestOpenAiSpecRendering:

@@ -72,7 +72,30 @@ class TestValidate:
     def test_knowledge_edge_well_formed(self):
         graph = TaskGraph(
             nodes=(node("A", outputs=("k",)), node("B", inputs=("k",))),
+            edges=(TaskEdge("A", "B"), TaskEdge("A", "B", kind="knowledge", key="k")),
+        )
+        assert validate_graph(graph).ok
+
+    def test_knowledge_edge_without_execution_path(self):
+        graph = TaskGraph(
+            nodes=(node("A", outputs=("k",)), node("B", inputs=("k",))),
             edges=(TaskEdge("A", "B", kind="knowledge", key="k"),),
+        )
+        assert validate_graph(graph).codes() == ("UNORDERED_KNOWLEDGE_EDGE",)
+
+    def test_knowledge_edge_against_execution_order(self):
+        graph = TaskGraph(
+            nodes=(node("A", inputs=("k",)), node("B"), node("C", outputs=("k",))),
+            edges=(TaskEdge("A", "B"), TaskEdge("B", "C"), TaskEdge("C", "A", kind="knowledge", key="k")),
+        )
+        report = validate_graph(graph)
+        assert report.codes() == ("UNORDERED_KNOWLEDGE_EDGE",)
+        assert report.violations[0].subject == "C->A [knowledge key='k']"
+
+    def test_knowledge_edge_over_an_execution_path(self):
+        graph = TaskGraph(
+            nodes=(node("A", outputs=("k",)), node("B"), node("C", inputs=("k",))),
+            edges=(TaskEdge("A", "B"), TaskEdge("B", "C"), TaskEdge("A", "C", kind="knowledge", key="k")),
         )
         assert validate_graph(graph).ok
 
@@ -346,7 +369,7 @@ class TestDotExport:
     def test_knowledge_edge_dashed_with_label(self):
         graph = TaskGraph(
             nodes=(node("A", outputs=("report",)), node("B", inputs=("report",))),
-            edges=(TaskEdge("A", "B", kind="knowledge", key="report"),),
+            edges=(TaskEdge("A", "B"), TaskEdge("A", "B", kind="knowledge", key="report")),
         )
         dot = export_dot(graph)
         assert 'style=dashed' in dot

@@ -12,6 +12,7 @@ except ModuleNotFoundError:  # pragma: no cover
     pytest.skip("hypothesis not installed", allow_module_level=True)
 
 from oracles import tfidf_rank
+import marco.knowledge
 from marco.errors import KnowledgeError
 from marco.gateway import ChatMessage, ToolCallRequest
 from marco.knowledge import (
@@ -122,6 +123,25 @@ class TestBlackboardStage:
             stage.write("other", "x", producer="n1")
         assert exc.value.code == "UNDECLARED_OUTPUT"
 
+    def test_prepare_checks_without_applying(self):
+        board = Blackboard({"n1": ["a"]})
+        board.write("a", "v1", producer="n1")
+        assert board.prepare("a", "v2", producer="n1") == Artifact(value="v2", producer="n1", version=2)
+        after = Artifact(value="v5", producer="n1", version=5)
+        assert board.prepare("a", "v6", producer="n1", after=after).version == 6
+        assert board.entry("a").version == 1
+        with pytest.raises(KnowledgeError) as exc:
+            board.prepare("other", "x", producer="n1")
+        assert exc.value.code == "UNDECLARED_OUTPUT"
+
+    def test_board_commit_applies_prepared_writes(self):
+        board = Blackboard({"n1": ["a", "b"]})
+        board.commit({"a": board.prepare("a", 1, producer="n1"), "b": board.prepare("b", 2, producer="n1")})
+        assert board.snapshot() == {
+            "a": {"value": 1, "producer": "n1", "version": 1},
+            "b": {"value": 2, "producer": "n1", "version": 1},
+        }
+
     def test_uncommitted_stage_leaves_no_trace(self):
         board = Blackboard({"n1": ["a"]})
         board.stage("n1").write("a", "dropped", producer="n1")
@@ -218,6 +238,44 @@ class TestRetrieve:
         assert got == tfidf_rank(docs, queries[1], 9)
 
 
+# Tokens that are substrings of one another, in mixed case and beside
+# non-ASCII letters (which tokenize as separators, or lowercase to ASCII, as
+# the Kelvin sign does to "k").
+NESTED_WORDS = ["ack", "slack", "Slack", "SLACKS", "slack2", "sl\u00e4ck", "sla\u212a", "\u00e9ack", "k"]
+NESTED_QUERY_WORDS = ["ack", "slack", "slacks", "slack2", "SLACK", "k", "2", "sl", "ackslack", "zebra"]
+
+NESTED_TEXT = st.lists(
+    st.tuples(st.sampled_from(NESTED_WORDS), st.sampled_from(["", " ", "-", "\u00df", "\n"])), max_size=6
+).map(lambda pairs: "".join(word + sep for word, sep in pairs))
+
+
+class TestPrefilteredRetrieve:
+    """Postings visit only documents holding the token as a substring; the
+    corpora here make substring hits that are not token hits."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        texts=st.lists(NESTED_TEXT, min_size=1, max_size=8),
+        split=st.integers(min_value=0, max_value=8),
+        queries=st.lists(
+            st.lists(st.sampled_from(NESTED_QUERY_WORDS), min_size=1, max_size=4).map(" ".join), min_size=2, max_size=2
+        ),
+    )
+    def test_matches_oracle_with_ingest_around_first_query(self, texts, split, queries):
+        docs = {f"d{i}": text for i, text in enumerate(texts)}
+        ids = list(docs)
+        kb = KnowledgeBase("test")
+        for doc_id in ids[:split]:
+            kb.ingest(Document(doc_id, docs[doc_id]))
+        first = [(doc.id, score) for doc, score in retrieve(kb, queries[0], 9)]
+        assert first == tfidf_rank({doc_id: docs[doc_id] for doc_id in ids[:split]}, queries[0], 9)
+        for doc_id in ids[split:]:
+            kb.ingest(Document(doc_id, docs[doc_id]))
+        for query in queries:
+            got = [(doc.id, score) for doc, score in retrieve(kb, query, 9)]
+            assert got == tfidf_rank(docs, query, 9)
+
+
 class TestKnowledgeBase:
     def test_duplicate_doc_id(self):
         kb = KnowledgeBase("kb", [Document("d1", "x")])
@@ -243,23 +301,29 @@ class TestKnowledgeBase:
         kb = corpus_kb()
         assert calls == []
         assert kb.doc_frequency("slack") == 2
-        assert sorted(calls) == sorted(CORPUS.values())
+        assert sorted(calls) == sorted([CORPUS["d1"], CORPUS["d2"]])  # d3 cannot hold "slack"
         retrieve(kb, "slack margin", k=3)
-        assert len(calls) == 4  # the query only; the index is kept
+        assert len(calls) == 3  # the query only; "margin" is in d2, already counted
+        assert kb.doc_frequency("ack") == 0  # a substring of "slack", not a token
+        assert len(calls) == 3
 
     def test_concurrent_first_queries_build_index_once(self, monkeypatch):
-        import marco.knowledge
-
+        """Eight threads query at once; each token's postings are built once
+        (every document holding it is counted for it exactly once), each
+        document is tokenized at most once, and ranks match the oracle."""
         docs = {f"d{i}": " ".join(DOC_WORDS[(i * j) % len(DOC_WORDS)] for j in range(i + 3)) for i in range(40)}
-        built = []
-        real = marco.knowledge._add_postings
+        counted = []
+        real_count = KnowledgeBase._count
 
-        def add_postings(postings, doc):
-            built.append(doc.id)
-            time.sleep(0.001)  # yields, so the other threads reach the index meanwhile
-            real(postings, doc)
+        def count(kb, doc_id):
+            counted.append(doc_id)
+            time.sleep(0.001)  # yields, so the other threads reach the postings meanwhile
+            return real_count(kb, doc_id)
 
-        monkeypatch.setattr(marco.knowledge, "_add_postings", add_postings)
+        tokenized = []
+        real_tokenize = marco.knowledge.tokenize
+        monkeypatch.setattr(KnowledgeBase, "_count", count)
+        monkeypatch.setattr(marco.knowledge, "tokenize", lambda text: tokenized.append(text) or real_tokenize(text))
         kb = corpus_kb(docs)
         queries = [" ".join(QUERY_WORDS[i:i + 3]) for i in range(8)]
         start = threading.Barrier(len(queries))
@@ -274,7 +338,10 @@ class TestKnowledgeBase:
             t.start()
         for t in threads:
             t.join(timeout=10)
-        assert sorted(built) == sorted(docs)
+        tokens = {token for text in queries for token in tokenize(text)}
+        assert len(counted) == sum(token in text for token in tokens for text in docs.values())
+        doc_texts = [text for text in tokenized if text not in queries]
+        assert len(doc_texts) == len(set(doc_texts))
         assert results == {text: tfidf_rank(docs, text, 5) for text in queries}
 
     def test_concurrent_parses_run_once(self):
@@ -316,6 +383,23 @@ class TestLoadKbDir:
         assert alpha.tags == ("syntax", "lint")
         assert alpha.text == "body line one\nbody line two\n"
         assert kb.get("beta").tags == ()
+
+    def test_name_order_line_endings_and_stems(self, tmp_path):
+        (tmp_path / "b.txt").write_bytes(b"tags: x\r\nline one\r\nline two\rend")
+        (tmp_path / "a.b.txt").write_bytes(b"dotted")
+        (tmp_path / "..txt").write_bytes(b"dots only")
+        kb = load_kb_dir("kb", tmp_path)
+        assert kb.ids() == [".", "a.b", "b"]
+        assert kb.get("b").tags == ("x",)
+        assert kb.get("b").text == "line one\nline two\nend"
+        assert [doc.text for doc in (kb.get("."), kb.get("a.b"))] == ["dots only", "dotted"]
+
+    def test_directory_named_txt_is_unreadable(self, tmp_path):
+        (tmp_path / "sub.txt").mkdir()
+        with pytest.raises(KnowledgeError) as exc:
+            load_kb_dir("kb", tmp_path)
+        assert exc.value.code == "KB_UNREADABLE"
+        assert str(tmp_path / "sub.txt") in str(exc.value)
 
     def test_missing_dir(self, tmp_path):
         with pytest.raises(KnowledgeError) as exc:
