@@ -265,7 +265,7 @@ def parse_plan_block(
 
     existing = graph.node_map()
     new_nodes: list[TaskNode] = []
-    after_map: dict[str, list[str]] = {}
+    after_map: dict[str, list[str]] = {}  # new node id -> its ``after=`` ids; the new ids so far
 
     for raw_line in match.group(1).splitlines():
         line = raw_line.strip()
@@ -279,7 +279,7 @@ def parse_plan_block(
             return None, "plan line has an empty node id"
         if node_id in existing:
             return None, f"plan node id {node_id!r} already exists in the graph"
-        if any(n.id == node_id for n in new_nodes):
+        if node_id in after_map:
             return None, f"plan repeats node id {node_id!r}"
 
         fields: dict[str, str] = {}
@@ -297,7 +297,7 @@ def parse_plan_block(
         outputs = tuple(dict.fromkeys(k for k in fields.get("out", "").split(",") if k))
         after = [d for d in fields.get("after", "").split(",") if d]
         for dep in after:
-            if dep not in existing and all(n.id != dep for n in new_nodes):
+            if dep not in existing and dep not in after_map:
                 return None, f"plan node {node_id!r} depends on unknown node {dep!r}"
 
         new_nodes.append(TaskNode(id=node_id, title=title, goal=goal, agent_ref=agent_ref, inputs=inputs, outputs=outputs))
@@ -306,7 +306,6 @@ def parse_plan_block(
     if not new_nodes:
         return None, "plan block contains no node lines"
 
-    new_ids = {n.id for n in new_nodes}
     node_outputs = {n.id: n.outputs for n in new_nodes}
     node_outputs.update({nid: existing[nid].outputs for nid in existing})
 
@@ -321,7 +320,7 @@ def parse_plan_block(
 
     for node in new_nodes:
         after = after_map[node.id]
-        if not any(dep in new_ids for dep in after):
+        if not any(dep in after_map for dep in after):
             add(TaskEdge(src=planner.id, dst=node.id, kind="execution"))
         for dep in after:
             add(TaskEdge(src=dep, dst=node.id, kind="execution"))

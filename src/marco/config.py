@@ -17,7 +17,7 @@ from .agents import AgentConfig, RETRIEVE_TOOL, WRITE_TOOL
 from .eda.toolpack import HANDLER_CATALOG
 from .errors import ConfigError
 from .gateway import Script, canonical_json, read_script_file
-from .graph import TaskGraph, validate_graph
+from .graph import TaskGraph, _reachable, validate_graph
 
 BACKEND_KINDS = ("mock", "http", "replay")
 BUILTIN_TOOLS = (WRITE_TOOL, RETRIEVE_TOOL)
@@ -256,6 +256,21 @@ def load_config(path: str | Path) -> RunConfig:
         )
 
     seeds = dict(_object("seeds", raw.get("seeds"), problems))
+    # Only in a valid static graph: a dynamic graph's inputs may come from nodes
+    # a planner adds, and a graph violation is already a problem of its own.
+    if graph.mode == "static" and report.ok:
+        preds = graph.execution_predecessors()
+        outputs = {node.id: node.outputs for node in graph.nodes}
+        for node in graph.nodes:
+            # seeded or written by a direct predecessor: no search needed
+            needed = [key for key in node.inputs
+                      if key not in seeds and not any(key in outputs[p] for p in preds[node.id])]
+            if needed:
+                produced = {key for nid in _reachable(preds, node.id) - {node.id} for key in outputs[nid]}
+                problems.extend(
+                    f"graph node {node.id}: input {key} is neither seeded nor an output of an execution ancestor"
+                    for key in needed if key not in produced
+                )
 
     if problems:
         raise ConfigError(problems)

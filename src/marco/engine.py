@@ -99,10 +99,103 @@ class TraceDocument:
 
     def render(self) -> str:
         self.validate()
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        return _render_json(self.to_dict()) + "\n"
 
     def write(self, path: str | Path) -> None:
         Path(path).write_text(self.render(), encoding="utf-8")
+
+
+_escape = json.encoder.encode_basestring_ascii  # the C escaper json.dumps itself uses
+_INF = float("inf")
+
+
+def _scalar(o: Any) -> str | None:
+    """JSON text of a number, bool or null as json.dumps writes it; None otherwise."""
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        if o != o:
+            return "NaN"
+        return "Infinity" if o == _INF else "-Infinity" if o == -_INF else float.__repr__(o)
+    return None
+
+
+def _key_text(key: Any) -> str:
+    """A dict key as json.dumps converts it before escaping."""
+    if isinstance(key, str):
+        return key
+    text = _scalar(key)
+    if text is None:
+        raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+    return text
+
+
+def _render_json(value: Any) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte.
+
+    CPython's C encoder does not take ``indent``, so json.dumps falls back
+    to its pure-Python one; this writes the same text into one list of parts.
+    """
+    parts: list[str] = []
+    emit = parts.append
+    path: set[int] = set()  # ids of the containers being written, for the cycle check
+    names: dict[str, str] = {}  # each key's escaped text and ": ", as keys repeat across dicts
+
+    def write(o: Any, nl: str) -> None:
+        t = type(o)
+        is_dict = t is dict or (t is not list and isinstance(o, dict))
+        if is_dict or t is list or isinstance(o, (list, tuple)):
+            if not o:
+                emit("{}" if is_dict else "[]")
+                return
+            marker = id(o)
+            if marker in path:
+                raise ValueError("Circular reference detected")
+            path.add(marker)
+            inner = nl + "  "
+            sep = "," + inner
+            if is_dict:
+                lead = "{" + inner
+                for key, item in sorted(o.items()):
+                    if type(key) is not str:
+                        key = _key_text(key)
+                    name = names.get(key)
+                    if name is None:
+                        name = names[key] = _escape(key) + ": "
+                    if type(item) is str:
+                        emit(lead + name + _escape(item))
+                    else:
+                        emit(lead + name)
+                        write(item, inner)
+                    lead = sep
+                emit(nl + "}")
+            else:
+                lead = "[" + inner
+                for item in o:
+                    if type(item) is str:
+                        emit(lead + _escape(item))
+                    else:
+                        emit(lead)
+                        write(item, inner)
+                    lead = sep
+                emit(nl + "]")
+            path.remove(marker)
+        elif isinstance(o, str):
+            emit(_escape(o))
+        else:
+            text = _scalar(o)
+            if text is None:
+                raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+            emit(text)
+
+    write(value, "\n")
+    return "".join(parts)
 
 
 def build_backends(config: RunConfig, override: str | None = None) -> dict[str, Backend]:

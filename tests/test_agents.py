@@ -1,8 +1,16 @@
 """Agent loop: topologies, termination, delegation, tools, plan blocks."""
 
 import json
+import re
+import time
 
 import pytest
+
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+except ImportError:  # pragma: no cover - hypothesis is a dev dependency
+    st = None
 
 from marco.agents import (
     AgentConfig,
@@ -21,7 +29,7 @@ from marco.agents import (
 )
 from marco.errors import EngineError
 from marco.gateway import ChatMessage, MockBackend, ScriptMatcher, ToolCallRequest
-from marco.graph import TaskEdge, TaskGraph, TaskNode
+from marco.graph import ExpansionRequest, TaskEdge, TaskGraph, TaskNode
 from marco.knowledge import Blackboard, Document, KnowledgeBase, MemoryWindow
 from marco.tools import Param, ParamSchema, ToolRegistry, ToolResult, ToolSpec
 
@@ -573,6 +581,125 @@ class TestPlanParsing:
         request, problem = parse_plan_block(f"```PLAN\n{body}\n```", planner_node(), planner_graph())
         assert request is None
         assert problem == reason
+
+
+    def test_long_chain_plan_parses_in_linear_time(self):
+        lines = ["t0 | T | g"] + [f"t{i} | T | g | after=t{i - 1}" for i in range(1, 4000)]
+        started = time.perf_counter()
+        request, problem = parse_plan_block("```PLAN\n" + "\n".join(lines) + "\n```", planner_node(), planner_graph())
+        assert time.perf_counter() - started < 0.4
+        assert problem is None
+        assert len(request.new_nodes) == 4000
+        assert len(request.new_edges) == 4000
+
+
+def scanning_parse_plan(content, planner, graph, agent_names=None):
+    """The PLAN parser as it was before it kept the new ids in a dict: each
+    repeat and dependency check scans the nodes parsed so far."""
+    match = re.search(r"```PLAN\n(.*?)```", content, re.DOTALL)
+    if match is None:
+        return None, None
+    existing = graph.node_map()
+    new_nodes, after_map = [], {}
+    for raw_line in match.group(1).splitlines():
+        line = raw_line.strip()
+        if not line:
+            continue
+        parts = [p.strip() for p in line.split("|")]
+        if len(parts) < 3:
+            return None, f"plan line {line!r} needs 'id | title | goal'"
+        node_id, title, goal = parts[0], parts[1], parts[2]
+        if not node_id:
+            return None, "plan line has an empty node id"
+        if node_id in existing:
+            return None, f"plan node id {node_id!r} already exists in the graph"
+        if any(n.id == node_id for n in new_nodes):
+            return None, f"plan repeats node id {node_id!r}"
+        fields = {}
+        for extra in parts[3:]:
+            key, sep, value = extra.partition("=")
+            key = key.strip()
+            if not sep or key not in ("agent", "in", "out", "after"):
+                return None, f"unknown plan field {extra!r}"
+            fields[key] = value.strip()
+        agent_ref = fields.get("agent", planner.agent_ref)
+        if agent_names is not None and agent_ref not in agent_names:
+            return None, f"plan names unknown agent {agent_ref!r}"
+        inputs = tuple(dict.fromkeys(k for k in fields.get("in", "").split(",") if k))
+        outputs = tuple(dict.fromkeys(k for k in fields.get("out", "").split(",") if k))
+        after = [d for d in fields.get("after", "").split(",") if d]
+        for dep in after:
+            if dep not in existing and all(n.id != dep for n in new_nodes):
+                return None, f"plan node {node_id!r} depends on unknown node {dep!r}"
+        new_nodes.append(TaskNode(id=node_id, title=title, goal=goal, agent_ref=agent_ref, inputs=inputs, outputs=outputs))
+        after_map[node_id] = after
+    if not new_nodes:
+        return None, "plan block contains no node lines"
+    new_ids = {n.id for n in new_nodes}
+    node_outputs = {n.id: n.outputs for n in new_nodes}
+    node_outputs.update({nid: existing[nid].outputs for nid in existing})
+    edges, seen = [], set()
+
+    def add(edge):
+        key = (edge.src, edge.dst, edge.kind, edge.key)
+        if key not in seen:
+            seen.add(key)
+            edges.append(edge)
+
+    for node in new_nodes:
+        after = after_map[node.id]
+        if not any(dep in new_ids for dep in after):
+            add(TaskEdge(src=planner.id, dst=node.id, kind="execution"))
+        for dep in after:
+            add(TaskEdge(src=dep, dst=node.id, kind="execution"))
+        for key in node.inputs:
+            if key in planner.outputs:
+                add(TaskEdge(src=planner.id, dst=node.id, kind="knowledge", key=key))
+            for dep in after:
+                if key in node_outputs.get(dep, ()):
+                    add(TaskEdge(src=dep, dst=node.id, kind="knowledge", key=key))
+    return ExpansionRequest(planner_id=planner.id, new_nodes=tuple(new_nodes), new_edges=tuple(edges)), None
+
+
+if st is not None:
+    _PLAN_IDS = st.sampled_from(["t1", "t2", "t3", "t4", "P", "zz", ""])
+    _PLAN_FIELD = st.one_of(
+        st.builds(lambda ids: "after=" + ",".join(ids), st.lists(_PLAN_IDS, max_size=3)),
+        st.builds(lambda keys: "in=" + ",".join(keys), st.lists(st.sampled_from(["plan", "k", "j"]), max_size=2)),
+        st.builds(lambda keys: "out=" + ",".join(keys), st.lists(st.sampled_from(["k", "j"]), max_size=2)),
+        st.sampled_from(["agent=solo", "agent=ghost", "color=red", "junk", " after = t1 "]),
+    )
+    _NODE_LINE = st.builds(
+        lambda i, extra: " | ".join([i, "title", "goal", *extra]),
+        st.sampled_from(["t1", "t2", "t3", "t4"]) | _PLAN_IDS,
+        st.lists(_PLAN_FIELD, max_size=3),
+    )
+    _PLAN_LINE = _NODE_LINE | _NODE_LINE | st.sampled_from(["", "   ", "a | b", "t1|t|g|after=t2"]) | st.text(
+        alphabet="t1|= ,", max_size=12
+    )
+    _PLAN_TEXT = st.builds(
+        lambda lines, fenced: ("```PLAN\n" + "\n".join(lines) + "\n```") if fenced else "\n".join(lines),
+        st.lists(_PLAN_LINE, max_size=6),
+        st.sampled_from([True, True, True, False]),
+    )
+
+    class TestPlanParsingMatchesScan:
+        @settings(max_examples=500, deadline=None)
+        @given(text=_PLAN_TEXT, names=st.sampled_from([None, {"solo"}]))
+        def test_same_request_and_first_reason(self, text, names):
+            expected = scanning_parse_plan(text, planner_node(), planner_graph(), names)
+            assert parse_plan_block(text, planner_node(), planner_graph(), names) == expected
+
+        @settings(max_examples=300, deadline=None)
+        @given(text=st.text(max_size=80), fenced=st.booleans())
+        def test_any_text_gives_request_reason_or_nothing(self, text, fenced):
+            content = f"```PLAN\n{text}```" if fenced else text
+            request, problem = parse_plan_block(content, planner_node(), planner_graph())
+            if request is not None:
+                assert problem is None and isinstance(request, ExpansionRequest)
+            else:
+                assert problem is None or isinstance(problem, str)
+            assert fenced or "```PLAN" in text or (request, problem) == (None, None)
 
 
 class TestRunNodePlanner:

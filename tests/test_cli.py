@@ -110,6 +110,20 @@ class TestValidate:
             " no execution path from 'm3' to 'm1', so 'm1' may run first\n"
         )
 
+    def test_unproduced_static_input(self, capsys, tmp_path):
+        shutil.copytree(BUNDLED.parent, tmp_path / "data")
+        config_path = tmp_path / "data" / "configs" / "timing_debug.json"
+        payload = json.loads(config_path.read_text(encoding="utf-8"))
+        payload["graph"]["nodes"][0]["inputs"] = ["nobody_writes_this"]
+        config_path.write_text(json.dumps(payload), encoding="utf-8")
+        code, out, err = run_cli(capsys, "validate", str(config_path))
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "invalid: graph node m1: input nobody_writes_this is neither seeded"
+            " nor an output of an execution ancestor\n"
+        )
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "validate", str(tmp_path / "ghost.json"))
         assert code == 1

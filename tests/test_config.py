@@ -119,6 +119,40 @@ class TestValidationProblems:
         problems = problems_of(workdir, payload)
         assert any("PLANNER_IN_STATIC" in p for p in problems)
 
+    def test_static_input_needs_seed_or_execution_ancestor(self, workdir):
+        payload = base_payload()
+        node = payload["graph"]["nodes"][0]
+        payload["graph"]["nodes"] = [
+            node,
+            {**node, "id": "n2", "inputs": ["n1_out"], "outputs": ["n2_out"]},
+            {**node, "id": "n3", "inputs": ["n1_out", "brief", "n4_out", "ghost"], "outputs": []},
+            {**node, "id": "n4", "inputs": ["n4_out"], "outputs": ["n4_out"]},
+        ]
+        payload["graph"]["edges"] = [
+            {"src": "n1", "dst": "n2", "kind": "execution"},
+            {"src": "n2", "dst": "n3", "kind": "execution"},
+        ]
+        payload["seeds"] = {"brief": "block alpha"}
+        assert problems_of(workdir, payload) == [
+            "graph node n3: input n4_out is neither seeded nor an output of an execution ancestor",
+            "graph node n3: input ghost is neither seeded nor an output of an execution ancestor",
+            "graph node n4: input n4_out is neither seeded nor an output of an execution ancestor",
+        ]
+        payload["graph"]["edges"].append({"src": "n4", "dst": "n3", "kind": "execution"})
+        payload["graph"]["nodes"][2]["inputs"].remove("ghost")
+        payload["graph"]["nodes"][3]["inputs"] = []
+        load_config(write_config(workdir, payload))
+
+    def test_dynamic_inputs_left_to_the_planner(self, workdir):
+        payload = base_payload()
+        planner = {"id": "P", "title": "t", "goal": "g", "agent_ref": "a1", "outputs": ["plan"], "expansion": "planner"}
+        payload["graph"] = {
+            "mode": "dynamic",
+            "nodes": [planner, {"id": "w", "title": "t", "goal": "g", "agent_ref": "a1", "inputs": ["later"]}],
+            "edges": [{"src": "P", "dst": "w", "kind": "execution"}],
+        }
+        assert load_config(write_config(workdir, payload)).graph.mode == "dynamic"
+
     def test_bad_agent_payload(self, workdir):
         payload = base_payload()
         payload["agents"]["a1"] = {"topology": "single", "roles": []}

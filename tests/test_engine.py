@@ -1,6 +1,8 @@
 """Run engine: trace documents, backend assembly, scheduling, baseline."""
 
+import collections
 import dataclasses
+import enum
 import http.server
 import json
 import shutil
@@ -10,12 +12,19 @@ from pathlib import Path
 
 import pytest
 
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+except ImportError:  # pragma: no cover - hypothesis is a dev dependency
+    st = None
+
 import marco
 import marco.eda.toolpack
 import marco.engine
 from marco.config import BackendDef, load_config
 from marco.engine import (
     TraceDocument,
+    _render_json,
     build_backends,
     build_registry,
     collapse_graph,
@@ -215,6 +224,114 @@ class TestTraceDocument:
         target = tmp_path / "trace.json"
         trace.write(target)
         assert target.read_text(encoding="utf-8") == trace.render()
+
+
+def dumps(value) -> str:
+    return json.dumps(value, indent=2, sort_keys=True)
+
+
+class _Text(str):
+    pass
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+
+
+class TestRenderJson:
+    """``_render_json`` writes exactly what ``json.dumps(indent=2, sort_keys=True)`` does."""
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            {},
+            [],
+            (),
+            {"a": [], "b": {}, "c": [[], {}, ()]},
+            [1, -0.0, 1e16, 1e-7, float("nan"), float("inf"), float("-inf"), True, False, None],
+            {1: "int", 2.5: "float", False: "bool", float("nan"): "nan", -1e16: "big"},
+            {None: "null key"},
+            {"é": "naïve ☃ \U0001f600", "ctl": "\x00\t\n\"\\"},
+            (1, ("a", ()), {"t": (2,)}),
+            collections.OrderedDict([("b", 1), ("a", 2)]),
+            {_Text("k"): _Text("v"), "n": _Level.LOW, "f": [_Level.LOW]},
+        ],
+    )
+    def test_matches_json_dumps(self, value):
+        assert _render_json(value) == dumps(value)
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            {1: "a", "b": 2},
+            {(1, 2): "tuple key"},
+            {object(): 1},
+            [1, object()],
+            {"a": {"b": object()}},
+            {"a": {1, 2}},
+            b"bytes",
+        ],
+    )
+    def test_same_error_as_json_dumps(self, value):
+        with pytest.raises(TypeError) as expected:
+            dumps(value)
+        with pytest.raises(TypeError) as got:
+            _render_json(value)
+        assert str(got.value) == str(expected.value)
+
+    def test_self_containing_containers_rejected(self):
+        loop: list = [1]
+        loop.append(loop)
+        nest: dict = {"a": {}}
+        nest["a"]["back"] = nest
+        for value in (loop, nest, {"x": [loop]}):
+            with pytest.raises(ValueError, match="Circular reference detected"):
+                _render_json(value)
+
+    def test_shared_container_rendered_each_time(self):
+        shared = [1, {"k": "v"}]
+        value = {"a": shared, "b": [shared, shared]}
+        assert _render_json(value) == dumps(value)
+        assert _render_json(value).count('"k": "v"') == 3
+
+
+if st is not None:
+    _FLOATS = st.floats() | st.sampled_from([-0.0, 1e16, float("nan"), float("inf"), float("-inf")])
+    _LEAVES = st.none() | st.booleans() | st.integers() | _FLOATS | st.text()
+    _KEYS = st.text() | st.integers() | _FLOATS | st.booleans()
+
+    def _json_values(leaves, keys):
+        return st.recursive(
+            leaves,
+            lambda kids: st.lists(kids, max_size=4)
+            | st.lists(kids, max_size=3).map(tuple)
+            | st.dictionaries(keys, kids, max_size=4),
+            max_leaves=25,
+        )
+
+    class TestRenderJsonMatchesDumps:
+        @settings(max_examples=400, deadline=None)
+        @given(value=_json_values(_LEAVES, st.text()) | _json_values(_LEAVES, _KEYS))
+        def test_same_text_or_same_error(self, value):
+            try:
+                expected = dumps(value)
+            except TypeError:  # a str key beside a number key cannot be sorted
+                with pytest.raises(TypeError):
+                    _render_json(value)
+            else:
+                assert _render_json(value) == expected
+
+        @settings(max_examples=300, deadline=None)
+        @given(value=_json_values(_LEAVES | st.builds(object), _KEYS | st.tuples(st.integers())))
+        def test_unserializable_values_raise_the_same_error(self, value):
+            try:
+                expected = dumps(value)
+            except TypeError as exc:
+                with pytest.raises(TypeError) as got:
+                    _render_json(value)
+                assert str(got.value) == str(exc)
+            else:
+                assert _render_json(value) == expected
 
 
 class TestBuildBackends:
