@@ -17,7 +17,7 @@ from .agents import AgentConfig, RETRIEVE_TOOL, WRITE_TOOL
 from .eda.toolpack import HANDLER_CATALOG
 from .errors import ConfigError
 from .gateway import Script, canonical_json, read_script_file
-from .graph import TaskGraph, _reachable, validate_graph
+from .graph import TaskGraph, unproduced_inputs, validate_graph
 
 BACKEND_KINDS = ("mock", "http", "replay")
 BUILTIN_TOOLS = (WRITE_TOOL, RETRIEVE_TOOL)
@@ -34,7 +34,6 @@ class BackendDef:
     inner: str | None = None
     base_url: str | None = None
     timeout: float = 60.0
-    strict_tool_args: bool = False
 
 
 @dataclass(frozen=True)
@@ -73,7 +72,7 @@ _ROLE_FIELDS = {"name": "text", "system_prompt": "text", "model_ref": "text", "t
                 "knowledge_base_refs": "texts"}
 _TERMINATION_FIELDS = {"max_turns": "int", "stop_phrase": "text?", "require_outputs": "flag"}
 _BACKEND_FIELDS = {"kind": "text?", "script": "text?", "cache_dir": "text?", "inner": "text?", "base_url": "text?",
-                   "record": "flag", "timeout": "seconds", "strict_tool_args": "flag"}
+                   "record": "flag", "timeout": "seconds"}
 
 
 def _object(where: str, value: Any, problems: list[str]) -> dict:
@@ -167,7 +166,6 @@ def _load_backend(name: str, payload: Any, base_dir: Path, problems: list[str]) 
         inner=payload.get("inner"),
         base_url=payload.get("base_url"),
         timeout=float(payload.get("timeout", 60.0)),
-        strict_tool_args=bool(payload.get("strict_tool_args", False)),
     )
 
 
@@ -259,18 +257,10 @@ def load_config(path: str | Path) -> RunConfig:
     # Only in a valid static graph: a dynamic graph's inputs may come from nodes
     # a planner adds, and a graph violation is already a problem of its own.
     if graph.mode == "static" and report.ok:
-        preds = graph.execution_predecessors()
-        outputs = {node.id: node.outputs for node in graph.nodes}
-        for node in graph.nodes:
-            # seeded or written by a direct predecessor: no search needed
-            needed = [key for key in node.inputs
-                      if key not in seeds and not any(key in outputs[p] for p in preds[node.id])]
-            if needed:
-                produced = {key for nid in _reachable(preds, node.id) - {node.id} for key in outputs[nid]}
-                problems.extend(
-                    f"graph node {node.id}: input {key} is neither seeded nor an output of an execution ancestor"
-                    for key in needed if key not in produced
-                )
+        problems.extend(
+            f"graph node {nid}: input {key} is neither seeded nor an output of an execution ancestor"
+            for nid, key in unproduced_inputs(graph, seeds)
+        )
 
     if problems:
         raise ConfigError(problems)

@@ -209,7 +209,10 @@ def parse_timing_report(text: str) -> TimingReport:
             if current is None:
                 raise _fail(i, "a PATH line before any STAGE line", line)
             idx_text, net, cell, r, c, delay, lc, xtd, aggr = stage_match.groups()
-            idx = int(idx_text)
+            try:
+                idx = int(idx_text)
+            except ValueError:  # int() refuses more than 4,300 digits
+                idx = -1
             if idx != len(current_stages):
                 raise _fail(i, f"STAGE {len(current_stages)} (indices gapless from 0)", line)
             values = {"R": float(r), "C": float(c), "delay": float(delay)}

@@ -25,8 +25,8 @@ from .config import RunConfig
 from .eda.toolpack import HANDLER_CATALOG
 from .errors import EngineError
 from .gateway import Backend, HttpBackend, MockBackend, ReplayBackend
-from .graph import TaskGraph, TaskNode, apply_expansion, ready_frontier
-from .knowledge import Blackboard, BlackboardStage, KnowledgeBase, load_kb_dir
+from .graph import TaskGraph, TaskNode, apply_expansion, execution_order, ready_frontier
+from .knowledge import Blackboard, BlackboardStage, load_kb_dir
 from .tools import ToolRegistry
 
 TRACE_STATUSES = ("completed", "aborted")
@@ -98,7 +98,6 @@ class TraceDocument:
         )
 
     def render(self) -> str:
-        self.validate()
         return _render_json(self.to_dict()) + "\n"
 
     def write(self, path: str | Path) -> None:
@@ -217,11 +216,7 @@ def build_backends(config: RunConfig, override: str | None = None) -> dict[str, 
             if bdef.kind == "mock":
                 built[link] = MockBackend(bdef.scripts)
             elif bdef.kind == "http":
-                built[link] = HttpBackend(
-                    base_url=bdef.base_url,
-                    timeout=bdef.timeout,
-                    strict_tool_args=bdef.strict_tool_args,
-                )
+                built[link] = HttpBackend(base_url=bdef.base_url, timeout=bdef.timeout)
             else:
                 inner = built[bdef.inner] if bdef.inner is not None else None
                 built[link] = ReplayBackend(bdef.cache_dir, inner=inner, record=bdef.record)
@@ -240,10 +235,6 @@ def build_registry(config: RunConfig) -> ToolRegistry:
         spec, handler = HANDLER_CATALOG[config.tool_bindings[tool_name]]
         registry.register_tool(dataclasses.replace(spec, name=tool_name), handler)
     return registry
-
-
-def build_knowledge_bases(config: RunConfig) -> dict[str, KnowledgeBase]:
-    return {name: load_kb_dir(name, kb_dir) for name, kb_dir in config.knowledge_bases.items()}
 
 
 def _seed_blackboard(config: RunConfig, graph: TaskGraph) -> Blackboard:
@@ -314,7 +305,7 @@ def _execute(config: RunConfig, backend_override: str | None, deterministic: boo
         meta={"deterministic": bool(deterministic), **meta},
     )
     registry = build_registry(config)
-    knowledge_bases = build_knowledge_bases(config)
+    knowledge_bases = {name: load_kb_dir(name, kb_dir) for name, kb_dir in config.knowledge_bases.items()}
     blackboard = _seed_blackboard(config, graph)
     agent_names = tuple(config.agents)
     zero_clock = deterministic or any(b.kind == "replay" for b in config.backends.values())
@@ -420,14 +411,6 @@ def run(
     return _execute(config, backend_override, deterministic, {})
 
 
-def _scheduled_order(graph: TaskGraph) -> list[str]:
-    schedule = _Schedule(graph, set())
-    order: list[str] = []
-    while schedule.heap:
-        order.append(schedule.pop())
-    return order
-
-
 def collapse_graph(config: RunConfig) -> tuple[TaskGraph, dict]:
     """Fold the whole static graph into one node with the combined goal."""
     if config.graph.mode != "static":
@@ -439,7 +422,7 @@ def collapse_graph(config: RunConfig) -> tuple[TaskGraph, dict]:
             f"baseline runs require a single agent_ref, found {sorted(agent_refs)}",
         )
     node_map = config.graph.node_map()
-    order = _scheduled_order(config.graph)
+    order = execution_order(config.graph)
     all_inputs: set[str] = set()
     all_outputs: set[str] = set()
     for node in config.graph.nodes:

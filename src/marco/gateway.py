@@ -38,6 +38,8 @@ class ToolCallRequest:
     arguments: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if not (isinstance(self.id, str) and isinstance(self.tool_name, str) and isinstance(self.arguments, Mapping)):
+            raise ValueError("a tool call needs a string id and tool_name and an object of arguments")
         object.__setattr__(self, "arguments", dict(self.arguments))
 
     def to_dict(self) -> dict:
@@ -48,7 +50,7 @@ class ToolCallRequest:
         return cls(
             id=payload["id"],
             tool_name=payload["tool_name"],
-            arguments=dict(payload.get("arguments", {})),
+            arguments=payload.get("arguments", {}),
         )
 
 
@@ -65,6 +67,8 @@ class ChatMessage:
         object.__setattr__(self, "tool_calls", tuple(self.tool_calls))
         if self.role not in ROLES:
             raise ValueError(f"unknown message role {self.role!r}")
+        if not isinstance(self.content, str) or not isinstance(self.tool_call_id, (str, type(None))):
+            raise ValueError("message content and tool_call_id must be strings")
         if self.tool_calls and self.role != "assistant":
             raise ValueError("tool_calls allowed on assistant messages only")
         if (self.tool_call_id is not None) != (self.role == "tool"):
@@ -142,29 +146,23 @@ def canonical_hash(req: CompletionRequest) -> str:
 _BRACE = re.compile(r"[{}]")
 
 
-def parse_tool_arguments(text: str, strict: bool = True) -> dict:
-    """Parse tool-call arguments arriving as text.
-
-    Strict mode requires the whole string to be one JSON object. Lenient mode
-    tolerates prose around the first balanced ``{...}`` block, which is how
-    live model output tends to arrive: each ``{`` is paired with its matching
-    ``}`` in one pass, and the blocks are tried in the order they open.
+def parse_tool_arguments(text: str) -> dict:
+    """Parse tool-call arguments arriving as text: the whole text if it is one
+    JSON object, or else the first balanced ``{...}`` block that is one, as
+    live model output tends to wrap the object in prose. Each ``{`` is paired
+    with its matching ``}`` in one pass, and the blocks are tried in the order
+    they open.
     """
-    if strict:
-        parsed = json.loads(text)
-        if not isinstance(parsed, dict):
-            raise ValueError("tool arguments must be a JSON object")
-        return parsed
-    closing: dict[int, int] = {}  # index of a "{" -> index of its matching "}"
+    closing: dict[int, int] = {}  # index of a "{" -> index just past its matching "}"
     open_braces: list[int] = []
     for brace in _BRACE.finditer(text):
         if brace.group() == "{":
             open_braces.append(brace.start())
         elif open_braces:
-            closing[open_braces.pop()] = brace.start()
-    for start in sorted(closing):
+            closing[open_braces.pop()] = brace.end()
+    for start, end in [(0, len(text)), *sorted(closing.items())]:
         try:
-            parsed = json.loads(text[start : closing[start] + 1])
+            parsed = json.loads(text[start:end])
         except json.JSONDecodeError:
             continue
         if isinstance(parsed, dict):
@@ -312,9 +310,12 @@ class ReplayBackend(Backend):
         path = self._path(digest)
         if path.exists():
             try:
-                return ChatMessage.from_dict(json.loads(path.read_text(encoding="utf-8"))["response"])
-            except (AttributeError, KeyError, OSError, TypeError, ValueError) as exc:
+                response = ChatMessage.from_dict(json.loads(path.read_text(encoding="utf-8"))["response"])
+                if response.role != "assistant":
+                    raise ValueError(f"response role {response.role!r} is not 'assistant'")
+            except (AttributeError, KeyError, OSError, RecursionError, TypeError, ValueError) as exc:
                 raise GatewayError("CACHE_CORRUPT", f"cache entry {str(path)!r} is unreadable: {exc}") from exc
+            return response
         if not self.record:
             raise GatewayError("CACHE_MISS", f"no cache entry for digest {digest}")
         if self.inner is None:
@@ -355,13 +356,11 @@ class HttpBackend(Backend):
         api_key: str | None = None,
         timeout: float = 60.0,
         retry_delay: float = 1.0,
-        strict_tool_args: bool = False,
     ) -> None:
         self.base_url = (base_url or os.environ.get(BASE_URL_ENV, "")).rstrip("/")
         self.api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV, "")
         self.timeout = timeout
         self.retry_delay = retry_delay
-        self.strict_tool_args = strict_tool_args
 
     def _payload(self, req: CompletionRequest) -> dict:
         payload: dict = {
@@ -411,7 +410,7 @@ class HttpBackend(Backend):
                 raise _malformed(f"tool call {len(calls)} has an id, name or arguments of the wrong kind")
             if isinstance(raw_args, str):
                 try:
-                    raw_args = parse_tool_arguments(raw_args, strict=self.strict_tool_args)
+                    raw_args = parse_tool_arguments(raw_args)
                 except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
                     raise GatewayError("HTTP_ERROR", f"unparseable tool arguments: {exc}", status=200) from exc
             calls.append(ToolCallRequest(id=call_id, tool_name=name, arguments=raw_args))

@@ -7,8 +7,9 @@ Graph values are immutable; growth happens by building a new graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping
+import heapq
+from dataclasses import dataclass, replace
+from typing import Container, Iterable
 
 from .errors import GraphError
 
@@ -170,57 +171,72 @@ def _edge_label(e: TaskEdge) -> str:
     return f"{e.src}->{e.dst} [{e.kind}{key}]"
 
 
-def _find_execution_cycle(graph: TaskGraph) -> list[str] | None:
-    """Return one execution-edge cycle as a node-id list, or None."""
-    adj: dict[str, list[str]] = {n.id: [] for n in graph.nodes}
-    for e in graph.execution_edges():
-        if e.src in adj and e.dst in adj:
-            adj[e.src].append(e.dst)
-    for key in adj:
-        adj[key].sort()
+def _kahn(graph: TaskGraph) -> tuple[dict[str, int], dict[str, int], list[str]]:
+    """The one ordering pass: Kahn's algorithm over the execution edges,
+    taking the least ready id first, the order the engine commits nodes in.
 
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {nid: WHITE for nid in adj}
-    for root in sorted(adj):
-        if color[root] != WHITE:
-            continue
-        # depth-first with explicit stacks: ``path`` holds the gray nodes and
-        # ``pending`` the successors each has left to visit
-        color[root] = GRAY
-        path = [root]
-        pending = [iter(adj[root])]
-        while pending:
-            for nxt in pending[-1]:
-                if color[nxt] == GRAY:
-                    return path[path.index(nxt):] + [nxt]
-                if color[nxt] == WHITE:
-                    color[nxt] = GRAY
-                    path.append(nxt)
-                    pending.append(iter(adj[nxt]))
-                    break
-            else:
-                color[path.pop()] = BLACK
-                pending.pop()
-    return None
-
-
-def _execution_successors(graph: TaskGraph) -> dict[str, list[str]]:
+    Returns every ordered id's position, every ordered id's lineage (a bit
+    set over positions of the id itself and all its execution ancestors),
+    and one execution cycle as ``[a, ..., a]``, empty when every id is
+    ordered. Ids on or after a cycle stay unordered.
+    """
+    preds = graph.execution_predecessors()
     successors: dict[str, list[str]] = {}
-    for edge in graph.execution_edges():
-        successors.setdefault(edge.src, []).append(edge.dst)
-    return successors
+    waiting: dict[str, int] = {}
+    for nid, sources in preds.items():
+        waiting[nid] = len(sources)
+        for src in sources:
+            successors.setdefault(src, []).append(nid)
+    ready = sorted(nid for nid, count in waiting.items() if not count)  # sorted, so a heap
+    position: dict[str, int] = {}
+    lineage: dict[str, int] = {}
+    while ready:
+        nid = heapq.heappop(ready)
+        bits = 1 << len(position)
+        for src in preds[nid]:
+            bits |= lineage[src]
+        position[nid] = len(position)
+        lineage[nid] = bits
+        for succ in successors.get(nid, ()):
+            waiting[succ] -= 1
+            if not waiting[succ]:
+                heapq.heappush(ready, succ)
+    cycle: list[str] = []
+    if len(position) < len(preds):
+        # every unordered id has an unordered predecessor: walk back from the
+        # least one, each time to the least such predecessor, until an id repeats
+        walk: dict[str, int] = {}  # id -> its step on the walk
+        nid = min(nid for nid in preds if nid not in position)
+        while nid not in walk:
+            walk[nid] = len(walk)
+            nid = min(src for src in preds[nid] if src not in position)
+        cycle = [nid, *reversed(list(walk)[walk[nid]:])]
+    return position, lineage, cycle
 
 
-def _reachable(successors: Mapping[str, list[str]], start: str) -> set[str]:
-    """``start`` and every node reachable from it over execution edges."""
-    reached = {start}
-    pending = [start]
-    while pending:
-        for nxt in successors.get(pending.pop(), ()):
-            if nxt not in reached:
-                reached.add(nxt)
-                pending.append(nxt)
-    return reached
+def execution_order(graph: TaskGraph) -> list[str]:
+    """Node ids in the order the engine commits them: least ready id first.
+    Ids on or after an execution cycle are left out."""
+    return list(_kahn(graph)[0])
+
+
+def unproduced_inputs(graph: TaskGraph, seeded: Container[str]) -> list[tuple[str, str]]:
+    """``(node id, key)`` for every node input that is neither in ``seeded``
+    nor an output of one of the node's execution ancestors, in node and input
+    order. Nodes on or after an execution cycle are not checked."""
+    position, lineage, _ = _kahn(graph)
+    producers: dict[str, int] = {}  # key -> bit set over positions of ordered nodes declaring it
+    for node in graph.nodes:
+        if node.id in position:
+            for key in node.outputs:
+                producers[key] = producers.get(key, 0) | 1 << position[node.id]
+    return [
+        (node.id, key)
+        for node in graph.nodes
+        if node.id in position
+        for key in node.inputs
+        if key not in seeded and not (lineage[node.id] ^ 1 << position[node.id]) & producers.get(key, 0)
+    ]
 
 
 def validate_graph(graph: TaskGraph) -> ValidationReport:
@@ -277,22 +293,18 @@ def validate_graph(graph: TaskGraph) -> ValidationReport:
         elif edge.key is not None:
             violations.append(Violation("UNEXPECTED_EDGE_KEY", subject, "execution edge must not carry a key"))
 
-    if knowledge_edges:
-        successors = _execution_successors(graph)
-        reach: dict[str, set[str]] = {}
-        for edge in knowledge_edges:
-            if edge.src not in reach:
-                reach[edge.src] = _reachable(successors, edge.src)
-            if edge.dst not in reach[edge.src]:
-                violations.append(
-                    Violation(
-                        "UNORDERED_KNOWLEDGE_EDGE",
-                        _edge_label(edge),
-                        f"no execution path from {edge.src!r} to {edge.dst!r}, so {edge.dst!r} may run first",
-                    )
+    position, lineage, cycle = _kahn(graph)
+    for edge in knowledge_edges:
+        # an edge into an unordered node is left alone: CYCLE rejects the graph
+        if edge.dst in lineage and not (edge.src in position and lineage[edge.dst] >> position[edge.src] & 1):
+            violations.append(
+                Violation(
+                    "UNORDERED_KNOWLEDGE_EDGE",
+                    _edge_label(edge),
+                    f"no execution path from {edge.src!r} to {edge.dst!r}, so {edge.dst!r} may run first",
                 )
+            )
 
-    cycle = _find_execution_cycle(graph)
     if cycle:
         violations.append(Violation("CYCLE", " -> ".join(cycle), "execution edges must form a DAG"))
 
@@ -363,7 +375,8 @@ def apply_expansion(graph: TaskGraph, req: ExpansionRequest) -> TaskGraph:
         first = report.violations[0]
         raise GraphError("INVALID_EXPANSION", f"{first.code} on {first.subject}: {first.detail}")
 
-    orphans = sorted(set(new_ids) - _reachable(_execution_successors(candidate), req.planner_id))
+    position, lineage, _ = _kahn(candidate)
+    orphans = sorted(nid for nid in new_ids if not lineage[nid] >> position[req.planner_id] & 1)
     if orphans:
         raise GraphError(
             "UNREACHABLE_NODE",

@@ -320,13 +320,10 @@ class MemoryWindow:
     """Bounded conversation memory; the system message is never evicted."""
 
     max_messages: int
-    eviction: str = "drop_oldest_nonsystem"
 
     def __post_init__(self) -> None:
         if self.max_messages < 1:
             raise ValueError("max_messages must be >= 1")
-        if self.eviction != "drop_oldest_nonsystem":
-            raise ValueError(f"unknown eviction policy {self.eviction!r}")
 
 
 def apply_window(messages: list[ChatMessage], window: MemoryWindow) -> list[ChatMessage]:

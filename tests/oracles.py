@@ -111,6 +111,47 @@ def has_execution_cycle(graph: TaskGraph) -> bool:
     return any(state.get(nid, 0) == 0 and visit(nid) for nid in adjacency)
 
 
+def reachable_pairs(graph: TaskGraph) -> set[tuple[str, str]]:
+    """Every ``(a, b)`` with a path of one or more execution edges from ``a``
+    to ``b``: the edge pairs, joined with themselves until nothing is added."""
+    pairs = {(edge.src, edge.dst) for edge in graph.execution_edges()}
+    while True:
+        joined = {(a, d) for a, b in pairs for c, d in pairs if b == c} - pairs
+        if not joined:
+            return pairs
+        pairs |= joined
+
+
+def oracle_unordered_knowledge(graph: TaskGraph) -> list[TaskEdge]:
+    """Knowledge edges whose destination is neither the source nor reachable from it."""
+    pairs = reachable_pairs(graph)
+    return [
+        edge
+        for edge in graph.edges
+        if edge.kind == "knowledge" and edge.src != edge.dst and (edge.src, edge.dst) not in pairs
+    ]
+
+
+def oracle_unproduced_inputs(graph: TaskGraph, seeded: set[str]) -> list[tuple[str, str]]:
+    """Inputs neither seeded nor declared as an output by any node that reaches their node."""
+    pairs = reachable_pairs(graph)
+    return [
+        (node.id, key)
+        for node in graph.nodes
+        for key in node.inputs
+        if key not in seeded
+        and not any((other.id, node.id) in pairs and key in other.outputs for other in graph.nodes)
+    ]
+
+
+def oracle_commit_order(graph: TaskGraph) -> list[str]:
+    """Repeatedly commit the least id of the brute-force frontier."""
+    order: list[str] = []
+    while frontier := brute_frontier(graph, set(order)):
+        order.append(frontier[0])
+    return order
+
+
 # ---------------------------------------------------------------- reports
 
 def make_stage(

@@ -211,6 +211,29 @@ class TestRun:
         assert err.count("BACKEND_ERROR") == 1
 
 
+    def test_corrupt_cache_entry(self, capsys, tmp_path):
+        config_path = write_one_node_config(
+            tmp_path, rec={"kind": "replay", "cache_dir": "cache", "inner": "mock", "record": True}
+        )
+        payload = json.loads(config_path.read_text(encoding="utf-8"))
+        payload["agents"]["solo"]["roles"][0]["model_ref"] = "rec"
+        payload["agents"]["solo"]["termination"] = {"max_turns": 2, "stop_phrase": "DONE"}
+        config_path.write_text(json.dumps(payload), encoding="utf-8")
+        script = [{"matcher": {"kind": "always"}, "responses": [{"content": "DONE"}]}]
+        (tmp_path / "scripts.json").write_text(json.dumps(script), encoding="utf-8")
+        code, _, err = run_cli(capsys, "run", str(config_path), "--deterministic")
+        assert (code, err) == (0, "")
+        (entry,) = (tmp_path / "cache").glob("*.json")
+        recorded = json.loads(entry.read_text(encoding="utf-8"))
+        recorded["response"]["content"] = 5
+        entry.write_text(json.dumps(recorded), encoding="utf-8")
+        code, out, err = run_cli(capsys, "run", str(config_path), "--deterministic")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: BACKEND_ERROR: ")
+        assert "CACHE_CORRUPT" in err and "Traceback" not in err
+        assert len(err.splitlines()) == 1
+
     def test_unreadable_knowledge_base_file(self, capsys, tmp_path):
         config_path = write_one_node_config(tmp_path)
         payload = json.loads(config_path.read_text(encoding="utf-8"))

@@ -4,6 +4,12 @@ import random
 
 import pytest
 
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+except ImportError:  # pragma: no cover - hypothesis is a dev dependency
+    st = None
+
 from oracles import make_path, make_report, make_stage, random_report
 from marco.errors import ReportError
 from marco.eda.report import (
@@ -93,6 +99,20 @@ class TestParse:
                 "  STAGE 1 net=n cell=U R=1.0 C=1.0 delay=0.1 lc=0.1 xtd=0.0 aggr=none\n"
             )
         assert "gapless" in str(exc.value)
+
+    def test_overlong_stage_index(self):
+        with pytest.raises(ReportError) as exc:
+            parse_timing_report(
+                "corner: c mode: m check: max\n"
+                "PATH p start=a end=b clk=c edges=rise slack=0.1\n"
+                f"  STAGE {'9' * 5000} net=n cell=U R=1.0 C=1.0 delay=0.1 lc=0.1 xtd=0.0 aggr=none\n"
+            )
+        assert exc.value.code == "PARSE_ERROR"
+        assert exc.value.details["line"] == 3
+
+    def test_leading_zeros_in_stage_index(self):
+        text = MINIMAL.replace("STAGE 1 ", "STAGE 0001 ")
+        assert [stage.index for stage in parse_timing_report(text).paths[0].stages] == [0, 1]
 
     def test_path_without_stages(self):
         with pytest.raises(ReportError) as exc:
@@ -221,3 +241,35 @@ class TestValueSemantics:
         assert isinstance(path.stages, tuple)
         report = TimingReport("c", "m", "max", [path])
         assert isinstance(report.paths, tuple)
+
+
+if st is not None:
+    NUMBER = st.sampled_from(["0", "1.5", "-0.1", ".5", "1e999", "-1e-3", "7" * 400])
+    NUMBER |= st.from_regex(r"-?\d{1,4}", fullmatch=True)
+    STAGE_INDEX = st.sampled_from(["0", "1", "00", "9" * 5000, "0" * 5000]) | st.from_regex(r"\d{1,6}", fullmatch=True)
+    PATH_LINE = st.builds(
+        "PATH {} start=a end=b clk=c edges=rise slack={}".format, st.sampled_from(["p0", "p1"]), NUMBER
+    )
+    STAGE_LINE = st.builds(
+        "  STAGE {} net=n cell=U R={} C=1 delay=0.1 lc={} xtd=0 aggr={}".format,
+        STAGE_INDEX,
+        NUMBER,
+        NUMBER,
+        st.sampled_from(["none", "x:1", "x:1;y:-2", "x:", ";", "x:1;"]),
+    )
+    PATH_BLOCK = st.builds(lambda path, stages: [path, *stages], PATH_LINE, st.lists(STAGE_LINE, min_size=1, max_size=3))
+    REPORT_TEXT = st.text() | st.lists(PATH_BLOCK | st.lists(st.text(max_size=30), max_size=1), max_size=4).map(
+        lambda blocks: "\n".join(["corner: c mode: m check: max", *(line for block in blocks for line in block)])
+    )
+
+    class TestAnyText:
+        @settings(max_examples=400, deadline=None)
+        @given(text=REPORT_TEXT)
+        def test_report_or_parse_error(self, text):
+            try:
+                report = parse_timing_report(text)
+            except ReportError as exc:
+                assert exc.code == "PARSE_ERROR"
+            else:
+                assert isinstance(report, TimingReport)
+                assert all(s.index == i for p in report.paths for i, s in enumerate(p.stages))

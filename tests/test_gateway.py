@@ -230,7 +230,30 @@ class TestReplayBackend:
         assert entry["response"]["content"] == "recorded"
         assert [path.name for path in tmp_path.iterdir()] == [f"{digest}.json"]  # no temporary file left
 
-    @pytest.mark.parametrize("text", ['{"digest": "ab', '{"digest": "ab"}', "[1, 2]", '{"response": 7}'])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"digest": "ab',
+            '{"digest": "ab"}',
+            "[1, 2]",
+            '{"response": 7}',
+            pytest.param("[" * 100_000, id="too_deep"),
+            pytest.param('{"response": {"role": "assistant", "content": 5}}', id="content_number"),
+            pytest.param('{"response": {"role": "user", "content": "hi"}}', id="user_role"),
+            pytest.param(
+                '{"response": {"role": "assistant", "tool_calls": [{"id": 1, "tool_name": "t"}]}}',
+                id="call_id_number",
+            ),
+            pytest.param(
+                '{"response": {"role": "assistant", "tool_calls": [{"id": "c1", "tool_name": null}]}}',
+                id="tool_name_null",
+            ),
+            pytest.param(
+                '{"response": {"role": "assistant", "tool_calls": [{"id": "c1", "tool_name": "t", "arguments": [["a", 1]]}]}}',
+                id="arguments_pairs",
+            ),
+        ],
+    )
     def test_unreadable_entry_is_coded(self, tmp_path, text):
         r = req(sys_msg(), user("q"))
         entry = tmp_path / f"{canonical_hash(r)}.json"
@@ -398,7 +421,7 @@ class TestHttpBackend:
     )
     def test_malformed_body_is_http_error(self, chat_server, body):
         _ChatHandler.responses = [(200, body)]
-        backend = HttpBackend(base_url=chat_server, api_key="k", strict_tool_args=True)
+        backend = HttpBackend(base_url=chat_server, api_key="k")
         with pytest.raises(GatewayError) as exc:
             backend.complete(req(sys_msg(), user("q")))
         assert exc.value.code == "HTTP_ERROR"
@@ -472,38 +495,80 @@ if st is not None:
             self.check(body)
 
 
+if st is not None:
+    RESPONSE_FIELDS = st.dictionaries(
+        st.sampled_from(["role", "content", "tool_calls", "tool_call_id"]),
+        st.sampled_from(["assistant", "user", "tool"]) | JSON_VALUES,
+    )
+    TOOL_CALLS = st.lists(
+        st.dictionaries(st.sampled_from(["id", "tool_name", "arguments"]), st.sampled_from(["c1", "t"]) | JSON_VALUES),
+        max_size=3,
+    )
+    RESPONSES = st.one_of(
+        JSON_VALUES,
+        RESPONSE_FIELDS,
+        st.builds(lambda fields, calls: {"role": "assistant", **fields, "tool_calls": calls}, RESPONSE_FIELDS, TOOL_CALLS),
+    )
+
+    class TestCacheFileFuzz:
+        """Any cache file gives an assistant message or CACHE_CORRUPT."""
+
+        def check(self, tmp_path, raw: bytes):
+            r = req(sys_msg(), user("q"))
+            (tmp_path / f"{canonical_hash(r)}.json").write_bytes(raw)
+            try:
+                reply = ReplayBackend(tmp_path).complete(r)
+            except GatewayError as exc:
+                assert exc.code == "CACHE_CORRUPT"
+            else:
+                assert reply.role == "assistant"
+                assert isinstance(reply.content, str)
+                assert all(isinstance(c.id, str) and isinstance(c.tool_name, str) for c in reply.tool_calls)
+                assert all(isinstance(c.arguments, dict) for c in reply.tool_calls)
+
+        @settings(max_examples=200, deadline=None)
+        @given(raw=st.binary(max_size=64))
+        def test_any_bytes(self, tmp_path_factory, raw):
+            self.check(tmp_path_factory.mktemp("cache"), raw)
+
+        @settings(max_examples=300, deadline=None)
+        @given(entry=JSON_VALUES | st.builds(lambda response: {"response": response}, RESPONSES))
+        def test_any_json(self, tmp_path_factory, entry):
+            self.check(tmp_path_factory.mktemp("cache"), json.dumps(entry).encode("utf-8"))
+
+
 class TestToolArgumentParsing:
-    def test_strict_accepts_object(self):
-        assert parse_tool_arguments('{"a": 1}', strict=True) == {"a": 1}
+    def test_whole_object(self):
+        assert parse_tool_arguments('{"a": 1}') == {"a": 1}
 
-    def test_strict_rejects_prose(self):
+    def test_non_object_rejected(self):
         with pytest.raises(ValueError):
-            parse_tool_arguments('call with {"a": 1} please', strict=True)
+            parse_tool_arguments("[1, 2]")
 
-    def test_strict_rejects_non_object(self):
-        with pytest.raises(ValueError):
-            parse_tool_arguments("[1, 2]", strict=True)
+    def test_unbalanced_brace_inside_a_string(self):
+        assert parse_tool_arguments('{"value": "a}"}') == {"value": "a}"}
+        assert parse_tool_arguments('{"value": "{"}') == {"value": "{"}
 
     def test_lenient_extracts_block(self):
-        assert parse_tool_arguments('Sure! {"a": {"b": 2}} done', strict=False) == {"a": {"b": 2}}
+        assert parse_tool_arguments('Sure! {"a": {"b": 2}} done') == {"a": {"b": 2}}
 
     def test_lenient_skips_broken_blocks(self):
-        assert parse_tool_arguments('{oops} then {"a": 1}', strict=False) == {"a": 1}
+        assert parse_tool_arguments('{oops} then {"a": 1}') == {"a": 1}
 
     def test_lenient_no_object(self):
         with pytest.raises(ValueError):
-            parse_tool_arguments("nothing here", strict=False)
+            parse_tool_arguments("nothing here")
 
     def test_lenient_takes_first_opening_block(self):
-        assert parse_tool_arguments('{ {"a": 1} x {"b": 2}', strict=False) == {"a": 1}
-        assert parse_tool_arguments('{"a": {"b": 2}} {"c": 3}', strict=False) == {"a": {"b": 2}}
-        assert parse_tool_arguments('} {"a": 1} }', strict=False) == {"a": 1}
+        assert parse_tool_arguments('{ {"a": 1} x {"b": 2}') == {"a": 1}
+        assert parse_tool_arguments('{"a": {"b": 2}} {"c": 3}') == {"a": {"b": 2}}
+        assert parse_tool_arguments('} {"a": 1} }') == {"a": 1}
 
     def test_lenient_unbalanced_braces_fail_in_linear_time(self):
         text = "{" * 40_000
         started = time.perf_counter()
         with pytest.raises(ValueError):
-            parse_tool_arguments(text, strict=False)
+            parse_tool_arguments(text)
         assert time.perf_counter() - started < 0.1
 
 
@@ -534,18 +599,33 @@ if st is not None:
         max_size=40,
     ).map("".join)
 
+    def is_json_object(text: str) -> bool:
+        try:
+            return isinstance(json.loads(text), dict)
+        except ValueError:
+            return False
+
     class TestLenientParsingMatchesRescan:
+        """Text that is not one JSON object as a whole parses as the older
+        rescanning parser parsed it."""
+
         @settings(max_examples=500, deadline=None)
-        @given(text=BRACE_TEXT)
+        @given(text=BRACE_TEXT.filter(lambda text: not is_json_object(text)))
         def test_same_result_or_same_error(self, text):
             try:
                 expected = rescanning_parse(text)
             except ValueError as exc:
                 with pytest.raises(ValueError) as got:
-                    parse_tool_arguments(text, strict=False)
+                    parse_tool_arguments(text)
                 assert str(got.value) == str(exc)
             else:
-                assert parse_tool_arguments(text, strict=False) == expected
+                assert parse_tool_arguments(text) == expected
+
+    class TestWholeObjectParsing:
+        @settings(max_examples=300, deadline=None)
+        @given(value=st.dictionaries(st.text(max_size=8), st.text(max_size=8), max_size=5))
+        def test_dumped_dict_parses_back(self, value):
+            assert parse_tool_arguments(json.dumps(value)) == value
 
 
 class TestOpenAiSpecRendering:

@@ -1,8 +1,15 @@
 """Task graph invariants, frontier scheduling, expansion, DOT export."""
 
 import random
+import time
 
 import pytest
+
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+except ImportError:  # pragma: no cover - hypothesis is a dev dependency
+    st = None
 
 from marco.errors import GraphError
 from marco.graph import (
@@ -11,12 +18,22 @@ from marco.graph import (
     TaskGraph,
     TaskNode,
     apply_expansion,
+    execution_order,
     export_dot,
     ready_frontier,
+    unproduced_inputs,
     validate_graph,
 )
 
-from oracles import brute_frontier, has_execution_cycle, is_linear_extension, random_dag
+from oracles import (
+    brute_frontier,
+    has_execution_cycle,
+    is_linear_extension,
+    oracle_commit_order,
+    oracle_unordered_knowledge,
+    oracle_unproduced_inputs,
+    random_dag,
+)
 
 
 def node(nid: str, **kwargs) -> TaskNode:
@@ -158,6 +175,35 @@ class TestValidate:
         assert report.codes() == ("CYCLE",)
         assert report.violations[0].subject == " -> ".join(ids + ids[:1])
 
+    def test_knowledge_edge_chain_validates_in_linear_time(self):
+        ids = [f"n{i:05d}" for i in range(1_600)]
+        nodes = tuple(node(nid, inputs=(f"k{i - 1}",) if i else (), outputs=(f"k{i}",)) for i, nid in enumerate(ids))
+        links = list(zip(ids, ids[1:]))
+        edges = tuple(TaskEdge(a, b) for a, b in links)
+        edges += tuple(TaskEdge(a, b, kind="knowledge", key=f"k{i}") for i, (a, b) in enumerate(links))
+        graph = TaskGraph(nodes=nodes, edges=edges)
+        started = time.perf_counter()
+        report = validate_graph(graph)
+        assert time.perf_counter() - started < 0.1
+        assert report.ok
+
+    def test_cycle_named_from_least_unordered_id(self):
+        # "a" is only fed by the b-c cycle: the walk back goes a, c, b and meets
+        # c again, so the cycle is named forwards from c
+        graph = TaskGraph(
+            nodes=(node("a"), node("b"), node("c"), node("z")),
+            edges=(TaskEdge("c", "a"), TaskEdge("b", "c"), TaskEdge("c", "b"), TaskEdge("z", "b")),
+        )
+        cycles = [v.subject for v in validate_graph(graph).violations if v.code == "CYCLE"]
+        assert cycles == ["c -> b -> c"]
+
+    def test_knowledge_edge_into_a_cycle_is_not_ordered(self):
+        graph = TaskGraph(
+            nodes=(node("A", outputs=("k",)), node("B", inputs=("k",)), node("C")),
+            edges=(TaskEdge("B", "C"), TaskEdge("C", "B"), TaskEdge("A", "B", kind="knowledge", key="k")),
+        )
+        assert validate_graph(graph).codes() == ("CYCLE",)
+
     @pytest.mark.parametrize("seed", range(40))
     def test_cycle_check_matches_oracle(self, seed):
         rng = random.Random(seed)
@@ -180,6 +226,36 @@ class TestValidate:
         )
         codes = set(validate_graph(graph).codes())
         assert {"BAD_MODE", "DUPLICATE_NODE_ID", "SELF_LOOP", "UNKNOWN_ENDPOINT"} <= codes
+
+
+if st is not None:
+
+    @st.composite
+    def wired_dags(draw):
+        """A DAG over shuffled ids, with knowledge edges in either direction
+        and inputs and outputs drawn from a few keys."""
+        ids = draw(st.lists(st.sampled_from("abcdefgh"), min_size=1, max_size=8, unique=True))
+        keys = st.lists(st.sampled_from(["k0", "k1", "k2"]), max_size=2)
+        nodes = tuple(node(nid, inputs=tuple(draw(keys)), outputs=tuple(draw(keys))) for nid in ids)
+        pairs = [(a, b) for i, a in enumerate(ids) for b in ids[i + 1:]]
+        edges = [TaskEdge(a, b) for a, b in draw(st.lists(st.sampled_from(pairs), max_size=10))] if pairs else []
+        links = st.tuples(st.sampled_from(ids), st.sampled_from(ids), st.sampled_from(["k0", "k1"]))
+        edges += [TaskEdge(a, b, kind="knowledge", key=k) for a, b, k in draw(st.lists(links, max_size=4)) if a != b]
+        order = draw(st.permutations(range(len(edges))))
+        return TaskGraph(nodes=nodes, edges=tuple(edges[i] for i in order))
+
+    class TestOrderMatchesReachability:
+        """Every order question answered by the one Kahn pass agrees with
+        brute-force reachability."""
+
+        @settings(max_examples=300, deadline=None)
+        @given(graph=wired_dags(), seeded=st.sets(st.sampled_from(["k0", "k1", "k2"])))
+        def test_knowledge_edges_inputs_and_order(self, graph, seeded):
+            unordered = [v.subject for v in validate_graph(graph).violations if v.code == "UNORDERED_KNOWLEDGE_EDGE"]
+            expected = [f"{e.src}->{e.dst} [knowledge key={e.key!r}]" for e in oracle_unordered_knowledge(graph)]
+            assert unordered == expected
+            assert unproduced_inputs(graph, seeded) == oracle_unproduced_inputs(graph, seeded)
+            assert execution_order(graph) == oracle_commit_order(graph)
 
 
 class TestFrontier:

@@ -442,11 +442,9 @@ class TestMemoryWindow:
         messages = [msg("system", "s"), msg("user", "u1"), msg("user", "u2")]
         assert apply_window(messages, MemoryWindow(max_messages=1)) == [messages[0]]
 
-    def test_bad_policy(self):
+    def test_window_needs_a_message(self):
         with pytest.raises(ValueError):
             MemoryWindow(max_messages=0)
-        with pytest.raises(ValueError):
-            MemoryWindow(max_messages=3, eviction="drop_newest")
 
     @settings(max_examples=60, deadline=None)
     @given(
