@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 validation or run failure, 2 usage errors
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -23,6 +22,7 @@ from .eda.fixtures import (
 )
 from .engine import run, run_baseline
 from .errors import ConfigError, EngineError, MarcoError
+from .gateway import read_json
 from .graph import export_dot
 
 
@@ -127,31 +127,33 @@ def _cmd_fixtures_gen(args: argparse.Namespace) -> int:
 
 def _cmd_score(args: argparse.Namespace) -> int:
     try:
-        trace = json.loads(Path(args.trace).read_text(encoding="utf-8"))
+        trace = read_json(Path(args.trace))
         manifest = parse_manifest(Path(args.manifest).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if not isinstance(trace, dict):
         print("error: trace root must be a JSON object", file=sys.stderr)
+        return 1
+    if not isinstance(trace.get("blackboard", {}), dict):
+        print("error: trace blackboard must be a JSON object", file=sys.stderr)
         return 1
     result = score_trace(trace, manifest)
     sys.stdout.write(render_score_report(result))
     return 0
 
 
+_COMMANDS = {"validate": _cmd_validate, "run": _cmd_run, "graph": _cmd_graph_export,
+             "fixtures": _cmd_fixtures_gen, "score": _cmd_score}
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "validate":
-        return _cmd_validate(args)
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "graph":
-        return _cmd_graph_export(args)
-    if args.command == "fixtures":
-        return _cmd_fixtures_gen(args)
-    return _cmd_score(args)
+    args = _build_parser().parse_args(argv)
+    try:
+        return _COMMANDS[args.command](args)
+    except OSError as exc:  # an input or output path that cannot be opened
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

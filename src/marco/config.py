@@ -8,7 +8,6 @@ once, not just the first. Relative paths resolve against the config file.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
@@ -16,7 +15,7 @@ from typing import Any, Mapping
 from .agents import AgentConfig, RETRIEVE_TOOL, WRITE_TOOL
 from .eda.toolpack import HANDLER_CATALOG
 from .errors import ConfigError
-from .gateway import Script, canonical_json, read_script_file
+from .gateway import Script, canonical_json, read_json, read_script_file
 from .graph import TaskGraph, unproduced_inputs, validate_graph
 
 BACKEND_KINDS = ("mock", "http", "replay")
@@ -176,8 +175,8 @@ def load_config(path: str | Path) -> RunConfig:
     if not path.is_file():
         raise ConfigError([f"{path}: no such config file"])
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+        raw = read_json(path)
+    except ValueError as exc:
         raise ConfigError([f"{path}: invalid JSON: {exc}"]) from exc
     if not isinstance(raw, dict):
         raise ConfigError([f"{path}: config root must be a JSON object"])

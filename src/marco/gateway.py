@@ -133,6 +133,19 @@ def canonical_json(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
 
 
+def read_json(source: Path | bytes) -> Any:
+    """The JSON value in a file or in bytes, decoded as UTF-8 (RFC 8259).
+
+    A failure to read, decode, parse or nest (``RecursionError``) becomes one
+    ``ValueError`` whose text is the reason.
+    """
+    try:
+        data = source.read_bytes() if isinstance(source, Path) else source
+        return json.loads(data.decode("utf-8"))
+    except (OSError, RecursionError, ValueError) as exc:  # ValueError: bad UTF-8 or bad JSON
+        raise ValueError(str(exc)) from exc
+
+
 def canonical_hash(req: CompletionRequest) -> str:
     """Stable sha256 digest of the canonical request serialization.
 
@@ -261,8 +274,8 @@ def read_script_file(path: Path) -> tuple[list[Script], list[str]]:
     """The usable scripts of a mock script file, and one line for every reason
     the file or one of its entries cannot be used."""
     try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:  # ValueError covers bad JSON and bad UTF-8
+        payload = read_json(path)
+    except ValueError as exc:
         return [], [f"script file {str(path)!r} is not readable JSON: {exc}"]
     if not isinstance(payload, list):
         return [], [f"script file {str(path)!r} must hold a JSON list, got {type(payload).__name__}"]
@@ -310,10 +323,10 @@ class ReplayBackend(Backend):
         path = self._path(digest)
         if path.exists():
             try:
-                response = ChatMessage.from_dict(json.loads(path.read_text(encoding="utf-8"))["response"])
+                response = ChatMessage.from_dict(read_json(path)["response"])
                 if response.role != "assistant":
                     raise ValueError(f"response role {response.role!r} is not 'assistant'")
-            except (AttributeError, KeyError, OSError, RecursionError, TypeError, ValueError) as exc:
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
                 raise GatewayError("CACHE_CORRUPT", f"cache entry {str(path)!r} is unreadable: {exc}") from exc
             return response
         if not self.record:
@@ -387,36 +400,26 @@ class HttpBackend(Backend):
         return payload
 
     def _parse_response(self, body: Any) -> ChatMessage:
-        """Read the first choice's message, checking the kind of every field read."""
+        """Read the first choice's message; the message and tool-call
+        constructors check the kind of every field read."""
         try:
             message = body["choices"][0]["message"]
-        except (KeyError, IndexError, TypeError) as exc:
-            raise _malformed(str(exc)) from exc
-        if not isinstance(message, dict):
-            raise _malformed("choices[0].message is not an object")
-        content = message.get("content")
-        raw_calls = message.get("tool_calls")
-        if not isinstance(content, (str, type(None))) or not isinstance(raw_calls, (list, type(None))):
-            raise _malformed("content is not a string or tool_calls is not a list")
-        calls = []
-        for raw in raw_calls or ():
-            fn = raw.get("function", {}) if isinstance(raw, dict) else None
-            if not isinstance(fn, dict):
-                raise _malformed(f"tool call {len(calls)} is not an object with a function object")
-            call_id = raw.get("id", f"call_{len(calls)}")
-            name = fn.get("name", "")
-            raw_args = fn.get("arguments", "{}")
-            if not isinstance(call_id, str) or not isinstance(name, str) or not isinstance(raw_args, (str, dict)):
-                raise _malformed(f"tool call {len(calls)} has an id, name or arguments of the wrong kind")
-            if isinstance(raw_args, str):
-                try:
-                    raw_args = parse_tool_arguments(raw_args)
-                except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
-                    raise GatewayError("HTTP_ERROR", f"unparseable tool arguments: {exc}", status=200) from exc
-            calls.append(ToolCallRequest(id=call_id, tool_name=name, arguments=raw_args))
-        try:
-            return ChatMessage(role="assistant", content=content or "", tool_calls=tuple(calls))
-        except ValueError as exc:  # repeated tool call ids
+            raw_calls = message.get("tool_calls")
+            if not isinstance(raw_calls, (list, type(None))):  # so 0, false, "" and {} are refused too
+                raise TypeError("tool_calls is not a list")
+            calls = []
+            for index, raw in enumerate(raw_calls or ()):
+                fn = raw.get("function", {})
+                raw_args = fn.get("arguments", "{}")
+                if isinstance(raw_args, str):
+                    try:
+                        raw_args = parse_tool_arguments(raw_args)
+                    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
+                        raise GatewayError("HTTP_ERROR", f"unparseable tool arguments: {exc}", status=200) from exc
+                calls.append(ToolCallRequest(raw.get("id", f"call_{index}"), fn.get("name", ""), raw_args))
+            content = message.get("content")
+            return ChatMessage(role="assistant", content="" if content is None else content, tool_calls=tuple(calls))
+        except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
             raise _malformed(str(exc)) from exc
 
     def complete(self, req: CompletionRequest) -> ChatMessage:
@@ -446,8 +449,8 @@ class HttpBackend(Backend):
             if resp.status_code != 200:
                 raise GatewayError("HTTP_ERROR", f"unexpected status {resp.status_code}", status=resp.status_code)
             try:
-                body = resp.json()
-            except (ValueError, RecursionError) as exc:
+                body = read_json(resp.content)
+            except ValueError as exc:
                 raise _malformed(f"not JSON: {exc}") from exc
             return self._parse_response(body)
         if isinstance(last_error, GatewayError):

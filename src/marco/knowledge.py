@@ -180,20 +180,11 @@ class KnowledgeBase:
         self._postings: dict[str, dict[str, int]] = {}  # queried token -> doc id -> count
         self._lock = threading.Lock()
         for doc in documents:
-            self.ingest(doc)
-
-    def ingest(self, doc: Document) -> None:
-        with self._lock:
             if doc.id in self._docs:
-                raise KnowledgeError("DUPLICATE_DOC", f"document id {doc.id!r} already ingested in {self.name!r}")
+                raise KnowledgeError("DUPLICATE_DOC", f"document id {doc.id!r} appears twice in {name!r}")
             self._docs[doc.id] = doc
             lowered = doc.text.lower()
-            if lowered == doc.text:
-                lowered = doc.text  # keeps one copy of an already-lowercase text
-            self._lowered[doc.id] = lowered
-            for token, posting in self._postings.items():  # the tokens already queried
-                if token in lowered and token in (counts := self._count(doc.id)):
-                    posting[doc.id] = counts[token]
+            self._lowered[doc.id] = doc.text if lowered == doc.text else lowered  # one copy of lowercase text
 
     def _count(self, doc_id: str) -> Counter[str]:
         """The document's token counts, taken on first use; call with the lock held."""
@@ -292,12 +283,12 @@ def load_kb_dir(name: str, directory: str | Path) -> KnowledgeBase:
     declares tags and is stripped from the text. Line endings are read as
     ``\\n``. A file that cannot be read as UTF-8 is ``KB_UNREADABLE``.
     """
-    kb = KnowledgeBase(name)
     directory = Path(directory)
     if not directory.is_dir():
         raise KnowledgeError("KB_DIR_MISSING", f"knowledge base directory {str(directory)!r} does not exist")
     with os.scandir(directory) as entries:
         files = sorted((entry.name, entry.path) for entry in entries if entry.name.endswith(".txt"))
+    documents = []
     for file_name, path in files:
         try:
             raw = _read_file(path).decode("utf-8")
@@ -311,8 +302,8 @@ def load_kb_dir(name: str, directory: str | Path) -> KnowledgeBase:
         if first.startswith("tags:"):
             tags = tuple(t.strip() for t in first[len("tags:"):].split(",") if t.strip())
             text = rest
-        kb.ingest(Document(id=file_name[:-4] or file_name, text=text, tags=tags))  # the stem, as in Path.stem
-    return kb
+        documents.append(Document(id=file_name[:-4] or file_name, text=text, tags=tags))  # the stem, as in Path.stem
+    return KnowledgeBase(name, documents)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,8 @@
 """Command-line surface: subcommands, output lines, exit codes."""
 
+import contextlib
 import http.server
+import io
 import json
 import os
 import shutil
@@ -11,8 +13,17 @@ from pathlib import Path
 
 import pytest
 
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+except ImportError:  # pragma: no cover - hypothesis is a dev dependency
+    st = None
+
 import marco
 from marco.cli import main
+from marco.config import load_config
+from marco.errors import ConfigError
+from marco.gateway import read_script_file
 
 BUNDLED = Path(marco.__file__).resolve().parent / "data" / "configs"
 TIMING_DEBUG = str(BUNDLED / "timing_debug.json")
@@ -81,6 +92,26 @@ class TestValidate:
         assert code == 1
         assert out == ""
         assert err == "invalid: backends.mock: script entry 0: a script needs at least one response\n"
+
+    @pytest.mark.parametrize("raw", [b"\xff\xfe{}", b"[" * 100_000], ids=["utf16_bom", "too_deep"])
+    def test_unreadable_config_is_one_line(self, capsys, tmp_path, raw):
+        path = tmp_path / "bad.json"
+        path.write_bytes(raw)
+        code, out, err = run_cli(capsys, "validate", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"invalid: {path}: invalid JSON: ")
+        assert len(err.splitlines()) == 1
+
+    def test_too_deep_mock_script_is_a_backend_problem(self, capsys, tmp_path):
+        config_path = write_one_node_config(tmp_path)
+        (tmp_path / "scripts.json").write_bytes(b"[" * 100_000)
+        code, out, err = run_cli(capsys, "validate", str(config_path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("invalid: backends.mock: script file ")
+        assert "is not readable JSON: maximum recursion depth exceeded" in err
+        assert len(err.splitlines()) == 1
 
     def test_malformed_sections_listed_without_traceback(self, capsys, tmp_path):
         config_path = write_one_node_config(tmp_path, live={"kind": "http", "timeout": "fast"})
@@ -247,6 +278,13 @@ class TestRun:
         assert err.startswith("error: KB_UNREADABLE: knowledge base file ")
         assert "bad.txt" in err and len(err.splitlines()) == 1
 
+    def test_trace_out_into_missing_directory(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "trace.json"
+        code, _, err = run_cli(capsys, "run", TIMING_DEBUG, "--deterministic", "--trace-out", str(target))
+        assert code == 1
+        assert err.startswith("error: [Errno 2] No such file or directory")
+        assert len(err.splitlines()) == 1
+
     def test_malformed_completion_body(self, capsys, tmp_path):
         class NotJson(http.server.BaseHTTPRequestHandler):
             def do_POST(self):  # noqa: N802 - http.server API
@@ -290,6 +328,14 @@ class TestGraphExport:
         text = target.read_text(encoding="utf-8")
         assert "shape=box" in text
 
+    def test_export_through_a_file(self, capsys, tmp_path):
+        (tmp_path / "file").write_text("", encoding="utf-8")
+        code, out, err = run_cli(capsys, "graph", "export", MCMM, "--dot", str(tmp_path / "file" / "graph.dot"))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: [Errno 20] Not a directory")
+        assert len(err.splitlines()) == 1
+
     def test_export_rejects_bad_config(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "graph", "export", str(write_bad_config(tmp_path)), "--dot", "-")
         assert code == 1
@@ -311,6 +357,14 @@ class TestFixturesGen:
         assert "manifest.tsv" in names_a
         for name in names_a:
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+    def test_out_through_a_file(self, capsys, tmp_path):
+        (tmp_path / "file").write_text("", encoding="utf-8")
+        code, out, err = run_cli(capsys, "fixtures", "gen", "--out", str(tmp_path / "file" / "set"))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+        assert len(err.splitlines()) == 1
 
     def test_bad_generation_args(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "fixtures", "gen", "--paths", "3", "--out", str(tmp_path / "x"))
@@ -341,6 +395,23 @@ class TestScore:
         assert code == 1
         assert "trace root must be a JSON object" in err
 
+    def test_non_object_blackboard_rejected(self, capsys, tmp_path):
+        trace_path = tmp_path / "trace.json"
+        trace_path.write_text('{"blackboard": []}', encoding="utf-8")
+        code, out, err = run_cli(capsys, "score", str(trace_path), MANIFEST)
+        assert code == 1
+        assert out == ""
+        assert err == "error: trace blackboard must be a JSON object\n"
+
+    def test_too_deep_trace(self, capsys, tmp_path):
+        trace_path = tmp_path / "trace.json"
+        trace_path.write_bytes(b"[" * 100_000)
+        code, out, err = run_cli(capsys, "score", str(trace_path), MANIFEST)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: maximum recursion depth exceeded")
+        assert len(err.splitlines()) == 1
+
     def test_malformed_manifest(self, capsys, tmp_path):
         trace_path = tmp_path / "trace.json"
         trace_path.write_text("{}", encoding="utf-8")
@@ -349,6 +420,63 @@ class TestScore:
         code, _, err = run_cli(capsys, "score", str(trace_path), manifest_path.as_posix())
         assert code == 1
         assert err.startswith("error: ")
+
+
+if st is not None:
+    TRACE_KEYS = st.sampled_from(["blackboard", "m1_findings", "value", "identities"]) | st.text(max_size=4)
+    JSON_TEXT = st.recursive(
+        st.none() | st.booleans() | st.integers() | st.text(max_size=6),
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(TRACE_KEYS, inner, max_size=3),
+        max_leaves=8,
+    ).map(lambda value: json.dumps(value).encode("utf-8"))
+    REPEATED = st.builds(
+        lambda head, n: head * n, st.sampled_from([b"[", b'{"a":', b"\xff\xfe"]), st.sampled_from([1, 2_000, 100_000])
+    )
+    INPUT_BYTES = st.binary(max_size=64) | REPEATED | st.text(max_size=16).map(lambda t: t.encode("utf-16")) | JSON_TEXT
+
+    def scorable(raw: bytes) -> bool:
+        """Whether ``marco score`` can score a trace file holding ``raw``."""
+        try:
+            trace = json.loads(raw.decode("utf-8"))
+        except (RecursionError, ValueError):
+            return False
+        return isinstance(trace, dict) and isinstance(trace.get("blackboard", {}), dict)
+
+    class TestAnyInputBytes:
+        """Any bytes in a config, mock script or trace file end in the
+        surface's own failure: a ConfigError, problem lines, or exit 1."""
+
+        @settings(max_examples=100, deadline=None)
+        @given(raw=INPUT_BYTES)
+        def test_config_file(self, tmp_path_factory, raw):
+            path = tmp_path_factory.getbasetemp() / "any_config.json"
+            path.write_bytes(raw)
+            with contextlib.suppress(ConfigError):
+                load_config(path)
+
+        @settings(max_examples=100, deadline=None)
+        @given(raw=INPUT_BYTES)
+        def test_script_file(self, tmp_path_factory, raw):
+            path = tmp_path_factory.getbasetemp() / "any_script.json"
+            path.write_bytes(raw)
+            scripts, problems = read_script_file(path)
+            assert all(isinstance(problem, str) for problem in problems)
+            assert problems or isinstance(json.loads(raw.decode("utf-8")), list)
+
+        @settings(max_examples=100, deadline=None)
+        @given(raw=INPUT_BYTES)
+        def test_scored_trace(self, tmp_path_factory, raw):
+            path = tmp_path_factory.getbasetemp() / "any_trace.json"
+            path.write_bytes(raw)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["score", str(path), MANIFEST])
+            if scorable(raw):
+                assert (code, err.getvalue()) == (0, "")
+            else:
+                assert code == 1
+                assert out.getvalue() == ""
+                assert err.getvalue().startswith("error: ") and len(err.getvalue().splitlines()) == 1
 
 
 class TestUsageErrors:
@@ -400,3 +528,13 @@ class TestConsoleScript:
         assert proc.returncode == 0
         assert proc.stdout == "ok: 7 node(s), 1 agent(s), mode=static\n"
         assert proc.stderr == ""
+
+    def test_validate_too_deep_config_prints_no_traceback(self, tmp_path):
+        command, env = declared_script_command(tmp_path)
+        deep = tmp_path / "deep.json"
+        deep.write_bytes(b"[" * 100_000)
+        proc = subprocess.run([*command, "validate", str(deep)], capture_output=True, text=True, timeout=60, env=env)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith(f"invalid: {deep}: invalid JSON: ")
+        assert len(proc.stderr.splitlines()) == 1

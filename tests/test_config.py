@@ -92,6 +92,17 @@ class TestImmediateFailures:
             load_config(bad)
         assert "invalid JSON" in exc.value.problems[0]
 
+    @pytest.mark.parametrize(
+        "raw", [b"\xff\xfe{}", b"[" * 100_000, b"[" + b"1" * 5_000 + b"]"], ids=["utf16_bom", "too_deep", "long_int"]
+    )
+    def test_unreadable_json_is_one_problem(self, tmp_path, raw):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(raw)
+        with pytest.raises(ConfigError) as exc:
+            load_config(bad)
+        assert len(exc.value.problems) == 1
+        assert exc.value.problems[0].startswith(f"{bad}: invalid JSON: ")
+
     def test_non_object_root(self, tmp_path):
         bad = tmp_path / "list.json"
         bad.write_text("[1, 2]", encoding="utf-8")

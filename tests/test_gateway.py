@@ -27,6 +27,8 @@ from marco.gateway import (
     canonical_json,
     canonical_request,
     parse_tool_arguments,
+    read_json,
+    read_script_file,
     spec_to_openai,
 )
 
@@ -134,6 +136,43 @@ class TestCanonicalHash:
             tool_call_id=base.messages[idx].tool_call_id,
         )
         assert canonical_hash(req(*mutated_messages)) != digest
+
+
+class TestReadJson:
+    def test_bytes_and_file(self, tmp_path):
+        path = tmp_path / "v.json"
+        path.write_bytes('{"k": ["\u00e9", 1]}'.encode("utf-8"))
+        assert read_json(path) == read_json(path.read_bytes()) == {"k": ["\u00e9", 1]}
+
+    @pytest.mark.parametrize(
+        "raw, reason",
+        [
+            pytest.param(b"\xff\xfe{}", "'utf-8' codec can't decode", id="utf16_bom"),
+            pytest.param('{"k": 1}'.encode("utf-16"), "'utf-8' codec can't decode", id="utf16"),
+            pytest.param(b"[" * 100_000, "maximum recursion depth exceeded", id="too_deep"),
+            pytest.param(b"{not json", "Expecting property name", id="not_json"),
+        ],
+    )
+    def test_each_failure_is_one_value_error(self, raw, reason):
+        with pytest.raises(ValueError) as exc:
+            read_json(raw)
+        assert type(exc.value) is ValueError
+        assert str(exc.value).startswith(reason)
+
+    def test_unreadable_file(self, tmp_path):
+        with pytest.raises(ValueError) as exc:
+            read_json(tmp_path / "ghost.json")
+        assert type(exc.value) is ValueError
+        assert "No such file or directory" in str(exc.value)
+
+    @pytest.mark.parametrize("raw", [b"\xff\xfe{}", b"[" * 100_000], ids=["utf16_bom", "too_deep"])
+    def test_script_file_gives_one_problem(self, tmp_path, raw):
+        path = tmp_path / "script.json"
+        path.write_bytes(raw)
+        scripts, problems = read_script_file(path)
+        assert scripts == []
+        assert len(problems) == 1
+        assert problems[0].startswith(f"script file {str(path)!r} is not readable JSON: ")
 
 
 class TestMockBackend:
@@ -406,6 +445,8 @@ class TestHttpBackend:
             completion_body("", [{"id": "c1", "function": {"name": "t", "arguments": "[" * 100_000}}]),
             b"<html>not json</html>",
             b"[" * 100_000,
+            '{"choices": []}'.encode("utf-16"),
+            completion_body("", 0),
         ],
         ids=[
             "message_text",
@@ -417,6 +458,8 @@ class TestHttpBackend:
             "arguments_too_deep",
             "not_json",
             "too_deep",
+            "utf16",
+            "tool_calls_zero",
         ],
     )
     def test_malformed_body_is_http_error(self, chat_server, body):

@@ -220,23 +220,6 @@ class TestRetrieve:
         got = [(doc.id, score) for doc, score in retrieve(kb, query, k)]
         assert got == tfidf_rank(docs, query, k)
 
-    @settings(max_examples=60, deadline=None)
-    @given(
-        texts=st.lists(st.lists(st.sampled_from(DOC_WORDS), max_size=6).map(" ".join), min_size=1, max_size=8),
-        split=st.integers(min_value=0, max_value=8),
-        queries=st.lists(st.lists(st.sampled_from(QUERY_WORDS), min_size=1, max_size=5).map(" ".join), min_size=2, max_size=2),
-    )
-    def test_ingest_after_retrieve_matches_oracle(self, texts, split, queries):
-        docs = {f"d{i}": text for i, text in enumerate(texts)}
-        kb = KnowledgeBase("test")
-        for doc_id in list(docs)[:split]:
-            kb.ingest(Document(doc_id, docs[doc_id]))
-        retrieve(kb, queries[0], 9)
-        for doc_id in list(docs)[split:]:
-            kb.ingest(Document(doc_id, docs[doc_id]))
-        got = [(doc.id, score) for doc, score in retrieve(kb, queries[1], 9)]
-        assert got == tfidf_rank(docs, queries[1], 9)
-
 
 # Tokens that are substrings of one another, in mixed case and beside
 # non-ASCII letters (which tokenize as separators, or lowercase to ASCII, as
@@ -256,31 +239,22 @@ class TestPrefilteredRetrieve:
     @settings(max_examples=150, deadline=None)
     @given(
         texts=st.lists(NESTED_TEXT, min_size=1, max_size=8),
-        split=st.integers(min_value=0, max_value=8),
         queries=st.lists(
             st.lists(st.sampled_from(NESTED_QUERY_WORDS), min_size=1, max_size=4).map(" ".join), min_size=2, max_size=2
         ),
     )
-    def test_matches_oracle_with_ingest_around_first_query(self, texts, split, queries):
+    def test_matches_oracle_on_nested_tokens(self, texts, queries):
         docs = {f"d{i}": text for i, text in enumerate(texts)}
-        ids = list(docs)
-        kb = KnowledgeBase("test")
-        for doc_id in ids[:split]:
-            kb.ingest(Document(doc_id, docs[doc_id]))
-        first = [(doc.id, score) for doc, score in retrieve(kb, queries[0], 9)]
-        assert first == tfidf_rank({doc_id: docs[doc_id] for doc_id in ids[:split]}, queries[0], 9)
-        for doc_id in ids[split:]:
-            kb.ingest(Document(doc_id, docs[doc_id]))
-        for query in queries:
+        kb = KnowledgeBase("test", [Document(doc_id, text) for doc_id, text in docs.items()])
+        for query in queries:  # the second query reuses postings the first built
             got = [(doc.id, score) for doc, score in retrieve(kb, query, 9)]
             assert got == tfidf_rank(docs, query, 9)
 
 
 class TestKnowledgeBase:
     def test_duplicate_doc_id(self):
-        kb = KnowledgeBase("kb", [Document("d1", "x")])
         with pytest.raises(KnowledgeError) as exc:
-            kb.ingest(Document("d1", "y"))
+            KnowledgeBase("kb", [Document("d1", "x"), Document("d1", "y")])
         assert exc.value.code == "DUPLICATE_DOC"
 
     def test_index_consistency(self):
