@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 from pathlib import Path
+from typing import TextIO
 
 from .config import RunConfig, load_config
 from .eda.fixtures import (
@@ -20,7 +22,7 @@ from .eda.fixtures import (
     score_trace,
     write_fixture_set,
 )
-from .engine import run, run_baseline
+from .engine import TraceDocument, run, run_baseline
 from .errors import ConfigError, EngineError, MarcoError
 from .gateway import read_json
 from .graph import export_dot
@@ -83,21 +85,31 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if config is None:
         return 1
     runner = run_baseline if args.baseline else run
-    try:
-        trace = runner(config, backend_override=args.backend, deterministic=args.deterministic)
-    except MarcoError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        if args.trace_out and isinstance(exc, EngineError) and exc.trace is not None:
-            exc.trace.write(args.trace_out)
-            print(f"partial trace written to {args.trace_out}", file=sys.stderr)
-        return 1
-    for outcome in trace.outcomes:
-        print(f"{outcome['node_id']}: {outcome['status']} (turns={outcome['turns_used']})")
-    print(f"status: {trace.status}")
-    if args.trace_out:
-        trace.write(args.trace_out)
-        print(f"trace written to {args.trace_out}")
+    # Opened before the run, so a path that cannot be written fails before any model call;
+    # opened for appending, so a run that fails without a trace leaves an existing file as it was.
+    with open(args.trace_out, "a", encoding="utf-8") if args.trace_out else nullcontext() as out:
+        try:
+            trace = runner(config, backend_override=args.backend, deterministic=args.deterministic)
+        except MarcoError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            if out and isinstance(exc, EngineError) and exc.trace is not None:
+                _replace_contents(out, exc.trace)
+                print(f"partial trace written to {args.trace_out}", file=sys.stderr)
+            return 1
+        for outcome in trace.outcomes:
+            print(f"{outcome['node_id']}: {outcome['status']} (turns={outcome['turns_used']})")
+        print(f"status: {trace.status}")
+        if out:
+            _replace_contents(out, trace)
+            print(f"trace written to {args.trace_out}")
     return 0
+
+
+def _replace_contents(out: TextIO, trace: TraceDocument) -> None:
+    if out.seekable():  # a pipe or a terminal has nothing to replace
+        out.seek(0)
+        out.truncate()
+    trace.write(out)
 
 
 def _cmd_graph_export(args: argparse.Namespace) -> int:

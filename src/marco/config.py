@@ -15,7 +15,7 @@ from typing import Any, Mapping
 from .agents import AgentConfig, RETRIEVE_TOOL, WRITE_TOOL
 from .eda.toolpack import HANDLER_CATALOG
 from .errors import ConfigError
-from .gateway import Script, canonical_json, read_json, read_script_file
+from .gateway import HTTP_SCHEMES, Script, canonical_json, read_json, read_script_file
 from .graph import TaskGraph, unproduced_inputs, validate_graph
 
 BACKEND_KINDS = ("mock", "http", "replay")
@@ -155,6 +155,8 @@ def _load_backend(name: str, payload: Any, base_dir: Path, problems: list[str]) 
             problems.append(f"backends.{name}: replay backend needs a 'cache_dir'")
             return None
         cache_dir = (base_dir / raw_dir).resolve()
+    elif kind == "http" and payload.get("base_url") and not payload["base_url"].lower().startswith(HTTP_SCHEMES):
+        problems.append(f"backends.{name}.base_url: must start with http:// or https://, got {payload['base_url']!r}")
     return BackendDef(
         name=name,
         kind=kind,

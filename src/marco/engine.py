@@ -17,8 +17,7 @@ import time
 from collections import Counter
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Mapping, TextIO
 
 from .agents import NodeOutcome, register_builtin_tools, run_node
 from .config import RunConfig
@@ -100,8 +99,8 @@ class TraceDocument:
     def render(self) -> str:
         return _render_json(self.to_dict()) + "\n"
 
-    def write(self, path: str | Path) -> None:
-        Path(path).write_text(self.render(), encoding="utf-8")
+    def write(self, out: TextIO) -> None:
+        out.write(self.render())
 
 
 _escape = json.encoder.encode_basestring_ascii  # the C escaper json.dumps itself uses

@@ -27,6 +27,7 @@ ROLES = ("system", "user", "assistant", "tool")
 
 API_KEY_ENV = "MARCO_API_KEY"
 BASE_URL_ENV = "MARCO_BASE_URL"
+HTTP_SCHEMES = ("http://", "https://")
 
 
 @dataclass(frozen=True)
@@ -356,9 +357,12 @@ def _malformed(why: str) -> GatewayError:
 
 
 class HttpBackend(Backend):
-    """POSTs to ``{base_url}/chat/completions`` with a bearer token.
+    """POSTs to ``{base_url}/chat/completions`` with a bearer token, one
+    connection per request, through ``urllib.request``; redirects are not
+    followed.
 
-    Transient failures (connection errors, 5xx) get a single linear retry.
+    Transient failures (connection errors, timeouts, 5xx) get a single
+    linear retry.
     """
 
     waits = True
@@ -423,39 +427,64 @@ class HttpBackend(Backend):
             raise _malformed(str(exc)) from exc
 
     def complete(self, req: CompletionRequest) -> ChatMessage:
-        import requests
+        import http.client
+        import urllib.error
+        import urllib.request
 
         if not self.base_url:
             raise GatewayError("HTTP_ERROR", f"no base URL configured (set {BASE_URL_ENV})", status=0)
+        if not self.base_url.lower().startswith(HTTP_SCHEMES):  # urllib would also read file: and ftp: URLs
+            raise GatewayError("HTTP_ERROR", f"base URL {self.base_url!r} is not http:// or https://", status=0)
         url = f"{self.base_url}/chat/completions"
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
-        payload = self._payload(req)
+        data = json.dumps(self._payload(req)).encode("utf-8")
+        opener = _no_redirect_opener()
 
         last_error: Exception | None = None
         for attempt in (0, 1):
             if attempt:
                 time.sleep(self.retry_delay)
             try:
-                resp = requests.post(url, json=payload, headers=headers, timeout=self.timeout)
-            except requests.RequestException as exc:
+                request = urllib.request.Request(url, data, headers, method="POST")
+                with opener.open(request, timeout=self.timeout) as resp:  # sends Connection: close
+                    status, content = resp.status, resp.read()
+            except urllib.error.HTTPError as exc:  # a reply with an error status, not a transport failure
+                status, content = exc.code, b""
+                exc.close()
+            except (OSError, ValueError, http.client.HTTPException) as exc:  # refused, timed out, cut off, bad URL
                 last_error = exc
                 log.debug("http attempt %d failed: %s", attempt, exc)
                 continue
-            if resp.status_code >= 500:
-                last_error = GatewayError("HTTP_ERROR", f"server error {resp.status_code}", status=resp.status_code)
+            if status >= 500:
+                last_error = GatewayError("HTTP_ERROR", f"server error {status}", status=status)
                 continue
-            if resp.status_code != 200:
-                raise GatewayError("HTTP_ERROR", f"unexpected status {resp.status_code}", status=resp.status_code)
+            if status != 200:
+                raise GatewayError("HTTP_ERROR", f"unexpected status {status}", status=status)
             try:
-                body = read_json(resp.content)
+                body = read_json(content)
             except ValueError as exc:
                 raise _malformed(f"not JSON: {exc}") from exc
             return self._parse_response(body)
         if isinstance(last_error, GatewayError):
             raise last_error
         raise GatewayError("HTTP_ERROR", f"request failed: {last_error}", status=0)
+
+
+def _no_redirect_opener():
+    """A urllib opener that hands a 3xx reply back as an HTTPError instead of
+    following it. urllib's redirect handler would send the Authorization header
+    to whatever host the Location names, over plain http after an https hop,
+    and would follow an ftp: target; a POST turned into a GET is of no use to a
+    chat-completions endpoint anyway."""
+    import urllib.request
+
+    class NoRedirect(urllib.request.HTTPRedirectHandler):
+        def redirect_request(self, *args, **kwargs):
+            return None
+
+    return urllib.request.build_opener(NoRedirect)
 
 
 def spec_to_openai(spec: Mapping[str, Any]) -> dict:

@@ -181,6 +181,24 @@ class TestRun:
         assert code == 1
         assert "UNKNOWN_BACKEND" in err
 
+    def test_trace_out_replaces_a_longer_file(self, capsys, tmp_path):
+        trace_path = tmp_path / "trace.json"
+        trace_path.write_text("x" * 1_000_000, encoding="utf-8")
+        code, _, _ = run_cli(capsys, "run", TIMING_DEBUG, "--deterministic", "--trace-out", str(trace_path))
+        assert code == 0
+        assert json.loads(trace_path.read_text(encoding="utf-8"))["status"] == "completed"
+
+    def test_run_without_a_trace_keeps_an_existing_trace_out(self, capsys, tmp_path):
+        trace_path = tmp_path / "trace.json"
+        trace_path.write_text('{"previous": true}', encoding="utf-8")
+        code, out, err = run_cli(
+            capsys, "run", TIMING_DEBUG, "--deterministic", "--backend", "ghost", "--trace-out", str(trace_path)
+        )
+        assert code == 1
+        assert out == ""
+        assert "UNKNOWN_BACKEND" in err
+        assert trace_path.read_text(encoding="utf-8") == '{"previous": true}'
+
     def test_invalid_config_short_circuits(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "run", str(write_bad_config(tmp_path)), "--deterministic")
         assert code == 1
@@ -280,8 +298,9 @@ class TestRun:
 
     def test_trace_out_into_missing_directory(self, capsys, tmp_path):
         target = tmp_path / "missing" / "trace.json"
-        code, _, err = run_cli(capsys, "run", TIMING_DEBUG, "--deterministic", "--trace-out", str(target))
+        code, out, err = run_cli(capsys, "run", TIMING_DEBUG, "--deterministic", "--trace-out", str(target))
         assert code == 1
+        assert out == ""
         assert err.startswith("error: [Errno 2] No such file or directory")
         assert len(err.splitlines()) == 1
 
@@ -537,4 +556,16 @@ class TestConsoleScript:
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith(f"invalid: {deep}: invalid JSON: ")
+        assert len(proc.stderr.splitlines()) == 1
+
+    @pytest.mark.parametrize("command", ["run", "score"])
+    def test_run_and_score_too_deep_file_print_no_traceback(self, tmp_path, command):
+        script, env = declared_script_command(tmp_path)
+        deep = tmp_path / "deep.json"
+        deep.write_bytes(b"[" * 100_000)
+        argv = [str(deep), MANIFEST] if command == "score" else [str(deep)]
+        proc = subprocess.run([*script, command, *argv], capture_output=True, text=True, timeout=60, env=env)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
         assert len(proc.stderr.splitlines()) == 1

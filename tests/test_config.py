@@ -331,6 +331,21 @@ class TestMalformedSections:
         payload["backends"]["live"] = {"kind": "http", "timeout": "fast"}
         assert problems_of(workdir, payload) == ["backends.live.timeout: must be a positive number, got str"]
 
+    @pytest.mark.parametrize("base_url", ["file:///etc", "ftp://example.com", "example.com:8000"])
+    def test_http_base_url_not_http(self, workdir, base_url):
+        payload = base_payload()
+        payload["backends"]["live"] = {"kind": "http", "base_url": base_url}
+        assert problems_of(workdir, payload) == [
+            f"backends.live.base_url: must start with http:// or https://, got {base_url!r}"
+        ]
+
+    def test_http_base_url_either_scheme(self, workdir):
+        payload = base_payload()
+        payload["backends"]["live"] = {"kind": "http", "base_url": "HTTPS://example.com/v1"}
+        payload["backends"]["local"] = {"kind": "http", "base_url": "http://127.0.0.1:8000"}
+        config = load_config(write_config(workdir, payload))
+        assert config.backends["live"].base_url == "HTTPS://example.com/v1"
+
     def test_inputs_string_not_split_into_letters(self, workdir):
         payload = base_payload()
         payload["graph"]["nodes"][0]["inputs"] = "abc"

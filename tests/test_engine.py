@@ -222,7 +222,8 @@ class TestTraceDocument:
     def test_write_reads_back(self, tmp_path):
         trace = self.make_trace()
         target = tmp_path / "trace.json"
-        trace.write(target)
+        with target.open("w", encoding="utf-8") as out:
+            trace.write(out)
         assert target.read_text(encoding="utf-8") == trace.render()
 
 

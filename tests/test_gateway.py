@@ -1,10 +1,14 @@
 """Message model, canonical hashing, and the three backends."""
 
+import contextlib
 import http.server
 import json
 import random
+import socket
+import sys
 import threading
 import time
+import urllib.request
 
 import pytest
 
@@ -333,11 +337,13 @@ class _ChatHandler(http.server.BaseHTTPRequestHandler):
 
     responses: list[tuple[int, dict | bytes]] = []  # bytes are sent as they are
     seen: list[dict] = []
+    delay = 0.0  # seconds to sleep before each reply
 
     def do_POST(self):  # noqa: N802 - http.server API
         length = int(self.headers.get("Content-Length", "0"))
         body = json.loads(self.rfile.read(length)) if length else {}
         type(self).seen.append({"path": self.path, "headers": dict(self.headers), "body": body})
+        time.sleep(type(self).delay)
         status, payload = type(self).responses.pop(0) if type(self).responses else (200, {})
         raw = payload if isinstance(payload, bytes) else json.dumps(payload).encode("utf-8")
         self.send_response(status)
@@ -346,22 +352,49 @@ class _ChatHandler(http.server.BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(raw)
 
+    do_GET = do_POST  # noqa: N815 - records a redirect that turned the POST into a GET
+
     def log_message(self, *args):  # noqa: D102 - silence test server
         pass
 
 
-@pytest.fixture()
-def chat_server():
-    server = http.server.HTTPServer(("127.0.0.1", 0), _ChatHandler)
+class _RedirectHandler(http.server.BaseHTTPRequestHandler):
+    """Answers every POST with ``status`` and a Location header."""
+
+    status = 302
+    location = ""
+
+    def do_POST(self):  # noqa: N802 - http.server API
+        self.rfile.read(int(self.headers.get("Content-Length", "0")))
+        self.send_response(type(self).status)
+        self.send_header("Location", type(self).location)
+        self.send_header("Content-Length", "0")
+        self.end_headers()
+
+    def log_message(self, *args):  # noqa: D102 - silence test server
+        pass
+
+
+@contextlib.contextmanager
+def serving(handler):
+    server = http.server.HTTPServer(("127.0.0.1", 0), handler)
     thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True)
     thread.start()
-    _ChatHandler.responses = []
-    _ChatHandler.seen = []
     try:
         yield f"http://127.0.0.1:{server.server_port}"
     finally:
         server.shutdown()
         thread.join()
+        server.server_close()
+
+
+@pytest.fixture()
+def chat_server():
+    _ChatHandler.responses = []
+    _ChatHandler.seen = []
+    _ChatHandler.delay = 0.0
+    with serving(_ChatHandler) as url:
+        yield url
 
 
 def completion_body(content: str = "ok", tool_calls: list | None = None) -> dict:
@@ -371,8 +404,23 @@ def completion_body(content: str = "ok", tool_calls: list | None = None) -> dict
     return {"choices": [{"message": message}]}
 
 
+@pytest.fixture()
+def open_calls(monkeypatch):
+    """Count the requests HttpBackend starts, whether or not they connect."""
+    calls = []
+    open_ = urllib.request.OpenerDirector.open
+
+    def counting(self, request, *args, **kwargs):
+        calls.append(request.full_url)
+        return open_(self, request, *args, **kwargs)
+
+    monkeypatch.setattr(urllib.request.OpenerDirector, "open", counting)
+    return calls
+
+
 class TestHttpBackend:
-    def test_success(self, chat_server):
+    def test_success(self, chat_server, monkeypatch):
+        monkeypatch.setitem(sys.modules, "requests", None)  # any `import requests` fails
         _ChatHandler.responses = [(200, completion_body("hello"))]
         backend = HttpBackend(base_url=chat_server, api_key="sekrit")
         reply = backend.complete(req(sys_msg(), user("q")))
@@ -380,7 +428,59 @@ class TestHttpBackend:
         seen = _ChatHandler.seen[0]
         assert seen["path"] == "/chat/completions"
         assert seen["headers"]["Authorization"] == "Bearer sekrit"
+        assert seen["headers"]["Content-Type"] == "application/json"
+        assert seen["headers"]["Connection"] == "close"
         assert seen["body"]["model"] == "m"
+
+    def test_path_prefix_kept(self, chat_server):
+        _ChatHandler.responses = [(200, completion_body("hello"))]
+        backend = HttpBackend(base_url=chat_server + "/v1/", api_key="k")
+        assert backend.complete(req(sys_msg(), user("q"))).content == "hello"
+        assert [seen["path"] for seen in _ChatHandler.seen] == ["/v1/chat/completions"]
+
+    def test_refused_connection_is_retried_once(self, open_calls):
+        with socket.socket() as sock:  # a port that was free a moment ago, now with nobody listening
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        backend = HttpBackend(base_url=f"http://127.0.0.1:{port}", api_key="k", retry_delay=0.0)
+        with pytest.raises(GatewayError) as exc:
+            backend.complete(req(sys_msg(), user("q")))
+        assert exc.value.code == "HTTP_ERROR"
+        assert exc.value.details["status"] == 0
+        assert str(exc.value).startswith("HTTP_ERROR: request failed: ")
+        assert len(open_calls) == 2
+
+    def test_timeout_is_a_transport_failure(self, chat_server):
+        _ChatHandler.delay = 0.5
+        backend = HttpBackend(base_url=chat_server, api_key="k", timeout=0.2, retry_delay=0.0)
+        with pytest.raises(GatewayError) as exc:
+            backend.complete(req(sys_msg(), user("q")))
+        assert exc.value.code == "HTTP_ERROR"
+        assert exc.value.details["status"] == 0
+        assert "timed out" in str(exc.value)
+
+    @pytest.mark.parametrize("base_url", ["file:///etc", "ftp://127.0.0.1", "127.0.0.1:8000", "localhost"])
+    def test_non_http_base_url_refused_before_any_request(self, open_calls, base_url):
+        backend = HttpBackend(base_url=base_url, api_key="k")
+        with pytest.raises(GatewayError) as exc:
+            backend.complete(req(sys_msg(), user("q")))
+        assert exc.value.code == "HTTP_ERROR"
+        assert exc.value.details["status"] == 0
+        assert "is not http:// or https://" in str(exc.value)
+        assert open_calls == []
+
+    @pytest.mark.parametrize("status", [301, 302, 303, 307, 308])
+    def test_redirect_is_not_followed(self, chat_server, status):
+        _RedirectHandler.status = status
+        _RedirectHandler.location = f"{chat_server}/chat/completions"
+        with serving(_RedirectHandler) as redirecting:
+            backend = HttpBackend(base_url=redirecting, api_key="sekrit", retry_delay=0.0)
+            with pytest.raises(GatewayError) as exc:
+                backend.complete(req(sys_msg(), user("q")))
+        assert exc.value.code == "HTTP_ERROR"
+        assert exc.value.details["status"] == status
+        assert str(exc.value) == f"HTTP_ERROR: unexpected status {status}"
+        assert _ChatHandler.seen == []  # the bearer token never reached the Location host
 
     def test_retry_on_server_error(self, chat_server):
         _ChatHandler.responses = [(503, {}), (200, completion_body("after retry"))]
