@@ -23,9 +23,10 @@ from .eda.fixtures import (
     write_fixture_set,
 )
 from .engine import TraceDocument, run, run_baseline
-from .errors import ConfigError, EngineError, MarcoError
+from .errors import ConfigError, EngineError, KnowledgeError, MarcoError
 from .gateway import read_json
 from .graph import export_dot
+from .knowledge import load_kb_dir
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -75,6 +76,15 @@ def _load(path: str) -> RunConfig | None:
 def _cmd_validate(args: argparse.Namespace) -> int:
     config = _load(args.config)
     if config is None:
+        return 1
+    unreadable = False
+    for name, kb_dir in config.knowledge_bases.items():  # read as a run reads them, so a run cannot fail on one
+        try:
+            load_kb_dir(name, kb_dir)
+        except KnowledgeError as exc:
+            print(f"invalid: knowledge_bases.{name}: {exc}", file=sys.stderr)
+            unreadable = True
+    if unreadable:
         return 1
     print(f"ok: {len(config.graph.nodes)} node(s), {len(config.agents)} agent(s), mode={config.graph.mode}")
     return 0

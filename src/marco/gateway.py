@@ -358,7 +358,8 @@ def _malformed(why: str) -> GatewayError:
 
 class HttpBackend(Backend):
     """POSTs to ``{base_url}/chat/completions`` with a bearer token, one
-    connection per request, through ``urllib.request``; redirects are not
+    connection per request, through one ``urllib.request`` opener built with
+    the backend and shared by every thread that calls it; redirects are not
     followed.
 
     Transient failures (connection errors, timeouts, 5xx) get a single
@@ -378,6 +379,7 @@ class HttpBackend(Backend):
         self.api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV, "")
         self.timeout = timeout
         self.retry_delay = retry_delay
+        self._opener = _no_redirect_opener()
 
     def _payload(self, req: CompletionRequest) -> dict:
         payload: dict = {
@@ -440,7 +442,6 @@ class HttpBackend(Backend):
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
         data = json.dumps(self._payload(req)).encode("utf-8")
-        opener = _no_redirect_opener()
 
         last_error: Exception | None = None
         for attempt in (0, 1):
@@ -448,7 +449,7 @@ class HttpBackend(Backend):
                 time.sleep(self.retry_delay)
             try:
                 request = urllib.request.Request(url, data, headers, method="POST")
-                with opener.open(request, timeout=self.timeout) as resp:  # sends Connection: close
+                with self._opener.open(request, timeout=self.timeout) as resp:  # sends Connection: close
                     status, content = resp.status, resp.read()
             except urllib.error.HTTPError as exc:  # a reply with an error status, not a transport failure
                 status, content = exc.code, b""

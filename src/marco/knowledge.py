@@ -11,8 +11,9 @@ import math
 import os
 import re
 import threading
-from collections import Counter
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping
 
@@ -20,6 +21,9 @@ from .errors import KnowledgeError
 from .gateway import ChatMessage
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
+# Byte -> its lowercase if a token can hold that, else a space: one translate
+# lowercases ASCII text and turns every separator into a space.
+_CORPUS_BYTES = bytes(ord(c) if _TOKEN_RE.fullmatch(c) else ord(" ") for c in (chr(b).lower() for b in range(256)))
 
 
 def tokenize(text: str) -> list[str]:
@@ -158,40 +162,70 @@ class Document:
 
 
 class KnowledgeBase:
-    """Document store whose postings are built per token, on its first query.
+    """Document store searched as one corpus, built on its first query.
 
-    A token's postings count it only in the documents whose lowercased text
-    holds it as a substring (every token of ``tokenize(text)`` is a substring
-    of ``text.lower()``), so a document no query can hit is never tokenized.
-    A document's token counts are taken once and kept. ``parsed`` holds what
-    tools derive from a document (doc id -> parsed form), so each document is
-    parsed at most once while the knowledge base lives; the engine builds
-    fresh knowledge bases for every run. One lock guards the postings, the
-    counts and ``parsed``, as nodes may query a knowledge base from several
-    threads at once.
+    The corpus is the documents' lowercased texts joined with single spaces,
+    with every character a token cannot hold turned into a space, so each
+    token of ``tokenize(text)`` stands between two spaces and a token never
+    spans two documents. A token's postings come from C-level ``find`` calls
+    for the token framed by spaces, each hit mapped to its document by start
+    offset; they are built on the token's first ask and kept. A token no
+    document holds costs one scan, no document is ever tokenized, a knowledge
+    base that is never queried builds no corpus, and a string that is not a
+    whole token has empty postings. ``parsed`` holds what tools derive from a
+    document (doc id -> parsed form), so each document is parsed at most once
+    while the knowledge base lives; the engine builds fresh knowledge bases
+    for every run. One lock guards the corpus, the postings and ``parsed``, as
+    nodes may query a knowledge base from several threads at once.
     """
 
     def __init__(self, name: str, documents: Iterable[Document] = ()) -> None:
         self.name = name
         self.parsed: dict[str, Any] = {}
         self._docs: dict[str, Document] = {}
-        self._lowered: dict[str, str] = {}  # doc id -> lowercased text
-        self._counts: dict[str, Counter[str]] = {}  # doc id -> token counts, once tokenized
+        self._corpus: bytes | None = None  # built on the first search
+        self._starts: list[int] = []  # corpus offset of each document, in ``_ids`` order
+        self._ids: list[str] = []
         self._postings: dict[str, dict[str, int]] = {}  # queried token -> doc id -> count
         self._lock = threading.Lock()
         for doc in documents:
             if doc.id in self._docs:
                 raise KnowledgeError("DUPLICATE_DOC", f"document id {doc.id!r} appears twice in {name!r}")
             self._docs[doc.id] = doc
-            lowered = doc.text.lower()
-            self._lowered[doc.id] = doc.text if lowered == doc.text else lowered  # one copy of lowercase text
 
-    def _count(self, doc_id: str) -> Counter[str]:
-        """The document's token counts, taken on first use; call with the lock held."""
-        counts = self._counts.get(doc_id)
-        if counts is None:
-            counts = self._counts[doc_id] = Counter(tokenize(self._docs[doc_id].text))
-        return counts
+    def _build_corpus(self) -> None:
+        """Join the documents into the corpus; call with the lock held."""
+        self._ids = list(self._docs)
+        # An ASCII text is lowercased by the byte table; lowering any other
+        # text may lengthen it (U+0130 lowers to two code points), so it is
+        # lowered first and its offsets are taken from the lowered text.
+        texts = [doc.text if doc.text.isascii() else doc.text.lower() for doc in self._docs.values()]
+        self._starts = list(accumulate([len(text) + 1 for text in texts], initial=1))[:-1]
+        # "replace" encodes each character outside ASCII as one "?", so the
+        # offsets of the texts hold in the bytes.
+        self._corpus = " ".join(["", *texts, ""]).encode("ascii", "replace").translate(_CORPUS_BYTES)
+
+    def _search(self, token: str) -> dict[str, int]:
+        """Doc id -> count of the whole token ``token``; call with the lock held."""
+        if self._corpus is None:
+            self._build_corpus()
+        assert self._corpus is not None
+        find, starts, ids = self._corpus.find, self._starts, self._ids
+        prefix = f" {token}".encode("ascii")
+        # The open needle scans faster than the framed one, as its last byte
+        # is rarely a space, so a token no document holds costs that scan only.
+        hit = find(prefix)
+        if hit < 0:
+            return {}
+        needle = prefix + b" "
+        step = len(needle) - 1  # a hit's closing space may open the next hit
+        posting: dict[str, int] = {}
+        hit = find(needle, hit)
+        while hit >= 0:
+            doc_id = ids[bisect_right(starts, hit + 1) - 1]
+            posting[doc_id] = posting.get(doc_id, 0) + 1
+            hit = find(needle, hit + step)
+        return posting
 
     def postings(self, token: str) -> Mapping[str, int]:
         """Doc id -> count of ``token``, for the documents that contain it."""
@@ -200,11 +234,7 @@ class KnowledgeBase:
             with self._lock:
                 posting = self._postings.get(token)
                 if posting is None:
-                    posting = {}
-                    for doc_id, lowered in self._lowered.items():
-                        if token in lowered and token in (counts := self._count(doc_id)):
-                            posting[doc_id] = counts[token]
-                    self._postings[token] = posting
+                    posting = self._postings[token] = self._search(token) if _TOKEN_RE.fullmatch(token) else {}
         return posting
 
     def parse_once(self, doc_id: str, parse: Callable[[str], Any]) -> Any:

@@ -155,6 +155,22 @@ class TestValidate:
             " nor an output of an execution ancestor\n"
         )
 
+    def test_unreadable_knowledge_base_file(self, capsys, tmp_path):
+        config_path = write_one_node_config(tmp_path)
+        payload = json.loads(config_path.read_text(encoding="utf-8"))
+        payload["knowledge_bases"] = {"notes": "kb", "empty": "kb_empty"}
+        config_path.write_text(json.dumps(payload), encoding="utf-8")
+        (tmp_path / "kb").mkdir()
+        (tmp_path / "kb_empty").mkdir()
+        (tmp_path / "kb" / "good.txt").write_text("fine", encoding="utf-8")
+        (tmp_path / "kb" / "bad.txt").write_bytes(b"\xff\xfe not utf-8")
+        code, out, err = run_cli(capsys, "validate", str(config_path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("invalid: knowledge_bases.notes: KB_UNREADABLE: knowledge base file ")
+        assert str(tmp_path / "kb" / "bad.txt") in err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "validate", str(tmp_path / "ghost.json"))
         assert code == 1

@@ -432,6 +432,15 @@ class TestHttpBackend:
         assert seen["headers"]["Connection"] == "close"
         assert seen["body"]["model"] == "m"
 
+    def test_opener_built_once_per_backend(self, chat_server, monkeypatch):
+        builds = []
+        build_opener = urllib.request.build_opener
+        monkeypatch.setattr(urllib.request, "build_opener", lambda *h: builds.append(h) or build_opener(*h))
+        _ChatHandler.responses = [(200, completion_body("one")), (200, completion_body("two"))]
+        backend = HttpBackend(base_url=chat_server, api_key="k")
+        assert [backend.complete(req(sys_msg(), user("q"))).content for _ in range(2)] == ["one", "two"]
+        assert len(builds) == 1 and len(_ChatHandler.seen) == 2
+
     def test_path_prefix_kept(self, chat_server):
         _ChatHandler.responses = [(200, completion_body("hello"))]
         backend = HttpBackend(base_url=chat_server + "/v1/", api_key="k")

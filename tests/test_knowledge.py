@@ -1,7 +1,9 @@
 """Blackboard versioning, tf-idf retrieval, and memory windows."""
 
+import sys
 import threading
 import time
+from collections import Counter
 
 import pytest
 
@@ -223,12 +225,18 @@ class TestRetrieve:
 
 # Tokens that are substrings of one another, in mixed case and beside
 # non-ASCII letters (which tokenize as separators, or lowercase to ASCII, as
-# the Kelvin sign does to "k").
-NESTED_WORDS = ["ack", "slack", "Slack", "SLACKS", "slack2", "sl\u00e4ck", "sla\u212a", "\u00e9ack", "k"]
-NESTED_QUERY_WORDS = ["ack", "slack", "slacks", "slack2", "SLACK", "k", "2", "sl", "ackslack", "zebra"]
+# the Kelvin sign does to "k", or to more than one code point, as U+0130 does
+# to "i" and a combining dot), underscores and digit runs.
+NESTED_WORDS = [
+    "ack", "slack", "Slack", "SLACKS", "slack2", "sl\u00e4ck", "sla\u212a", "\u00e9ack", "k",
+    "\u0130", "\u0130slack", "_", "slack_ack", "2024", "s2024",
+]
+NESTED_QUERY_WORDS = [
+    "ack", "slack", "slacks", "slack2", "SLACK", "k", "2", "sl", "ackslack", "zebra", "i", "2024", "s2024",
+]
 
 NESTED_TEXT = st.lists(
-    st.tuples(st.sampled_from(NESTED_WORDS), st.sampled_from(["", " ", "-", "\u00df", "\n"])), max_size=6
+    st.tuples(st.sampled_from(NESTED_WORDS), st.sampled_from(["", " ", "-", "\u00df", "\n", "_", "\u0130"])), max_size=6
 ).map(lambda pairs: "".join(word + sep for word, sep in pairs))
 
 
@@ -266,38 +274,50 @@ class TestKnowledgeBase:
         assert len(kb) == 3
         assert kb.ids() == ["d1", "d2", "d3"]
 
-    def test_tokenized_only_when_queried(self, monkeypatch):
-        import marco.knowledge
-
+    def test_documents_never_tokenized(self, monkeypatch):
         calls = []
         real = marco.knowledge.tokenize
         monkeypatch.setattr(marco.knowledge, "tokenize", lambda text: calls.append(text) or real(text))
         kb = corpus_kb()
-        assert calls == []
         assert kb.doc_frequency("slack") == 2
-        assert sorted(calls) == sorted([CORPUS["d1"], CORPUS["d2"]])  # d3 cannot hold "slack"
-        retrieve(kb, "slack margin", k=3)
-        assert len(calls) == 3  # the query only; "margin" is in d2, already counted
         assert kb.doc_frequency("ack") == 0  # a substring of "slack", not a token
-        assert len(calls) == 3
+        retrieve(kb, "slack margin", k=3)
+        assert calls == ["slack margin"]  # the query only
+
+    def test_corpus_built_only_when_queried(self, monkeypatch):
+        builds = []
+        real = KnowledgeBase._build_corpus
+        monkeypatch.setattr(KnowledgeBase, "_build_corpus", lambda kb: builds.append(kb.name) or real(kb))
+        kb = corpus_kb()
+        assert kb.parse_once("d1", str.upper) == CORPUS["d1"].upper()
+        assert kb.get("d2").text == CORPUS["d2"] and kb.ids() == ["d1", "d2", "d3"] and len(kb) == 3
+        assert kb.doc_frequency("SLACK") == 0  # not a token: nothing to search
+        assert builds == []
+        assert kb.doc_frequency("slack") == 2
+        assert kb.doc_frequency("margin") == 1
+        assert builds == ["test"]
 
     def test_concurrent_first_queries_build_index_once(self, monkeypatch):
-        """Eight threads query at once; each token's postings are built once
-        (every document holding it is counted for it exactly once), each
-        document is tokenized at most once, and ranks match the oracle."""
+        """Eight threads query at once; the corpus is built once, each
+        token's postings are searched once, and ranks match the oracle."""
         docs = {f"d{i}": " ".join(DOC_WORDS[(i * j) % len(DOC_WORDS)] for j in range(i + 3)) for i in range(40)}
-        counted = []
-        real_count = KnowledgeBase._count
+        builds = []
+        searched = []
+        real_build = KnowledgeBase._build_corpus
+        real_search = KnowledgeBase._search
 
-        def count(kb, doc_id):
-            counted.append(doc_id)
-            time.sleep(0.001)  # yields, so the other threads reach the postings meanwhile
-            return real_count(kb, doc_id)
+        def build(kb):
+            builds.append(kb.name)
+            time.sleep(0.01)  # yields, so the other threads reach the lock meanwhile
+            real_build(kb)
 
-        tokenized = []
-        real_tokenize = marco.knowledge.tokenize
-        monkeypatch.setattr(KnowledgeBase, "_count", count)
-        monkeypatch.setattr(marco.knowledge, "tokenize", lambda text: tokenized.append(text) or real_tokenize(text))
+        def search(kb, token):
+            searched.append(token)
+            time.sleep(0.001)
+            return real_search(kb, token)
+
+        monkeypatch.setattr(KnowledgeBase, "_build_corpus", build)
+        monkeypatch.setattr(KnowledgeBase, "_search", search)
         kb = corpus_kb(docs)
         queries = [" ".join(QUERY_WORDS[i:i + 3]) for i in range(8)]
         start = threading.Barrier(len(queries))
@@ -308,14 +328,18 @@ class TestKnowledgeBase:
             results[text] = [(doc.id, score) for doc, score in retrieve(kb, text, k=5)]
 
         threads = [threading.Thread(target=query, args=(text,)) for text in queries]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=10)
-        tokens = {token for text in queries for token in tokenize(text)}
-        assert len(counted) == sum(token in text for token in tokens for text in docs.values())
-        doc_texts = [text for text in tokenized if text not in queries]
-        assert len(doc_texts) == len(set(doc_texts))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert builds == ["test"]
+        assert sorted(searched) == sorted({token for text in queries for token in tokenize(text)})
         assert results == {text: tfidf_rank(docs, text, 5) for text in queries}
 
     def test_concurrent_parses_run_once(self):
@@ -344,6 +368,65 @@ class TestKnowledgeBase:
         kb = corpus_kb()
         assert kb.get("d1").text == CORPUS["d1"]
         assert kb.get("nope") is None
+
+
+def counted(docs: dict[str, str], token: str) -> dict[str, int]:
+    """The postings of ``token`` by tokenizing every document: the oracle."""
+    counts = {doc_id: Counter(tokenize(text))[token] for doc_id, text in docs.items()}
+    return {doc_id: count for doc_id, count in counts.items() if count}
+
+
+class TestCorpusBoundaries:
+    """The corpus joins every document into one text; no token may cross a
+    document's edge or be lost at one."""
+
+    def postings(self, docs: dict[str, str], token: str) -> dict[str, int]:
+        got = dict(corpus_kb(docs).postings(token))
+        assert got == counted(docs, token)
+        return got
+
+    def test_token_split_across_documents_not_found(self):
+        docs = {"a": "sla", "b": "ck"}
+        assert self.postings(docs, "slack") == {}
+        assert self.postings(docs, "sla") == {"a": 1}
+        assert self.postings(docs, "ck") == {"b": 1}
+
+    def test_tokens_at_first_and_last_character(self):
+        docs = {"a": "slack", "b": "x slack", "c": "slack y", "d": "slack"}
+        assert self.postings(docs, "slack") == {"a": 1, "b": 1, "c": 1, "d": 1}
+        assert self.postings(docs, "x") == {"b": 1}
+        assert self.postings(docs, "y") == {"c": 1}
+
+    def test_empty_documents(self):
+        docs = {"a": "", "b": "slack", "c": "", "d": "slack slack", "e": ""}
+        assert self.postings(docs, "slack") == {"b": 1, "d": 2}
+        assert self.postings({"a": "", "b": ""}, "slack") == {}
+        assert retrieve(corpus_kb({"a": ""}), "slack", k=3) == []
+
+    def test_text_that_lowercases_longer_before_a_hit(self):
+        docs = {"a": "\u0130" * 3, "b": "ab", "c": "x"}  # U+0130 lowers to "i" and U+0307
+        assert self.postings(docs, "ab") == {"b": 1}
+        assert self.postings(docs, "x") == {"c": 1}
+        assert self.postings(docs, "i") == {"a": 3}
+
+    @pytest.mark.parametrize("text", ["", "SLACK", "sl ack", "a_b", "slack ", "i\u0307"])
+    def test_non_token_strings_have_no_postings(self, text):
+        kb = corpus_kb({"d1": "slack sl ack a_b SLACK \u0130"})
+        assert kb.token_count("d1", text) == 0
+        assert kb.doc_frequency(text) == 0
+        assert [kb.token_count("d1", token) for token in ("slack", "sl", "a", "i")] == [2, 1, 1, 1]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        texts=st.lists(st.text(alphabet="aAbk_0 -\n\u0130\u212a\u00df\u00e4\ud800", max_size=12), max_size=6),
+        tokens=st.lists(st.text(alphabet="abki0_ ", min_size=1, max_size=3), min_size=1, max_size=4),
+    )
+    def test_postings_match_tokenized_documents(self, texts, tokens):
+        docs = {f"d{i}": text for i, text in enumerate(texts)}
+        kb = corpus_kb(docs)
+        every = {token for text in texts for token in tokenize(text)}
+        for token in sorted(every) + tokens:
+            assert dict(kb.postings(token)) == counted(docs, token)
 
 
 class TestLoadKbDir:
