@@ -35,8 +35,8 @@ class RoleSpec:
     """One speaking role: prompt, model binding, and tool/KB access."""
 
     name: str
-    system_prompt: str
     model_ref: str
+    system_prompt: str = ""
     tool_names: tuple[str, ...] = ()
     knowledge_base_refs: tuple[str, ...] = ()
     memory: MemoryWindow | None = None
@@ -46,18 +46,6 @@ class RoleSpec:
         object.__setattr__(self, "knowledge_base_refs", tuple(self.knowledge_base_refs))
         if not self.name:
             raise ValueError("role name must be non-empty")
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "RoleSpec":
-        memory = payload.get("memory")
-        return cls(
-            name=payload["name"],
-            system_prompt=payload.get("system_prompt", ""),
-            model_ref=payload["model_ref"],
-            tool_names=tuple(payload.get("tool_names", ())),
-            knowledge_base_refs=tuple(payload.get("knowledge_base_refs", ())),
-            memory=MemoryWindow(max_messages=int(memory["max_messages"])) if memory else None,
-        )
 
 
 @dataclass(frozen=True)
@@ -72,20 +60,12 @@ class Termination:
         if self.max_turns < 1:
             raise ValueError("max_turns must be >= 1")
 
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "Termination":
-        return cls(
-            max_turns=int(payload.get("max_turns", 8)),
-            stop_phrase=payload.get("stop_phrase"),
-            require_outputs=bool(payload.get("require_outputs", False)),
-        )
-
 
 @dataclass(frozen=True)
 class AgentConfig:
     name: str
-    topology: str
-    roles: tuple[RoleSpec, ...]
+    topology: str = "single"
+    roles: tuple[RoleSpec, ...] = ()
     termination: Termination = field(default_factory=Termination)
 
     def __post_init__(self) -> None:
@@ -108,15 +88,6 @@ class AgentConfig:
             if role.name == name:
                 return role
         return None
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "AgentConfig":
-        return cls(
-            name=payload["name"],
-            topology=payload.get("topology", "single"),
-            roles=tuple(RoleSpec.from_dict(r) for r in payload.get("roles", ())),
-            termination=Termination.from_dict(payload.get("termination", {})),
-        )
 
 
 @dataclass(frozen=True)
@@ -376,7 +347,6 @@ def register_builtin_tools(registry: ToolRegistry) -> None:
                         Param("value", "string", doc="Artifact text, stored verbatim."),
                     )
                 ),
-                handler_ref="builtin.write_artifact",
             ),
             _write_artifact_handler,
         )
@@ -392,7 +362,6 @@ def register_builtin_tools(registry: ToolRegistry) -> None:
                         Param("k", "integer", required=False, doc="How many documents (default 5)."),
                     )
                 ),
-                handler_ref="builtin.retrieve_knowledge",
             ),
             _retrieve_knowledge_handler,
         )

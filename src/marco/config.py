@@ -12,11 +12,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
 
-from .agents import AgentConfig, RETRIEVE_TOOL, WRITE_TOOL
+from .agents import AgentConfig, RETRIEVE_TOOL, RoleSpec, Termination, WRITE_TOOL
 from .eda.toolpack import HANDLER_CATALOG
 from .errors import ConfigError
 from .gateway import HTTP_SCHEMES, Script, canonical_json, read_json, read_script_file
 from .graph import TaskGraph, unproduced_inputs, validate_graph
+from .knowledge import MemoryWindow
 
 BACKEND_KINDS = ("mock", "http", "replay")
 BUILTIN_TOOLS = (WRITE_TOOL, RETRIEVE_TOOL)
@@ -115,18 +116,40 @@ def _load_graph(raw: Any, problems: list[str]) -> TaskGraph:
     return TaskGraph.from_dict(graph) if ok else TaskGraph()
 
 
-def _agent_shape_ok(name: str, payload: Any, problems: list[str]) -> bool:
+def _given(payload: dict, fields: Mapping[str, str]) -> dict:
+    """The fields of a shape table that ``payload`` sets, as keyword arguments."""
+    return {key: payload[key] for key in fields if key in payload}
+
+
+def _load_agent(name: str, payload: Any, problems: list[str]) -> AgentConfig | None:
+    """An agent checked against the shape tables, then built from the fields
+    they list; None, with the reasons in ``problems``, if either step fails."""
     where = f"agents.{name}"
     if not _fields_ok(where, payload, _AGENT_FIELDS, (), problems):
-        return False
-    ok = _fields_ok(f"{where}.termination", payload.get("termination", {}), _TERMINATION_FIELDS, (), problems)
-    for index, role in enumerate(payload.get("roles", [])):
+        return None
+    termination, roles = payload.get("termination", {}), payload.get("roles", [])
+    ok = _fields_ok(f"{where}.termination", termination, _TERMINATION_FIELDS, (), problems)
+    for index, role in enumerate(roles):
         at = f"{where}.roles[{index}]"
         if not _fields_ok(at, role, _ROLE_FIELDS, ("name", "model_ref"), problems):
             ok = False
         elif role.get("memory"):  # an absent or empty memory means no window
             ok = _fields_ok(f"{at}.memory", role["memory"], {"max_messages": "int"}, ("max_messages",), problems) and ok
-    return ok
+    if not ok:
+        return None
+    try:  # every field has its kind, so only a __post_init__ value check can fail
+        return AgentConfig(name=name, **{
+            **_given(payload, _AGENT_FIELDS),
+            "roles": tuple(
+                RoleSpec(**_given(role, _ROLE_FIELDS),
+                         memory=MemoryWindow(role["memory"]["max_messages"]) if role.get("memory") else None)
+                for role in roles
+            ),
+            "termination": Termination(**_given(termination, _TERMINATION_FIELDS)),
+        })
+    except ValueError as exc:
+        problems.append(f"{where}: {exc}")
+        return None
 
 
 def _load_backend(name: str, payload: Any, base_dir: Path, problems: list[str]) -> BackendDef | None:
@@ -191,12 +214,9 @@ def load_config(path: str | Path) -> RunConfig:
 
     agents: dict[str, AgentConfig] = {}
     for name, payload in _object("agents", raw.get("agents"), problems).items():
-        if not _agent_shape_ok(name, payload, problems):
-            continue
-        try:
-            agents[name] = AgentConfig.from_dict({"name": name, **payload})
-        except (KeyError, ValueError, TypeError) as exc:
-            problems.append(f"agents.{name}: {exc}")
+        agent = _load_agent(name, payload, problems)
+        if agent is not None:
+            agents[name] = agent
 
     backends: dict[str, BackendDef] = {}
     for name, payload in _object("backends", raw.get("backends"), problems).items():

@@ -56,7 +56,7 @@ SAVE_AS = Param("save_as", "string", required=False, doc="Blackboard key to stor
 
 
 def _spec(name: str, description: str, params: tuple[Param, ...]) -> ToolSpec:
-    return ToolSpec(name=name, description=description, params=ParamSchema(params), handler_ref=f"eda.{name}")
+    return ToolSpec(name=name, description=description, params=ParamSchema(params))
 
 
 def _anomaly_tool(

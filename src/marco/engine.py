@@ -11,7 +11,6 @@ the same config and scripts serialize identically.
 from __future__ import annotations
 
 import dataclasses
-import heapq
 import json
 import time
 from collections import Counter
@@ -24,7 +23,7 @@ from .config import RunConfig
 from .eda.toolpack import HANDLER_CATALOG
 from .errors import EngineError
 from .gateway import Backend, HttpBackend, MockBackend, ReplayBackend
-from .graph import TaskGraph, TaskNode, apply_expansion, execution_order, ready_frontier
+from .graph import Schedule, TaskGraph, TaskNode, apply_expansion, execution_order, ready_frontier
 from .knowledge import Blackboard, BlackboardStage, load_kb_dir
 from .tools import ToolRegistry
 
@@ -255,35 +254,6 @@ def _finish(trace: TraceDocument, graph: TaskGraph, blackboard: Blackboard, stat
     return trace
 
 
-class _Schedule:
-    """Kahn's algorithm over the execution edges: for every uncommitted node
-    the number of its uncommitted predecessors, and a min-heap of the ready
-    ids, so ``heap[0]`` is always ``ready_frontier(graph, done)[0]``."""
-
-    def __init__(self, graph: TaskGraph, done: set[str]) -> None:
-        self.reseed(graph, done)
-
-    def reseed(self, graph: TaskGraph, done: set[str]) -> None:
-        """Rebuild from the graph; an expansion may add edges into existing nodes."""
-        self.heap = ready_frontier(graph, done)  # id-sorted, so already a heap
-        self.waiting: dict[str, int] = {}
-        self.successors: dict[str, list[str]] = {}
-        for nid, preds in graph.execution_predecessors().items():
-            if nid not in done:
-                self.waiting[nid] = len(preds - done)
-                for pred in preds:
-                    self.successors.setdefault(pred, []).append(nid)
-
-    def pop(self) -> str:
-        """Commit the head and return its id; successors it frees become ready."""
-        nid = heapq.heappop(self.heap)
-        for succ in self.successors.get(nid, ()):
-            self.waiting[succ] -= 1
-            if not self.waiting[succ]:
-                heapq.heappush(self.heap, succ)
-        return nid
-
-
 def _execute(config: RunConfig, backend_override: str | None, deterministic: bool, meta: dict) -> TraceDocument:
     """Shared run path for run and run_baseline: build the backends and the
     trace, then schedule.
@@ -315,7 +285,7 @@ def _execute(config: RunConfig, backend_override: str | None, deterministic: boo
     }
     nodes = {node.id: node for node in graph.nodes}
     done: set[str] = set()
-    schedule = _Schedule(graph, done)
+    schedule = Schedule(graph, done, ready_frontier(graph, done))
     planners = sum(node.expansion == "planner" for node in graph.nodes)  # uncommitted ones
     producers = Counter(key for node in graph.nodes for key in node.outputs)  # uncommitted declarers
     ahead: dict[str, tuple[Future, BlackboardStage]] = {}
@@ -397,7 +367,8 @@ def _execute(config: RunConfig, backend_override: str | None, deterministic: boo
                     planners += new_node.expansion == "planner"
                     producers.update(new_node.outputs)
                 trace.expansions.append(outcome.expansion.to_dict())
-                schedule.reseed(graph, done)
+                # an expansion may add edges into existing nodes, so start a new schedule
+                schedule = Schedule(graph, done, ready_frontier(graph, done))
     return _finish(trace, graph, blackboard, "completed")
 
 

@@ -171,36 +171,52 @@ def _edge_label(e: TaskEdge) -> str:
     return f"{e.src}->{e.dst} [{e.kind}{key}]"
 
 
+class Schedule:
+    """Kahn's algorithm over the execution edges, resumed after ``done``: the
+    predecessor map, each not-done id's count of not-done predecessors, and a
+    min-heap of the ready ids, which starts as ``ready_frontier(graph, done)``."""
+
+    def __init__(self, graph: TaskGraph, done: set[str], ready: list[str]) -> None:
+        self.preds = graph.execution_predecessors()
+        self.heap = ready  # id-sorted, so already a heap
+        self.waiting: dict[str, int] = {}
+        self.successors: dict[str, list[str]] = {}
+        for nid, sources in self.preds.items():
+            if nid not in done:
+                self.waiting[nid] = len(sources - done)
+                for src in sources:
+                    self.successors.setdefault(src, []).append(nid)
+
+    def pop(self) -> str:
+        """Commit the least ready id and return it; successors it frees become ready."""
+        nid = heapq.heappop(self.heap)
+        for succ in self.successors.get(nid, ()):
+            self.waiting[succ] -= 1
+            if not self.waiting[succ]:
+                heapq.heappush(self.heap, succ)
+        return nid
+
+
 def _kahn(graph: TaskGraph) -> tuple[dict[str, int], dict[str, int], list[str]]:
-    """The one ordering pass: Kahn's algorithm over the execution edges,
-    taking the least ready id first, the order the engine commits nodes in.
+    """The one ordering pass: a :class:`Schedule` popped to empty, in the
+    order the engine commits nodes.
 
     Returns every ordered id's position, every ordered id's lineage (a bit
     set over positions of the id itself and all its execution ancestors),
     and one execution cycle as ``[a, ..., a]``, empty when every id is
     ordered. Ids on or after a cycle stay unordered.
     """
-    preds = graph.execution_predecessors()
-    successors: dict[str, list[str]] = {}
-    waiting: dict[str, int] = {}
-    for nid, sources in preds.items():
-        waiting[nid] = len(sources)
-        for src in sources:
-            successors.setdefault(src, []).append(nid)
-    ready = sorted(nid for nid, count in waiting.items() if not count)  # sorted, so a heap
+    schedule = Schedule(graph, set(), ready_frontier(graph, ()))
+    preds = schedule.preds
     position: dict[str, int] = {}
     lineage: dict[str, int] = {}
-    while ready:
-        nid = heapq.heappop(ready)
+    while schedule.heap:
+        nid = schedule.pop()
         bits = 1 << len(position)
         for src in preds[nid]:
             bits |= lineage[src]
         position[nid] = len(position)
         lineage[nid] = bits
-        for succ in successors.get(nid, ()):
-            waiting[succ] -= 1
-            if not waiting[succ]:
-                heapq.heappush(ready, succ)
     cycle: list[str] = []
     if len(position) < len(preds):
         # every unordered id has an unordered predecessor: walk back from the
@@ -241,6 +257,11 @@ def unproduced_inputs(graph: TaskGraph, seeded: Container[str]) -> list[tuple[st
 
 def validate_graph(graph: TaskGraph) -> ValidationReport:
     """Check every graph/node/edge invariant; violations are data, not errors."""
+    return _checked(graph)[0]
+
+
+def _checked(graph: TaskGraph) -> tuple[ValidationReport, dict[str, int], dict[str, int]]:
+    """:func:`validate_graph`'s report, with the position and lineage of its Kahn pass."""
     violations: list[Violation] = []
 
     if graph.mode not in GRAPH_MODES:
@@ -316,7 +337,7 @@ def validate_graph(graph: TaskGraph) -> ValidationReport:
     if graph.mode == "dynamic" and not planners:
         violations.append(Violation("NO_PLANNER_IN_DYNAMIC", "<graph>", "dynamic graphs need at least one planner node"))
 
-    return ValidationReport(ok=not violations, violations=tuple(violations))
+    return ValidationReport(ok=not violations, violations=tuple(violations)), position, lineage
 
 
 def ready_frontier(graph: TaskGraph, done: Iterable[str]) -> list[str]:
@@ -368,14 +389,13 @@ def apply_expansion(graph: TaskGraph, req: ExpansionRequest) -> TaskGraph:
 
     candidate = replace(graph, nodes=graph.nodes + req.new_nodes, edges=graph.edges + req.new_edges)
 
-    report = validate_graph(candidate)
+    report, position, lineage = _checked(candidate)
     if not report.ok:
         if "CYCLE" in report.codes():
             raise GraphError("CYCLE_INTRODUCED", "expansion would create an execution cycle")
         first = report.violations[0]
         raise GraphError("INVALID_EXPANSION", f"{first.code} on {first.subject}: {first.detail}")
 
-    position, lineage, _ = _kahn(candidate)
     orphans = sorted(nid for nid in new_ids if not lineage[nid] >> position[req.planner_id] & 1)
     if orphans:
         raise GraphError(

@@ -55,7 +55,6 @@ class ToolSpec:
     name: str
     description: str
     params: ParamSchema = field(default_factory=ParamSchema)
-    handler_ref: str = ""
 
     def __post_init__(self) -> None:
         if not _NAME_RE.match(self.name):

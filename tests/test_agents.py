@@ -30,7 +30,7 @@ from marco.agents import (
 from marco.errors import EngineError
 from marco.gateway import ChatMessage, MockBackend, ScriptMatcher, ToolCallRequest
 from marco.graph import ExpansionRequest, TaskEdge, TaskGraph, TaskNode
-from marco.knowledge import Blackboard, Document, KnowledgeBase, MemoryWindow
+from marco.knowledge import Blackboard, Document, KnowledgeBase
 from marco.tools import Param, ParamSchema, ToolRegistry, ToolResult, ToolSpec
 
 
@@ -97,18 +97,6 @@ class TestAgentConfig:
     def test_empty_role_name(self):
         with pytest.raises(ValueError):
             role("")
-
-    def test_from_dict_with_memory(self):
-        agent = AgentConfig.from_dict(
-            {
-                "name": "a",
-                "topology": "single",
-                "roles": [{"name": "x", "model_ref": "m", "memory": {"max_messages": 6}}],
-                "termination": {"max_turns": 4, "stop_phrase": "DONE", "require_outputs": True},
-            }
-        )
-        assert agent.roles[0].memory == MemoryWindow(max_messages=6)
-        assert agent.termination == Termination(max_turns=4, stop_phrase="DONE", require_outputs=True)
 
 
 class TestNextDirective:

@@ -6,8 +6,11 @@ from pathlib import Path
 import pytest
 
 import marco
+from marco.agents import Termination
+from marco.cli import main
 from marco.config import load_config
 from marco.errors import ConfigError
+from marco.knowledge import MemoryWindow
 
 try:
     from hypothesis import given, settings
@@ -362,6 +365,51 @@ class TestMalformedSections:
         assert "agents.a1.termination.max_turns: must be an integer, got str" in problems
         assert "tool_bindings: must be a JSON object, got list" in problems
         assert "seeds: must be a JSON object, got str" in problems
+
+
+class TestAgentFields:
+    """Agents are built straight from the shape-checked fields; a value out of
+    range is one ``agents.<name>: <reason>`` problem."""
+
+    def test_memory_and_termination_read(self, workdir):
+        payload = base_payload()
+        payload["agents"]["a1"]["roles"][0]["memory"] = {"max_messages": 6}
+        payload["agents"]["a1"]["termination"] = {"max_turns": 4, "stop_phrase": "DONE", "require_outputs": True}
+        agent = load_config(write_config(workdir, payload)).agents["a1"]
+        assert agent.roles[0].memory == MemoryWindow(max_messages=6)
+        assert agent.termination == Termination(max_turns=4, stop_phrase="DONE", require_outputs=True)
+
+    def test_defaults_and_empty_memory(self, workdir):
+        payload = base_payload()
+        payload["agents"]["a1"] = {"roles": [{"name": "r", "model_ref": "mock", "memory": {}}]}
+        agent = load_config(write_config(workdir, payload)).agents["a1"]
+        assert agent.topology == "single"
+        assert agent.roles[0].memory is None
+        assert agent.roles[0].system_prompt == ""
+        assert agent.termination == Termination()
+
+    @pytest.mark.parametrize(
+        "change, reason",
+        [
+            ({"termination": {"max_turns": 0}}, "max_turns must be >= 1"),
+            ({"roles": [{"name": "r", "model_ref": "mock", "memory": {"max_messages": 0}}]}, "max_messages must be >= 1"),
+            (
+                {"topology": "multi_round_robin", "roles": [{"name": "r", "model_ref": "mock"}] * 2},
+                "role names must be unique within an agent",
+            ),
+            ({"topology": "swarm"}, "unknown topology 'swarm'"),
+        ],
+        ids=["max_turns", "max_messages", "repeated_role", "topology"],
+    )
+    def test_value_error_is_a_problem_line(self, workdir, capsys, change, reason):
+        payload = base_payload()
+        payload["agents"]["a1"].update(change)
+        assert f"agents.a1: {reason}" in problems_of(workdir, payload)
+        assert main(["validate", str(write_config(workdir, payload))]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"invalid: agents.a1: {reason}\n" in captured.err
+        assert "Traceback" not in captured.err
 
 
 def _json_paths(value, prefix=()):

@@ -14,6 +14,7 @@ except ImportError:  # pragma: no cover - hypothesis is a dev dependency
 from marco.errors import GraphError
 from marco.graph import (
     ExpansionRequest,
+    Schedule,
     TaskEdge,
     TaskGraph,
     TaskNode,
@@ -256,6 +257,20 @@ if st is not None:
             assert unordered == expected
             assert unproduced_inputs(graph, seeded) == oracle_unproduced_inputs(graph, seeded)
             assert execution_order(graph) == oracle_commit_order(graph)
+
+        @settings(max_examples=200, deadline=None)
+        @given(graph=wired_dags())
+        def test_resumed_schedule_pops_the_rest(self, graph):
+            """A schedule started after any committed prefix, as the engine
+            starts one after each expansion, pops the rest of the order."""
+            order = oracle_commit_order(graph)
+            for cut in range(len(order) + 1):
+                done = set(order[:cut])
+                schedule = Schedule(graph, done, ready_frontier(graph, done))
+                rest = []
+                while schedule.heap:
+                    rest.append(schedule.pop())
+                assert rest == order[cut:]
 
 
 class TestFrontier:
