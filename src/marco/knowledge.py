@@ -7,6 +7,7 @@ tf-idf: deterministic, dependency-free, and checkable against a naive oracle.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import os
 import re
@@ -161,6 +162,22 @@ class Document:
         object.__setattr__(self, "tags", tuple(self.tags))
 
 
+class _Index:
+    """What knowledge bases loaded from the same bytes share: the documents,
+    the corpus and its offsets, the postings searched so far, and the lock
+    that guards building them. The documents never change, and the corpus
+    and each token's postings, built once under the lock, are the same
+    whichever knowledge base asks first."""
+
+    def __init__(self) -> None:
+        self.docs: dict[str, Document] = {}
+        self.corpus: bytes | None = None  # built on the first search
+        self.starts: list[int] = []  # corpus offset of each document, in ``ids`` order
+        self.ids: list[str] = []
+        self.postings: dict[str, dict[str, int]] = {}  # queried token -> doc id -> count
+        self.lock = threading.Lock()
+
+
 class KnowledgeBase:
     """Document store searched as one corpus, built on its first query.
 
@@ -172,45 +189,47 @@ class KnowledgeBase:
     offset; they are built on the token's first ask and kept. A token no
     document holds costs one scan, no document is ever tokenized, a knowledge
     base that is never queried builds no corpus, and a string that is not a
-    whole token has empty postings. ``parsed`` holds what tools derive from a
-    document (doc id -> parsed form), so each document is parsed at most once
-    while the knowledge base lives; the engine builds fresh knowledge bases
-    for every run. One lock guards the corpus, the postings and ``parsed``, as
-    nodes may query a knowledge base from several threads at once.
+    whole token has empty postings. The documents, the corpus and the
+    postings live in an ``_Index`` that ``load_kb_dir`` hands on to the next
+    knowledge base loaded from the same bytes. ``parsed`` holds what tools
+    derive from a document (doc id -> parsed form), so each document is
+    parsed at most once while this knowledge base lives; it is never shared.
+    The index's lock guards the corpus and the postings and this knowledge
+    base's lock guards ``parsed``, as nodes may query a knowledge base from
+    several threads at once.
     """
 
     def __init__(self, name: str, documents: Iterable[Document] = ()) -> None:
         self.name = name
         self.parsed: dict[str, Any] = {}
-        self._docs: dict[str, Document] = {}
-        self._corpus: bytes | None = None  # built on the first search
-        self._starts: list[int] = []  # corpus offset of each document, in ``_ids`` order
-        self._ids: list[str] = []
-        self._postings: dict[str, dict[str, int]] = {}  # queried token -> doc id -> count
         self._lock = threading.Lock()
+        self._index = _Index()
+        docs = self._index.docs
         for doc in documents:
-            if doc.id in self._docs:
+            if doc.id in docs:
                 raise KnowledgeError("DUPLICATE_DOC", f"document id {doc.id!r} appears twice in {name!r}")
-            self._docs[doc.id] = doc
+            docs[doc.id] = doc
 
     def _build_corpus(self) -> None:
-        """Join the documents into the corpus; call with the lock held."""
-        self._ids = list(self._docs)
+        """Join the documents into the corpus; call with the index's lock held."""
+        index = self._index
+        index.ids = list(index.docs)
         # An ASCII text is lowercased by the byte table; lowering any other
         # text may lengthen it (U+0130 lowers to two code points), so it is
         # lowered first and its offsets are taken from the lowered text.
-        texts = [doc.text if doc.text.isascii() else doc.text.lower() for doc in self._docs.values()]
-        self._starts = list(accumulate([len(text) + 1 for text in texts], initial=1))[:-1]
+        texts = [doc.text if doc.text.isascii() else doc.text.lower() for doc in index.docs.values()]
+        index.starts = list(accumulate([len(text) + 1 for text in texts], initial=1))[:-1]
         # "replace" encodes each character outside ASCII as one "?", so the
         # offsets of the texts hold in the bytes.
-        self._corpus = " ".join(["", *texts, ""]).encode("ascii", "replace").translate(_CORPUS_BYTES)
+        index.corpus = " ".join(["", *texts, ""]).encode("ascii", "replace").translate(_CORPUS_BYTES)
 
     def _search(self, token: str) -> dict[str, int]:
-        """Doc id -> count of the whole token ``token``; call with the lock held."""
-        if self._corpus is None:
+        """Doc id -> count of the whole token ``token``; call with the index's lock held."""
+        index = self._index
+        if index.corpus is None:
             self._build_corpus()
-        assert self._corpus is not None
-        find, starts, ids = self._corpus.find, self._starts, self._ids
+        assert index.corpus is not None
+        find, starts, ids = index.corpus.find, index.starts, index.ids
         prefix = f" {token}".encode("ascii")
         # The open needle scans faster than the framed one, as its last byte
         # is rarely a space, so a token no document holds costs that scan only.
@@ -229,12 +248,13 @@ class KnowledgeBase:
 
     def postings(self, token: str) -> Mapping[str, int]:
         """Doc id -> count of ``token``, for the documents that contain it."""
-        posting = self._postings.get(token)
+        index = self._index
+        posting = index.postings.get(token)
         if posting is None:
-            with self._lock:
-                posting = self._postings.get(token)
+            with index.lock:
+                posting = index.postings.get(token)
                 if posting is None:
-                    posting = self._postings[token] = self._search(token) if _TOKEN_RE.fullmatch(token) else {}
+                    posting = index.postings[token] = self._search(token) if _TOKEN_RE.fullmatch(token) else {}
         return posting
 
     def parse_once(self, doc_id: str, parse: Callable[[str], Any]) -> Any:
@@ -242,17 +262,17 @@ class KnowledgeBase:
         raises is not kept."""
         with self._lock:
             if doc_id not in self.parsed:
-                self.parsed[doc_id] = parse(self._docs[doc_id].text)
+                self.parsed[doc_id] = parse(self._index.docs[doc_id].text)
             return self.parsed[doc_id]
 
     def get(self, doc_id: str) -> Document | None:
-        return self._docs.get(doc_id)
+        return self._index.docs.get(doc_id)
 
     def ids(self) -> list[str]:
-        return sorted(self._docs)
+        return sorted(self._index.docs)
 
     def __len__(self) -> int:
-        return len(self._docs)
+        return len(self._index.docs)
 
     def token_count(self, doc_id: str, token: str) -> int:
         return self.postings(token).get(doc_id, 0)
@@ -306,24 +326,26 @@ def _read_file(path: str) -> bytes:
         os.close(fd)
 
 
-def load_kb_dir(name: str, directory: str | Path) -> KnowledgeBase:
-    """Build a knowledge base from a directory of ``*.txt`` files, in name order.
+def _read_kb_files(files: list[tuple[str, str]], documents: list[Document] | None = None) -> bytes:
+    """The sha256 of the files' names, lengths and bytes, hashed file by file;
+    with ``documents``, each file's document is also appended to it.
 
     The file stem is the document id; an optional first line ``tags: a,b``
     declares tags and is stripped from the text. Line endings are read as
     ``\\n``. A file that cannot be read as UTF-8 is ``KB_UNREADABLE``.
     """
-    directory = Path(directory)
-    if not directory.is_dir():
-        raise KnowledgeError("KB_DIR_MISSING", f"knowledge base directory {str(directory)!r} does not exist")
-    with os.scandir(directory) as entries:
-        files = sorted((entry.name, entry.path) for entry in entries if entry.name.endswith(".txt"))
-    documents = []
+    digest = hashlib.sha256()
+    listing = []
     for file_name, path in files:
         try:
-            raw = _read_file(path).decode("utf-8")
+            data = _read_file(path)
+            raw = data.decode("utf-8") if documents is not None else ""
         except (OSError, UnicodeDecodeError) as exc:
             raise KnowledgeError("KB_UNREADABLE", f"knowledge base file {path!r} is unreadable: {exc}") from exc
+        digest.update(data)
+        listing.append(f"{file_name}\0{len(data)}")
+        if documents is None:
+            continue
         if "\r" in raw:
             raw = raw.replace("\r\n", "\n").replace("\r", "\n")
         tags: tuple[str, ...] = ()
@@ -333,7 +355,50 @@ def load_kb_dir(name: str, directory: str | Path) -> KnowledgeBase:
             tags = tuple(t.strip() for t in first[len("tags:"):].split(",") if t.strip())
             text = rest
         documents.append(Document(id=file_name[:-4] or file_name, text=text, tags=tags))  # the stem, as in Path.stem
-    return KnowledgeBase(name, documents)
+    # The bytes, then each name and length (a name holds no NUL), then the
+    # listing's length in fixed width: read from its end, the stream splits
+    # back into files one way only, with one hash update per file.
+    names = os.fsencode("\0".join(listing))
+    digest.update(names)
+    digest.update(len(names).to_bytes(8, "big"))
+    return digest.digest()
+
+
+# Knowledge-base name -> (digest of the files it was last built from, its index).
+_LOADED: dict[str, tuple[bytes, _Index]] = {}
+
+
+def load_kb_dir(name: str, directory: str | Path) -> KnowledgeBase:
+    """Load a knowledge base from a directory of ``*.txt`` files, in name order.
+
+    Every call reads every file. When the files' names, lengths and bytes
+    hash as they did when the last knowledge base under ``name`` was built,
+    the new one shares that one's index: its documents, its corpus and the
+    postings searched so far. Otherwise the files are decoded and a fresh
+    index is built and kept under ``name`` in its place. Either way the
+    knowledge base has its own, empty ``parsed``. A directory that is
+    missing is ``KB_DIR_MISSING``, a file that cannot be read as UTF-8
+    ``KB_UNREADABLE``.
+    """
+    directory = Path(directory)
+    if not directory.is_dir():
+        raise KnowledgeError("KB_DIR_MISSING", f"knowledge base directory {str(directory)!r} does not exist")
+    with os.scandir(directory) as entries:
+        files = sorted((entry.name, entry.path) for entry in entries if entry.name.endswith(".txt"))
+    # Hashing alone keeps no file's bytes past its own read; a miss reads the
+    # files again, decoding them this time.
+    cached = _LOADED.get(name)
+    if cached is not None and _read_kb_files(files) == cached[0]:
+        kb = KnowledgeBase(name)
+        kb._index = cached[1]
+        return kb
+    documents: list[Document] = []
+    digest = _read_kb_files(files, documents)
+    kb = KnowledgeBase(name, documents)
+    # Loads that race under one name each keep a digest with its own index,
+    # so whichever lands last is still a correct entry.
+    _LOADED[name] = (digest, kb._index)
+    return kb
 
 
 @dataclass(frozen=True)

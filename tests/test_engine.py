@@ -21,6 +21,7 @@ except ImportError:  # pragma: no cover - hypothesis is a dev dependency
 import marco
 import marco.eda.toolpack
 import marco.engine
+import marco.knowledge
 from marco.config import BackendDef, load_config
 from marco.engine import (
     TraceDocument,
@@ -667,6 +668,46 @@ class TestBundledRuns:
             per_run.append(sorted(texts))
         assert per_run[0] and per_run[0] == per_run[1]
         assert len(set(per_run[0])) == len(per_run[0])
+
+    def test_second_run_reuses_the_corpus_and_parses_reports_again(self, tmp_path, monkeypatch):
+        """Two loads and runs of one retrieving config: byte-identical traces,
+        no corpus built in the second, every report parsed once per run."""
+        monkeypatch.setattr(marco.knowledge, "_LOADED", {})
+        texts: list[str] = []
+        real_parse = marco.eda.toolpack.parse_timing_report
+        monkeypatch.setattr(marco.eda.toolpack, "parse_timing_report", lambda text: texts.append(text) or real_parse(text))
+        builds: list[str] = []
+        real_build = marco.knowledge.KnowledgeBase._build_corpus
+        monkeypatch.setattr(
+            marco.knowledge.KnowledgeBase, "_build_corpus", lambda kb: builds.append(kb.name) or real_build(kb)
+        )
+        (tmp_path / "notes").mkdir()
+        for i, words in enumerate(["clock edge missing", "rc mismatch", "clock skew and slack"]):
+            (tmp_path / "notes" / f"note{i}.txt").write_text(words, encoding="utf-8")
+        payload = chain_payload()
+        payload["graph"] = {"mode": "static", "nodes": [payload["graph"]["nodes"][0]], "edges": []}
+        payload["agents"]["solo"]["roles"][0].update(
+            tool_names=["write_artifact", "find_missing_clock_edges"], knowledge_base_refs=["notes", "timing_reports"]
+        )
+        payload["knowledge_bases"] = {"notes": "notes", "timing_reports": str(BUNDLED.parent / "fixtures_3corner")}
+        payload["tool_bindings"] = {"find_missing_clock_edges": "eda.find_missing_clock_edges"}
+        calls = [
+            {"id": "c1", "tool_name": "retrieve_knowledge", "arguments": {"kb": "notes", "query": "clock edge", "k": 2}},
+            {"id": "c2", "tool_name": "find_missing_clock_edges",
+             "arguments": {"report": "ss_0p72v_125c__func__max", "save_as": "n1_out"}},
+        ]
+        scripts = [{"matcher": {"kind": "always"},
+                    "responses": [{"content": "reading", "tool_calls": calls}, {"content": "TASK COMPLETE"}]}]
+        rendered, per_run = [], []
+        for _ in range(2):
+            texts.clear()
+            trace = run(load_payload(tmp_path, payload, scripts), deterministic=True)
+            assert trace.status == "completed" and "n1_out" in trace.blackboard
+            rendered.append(trace.render())
+            per_run.append(len(texts))
+        assert "note0" in rendered[0] and rendered[0] == rendered[1]
+        assert builds == ["notes"]  # the first run's; the second reuses it
+        assert per_run == [1, 1]
 
     def test_timing_debug_baseline_completes(self):
         config = load_config(BUNDLED / "timing_debug.json")

@@ -1,9 +1,13 @@
 """Blackboard versioning, tf-idf retrieval, and memory windows."""
 
+import math
+import os
 import sys
+import tempfile
 import threading
 import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -175,8 +179,6 @@ def corpus_kb(docs: dict[str, str] = CORPUS) -> KnowledgeBase:
 
 class TestRetrieve:
     def test_scores_match_formula(self):
-        import math
-
         kb = corpus_kb()
         results = retrieve(kb, "slack", k=5)
         idf = math.log((3 + 1) / (2 + 1)) + 1.0
@@ -469,6 +471,174 @@ class TestLoadKbDir:
             load_kb_dir("kb", tmp_path)
         assert exc.value.code == "KB_UNREADABLE"
         assert str(tmp_path / "bad.txt") in str(exc.value)
+
+
+
+@pytest.fixture
+def loaded(monkeypatch):
+    """An empty table of loaded knowledge bases for one test."""
+    table: dict = {}
+    monkeypatch.setattr(marco.knowledge, "_LOADED", table)
+    return table
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """Every token search and, within the first of a build, "build", in order."""
+    calls = []
+    real_build = KnowledgeBase._build_corpus
+    real_search = KnowledgeBase._search
+    monkeypatch.setattr(KnowledgeBase, "_build_corpus", lambda kb: calls.append("build") or real_build(kb))
+    monkeypatch.setattr(KnowledgeBase, "_search", lambda kb, token: calls.append(token) or real_search(kb, token))
+    return calls
+
+
+def write_kb(directory, files: dict[str, str]) -> None:
+    directory.mkdir(exist_ok=True)
+    for path in directory.glob("*.txt"):
+        if path.stem not in files:
+            path.unlink()
+    for stem, text in files.items():
+        (directory / f"{stem}.txt").write_text(text, encoding="utf-8")
+
+
+def ranked(kb: KnowledgeBase, query: str, k: int = 9) -> list[tuple[str, str, float]]:
+    return [(doc.id, doc.text, score) for doc, score in retrieve(kb, query, k)]
+
+
+class TestLoadKbDirReuse:
+    """A load of byte-identical files shares the last build under its name."""
+
+    def test_unchanged_directory_shares_corpus_and_postings_not_parsed(self, tmp_path, loaded, searches):
+        write_kb(tmp_path, {"a": "slack margin", "b": "slack slack clock"})
+        first = load_kb_dir("kb", tmp_path)
+        assert ranked(first, "slack") == [("b", "slack slack clock", 2.0), ("a", "slack margin", 1.0)]
+        assert first.parse_once("a", str.upper) == "SLACK MARGIN"
+        assert searches == ["slack", "build"]
+        second = load_kb_dir("kb", tmp_path)
+        assert second is not first and second.parsed == {} and first.parsed == {"a": "SLACK MARGIN"}
+        assert ranked(second, "slack") == ranked(first, "slack")
+        assert ranked(second, "clock") == [("b", "slack slack clock", math.log(3 / 2) + 1.0)]
+        assert searches == ["slack", "build", "clock"]  # no second build, no second "slack"
+        assert ranked(first, "clock") == ranked(second, "clock") and searches[-1] == "clock"
+        assert len(loaded) == 1
+
+    def test_same_size_rewrite_with_mtime_restored_rebuilds(self, tmp_path, loaded, searches):
+        write_kb(tmp_path, {"a": "slack one", "b": "clock two"})
+        assert [doc_id for doc_id, _, _ in ranked(load_kb_dir("kb", tmp_path), "slack")] == ["a"]
+        path = tmp_path / "a.txt"
+        before = os.stat(path)
+        path.write_text("clock one", encoding="utf-8")
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        assert os.stat(path).st_size == before.st_size and os.stat(path).st_mtime_ns == before.st_mtime_ns
+        kb = load_kb_dir("kb", tmp_path)
+        assert kb.get("a").text == "clock one"
+        assert ranked(kb, "slack") == []
+        assert [doc_id for doc_id, _, _ in ranked(kb, "clock")] == ["a", "b"]
+        assert searches == ["slack", "build", "slack", "build", "clock"]
+
+    @pytest.mark.parametrize(
+        "edit, ids",
+        [
+            (lambda d: (d / "c.txt").write_text("slack three", encoding="utf-8"), ["a", "b", "c"]),
+            (lambda d: (d / "b.txt").unlink(), ["a"]),
+            (lambda d: (d / "b.txt").rename(d / "c.txt"), ["a", "c"]),
+            (lambda d: (d / "b.txt").rename(d / "b.md"), ["a"]),
+        ],
+        ids=["added", "removed", "renamed", "renamed-away"],
+    )
+    def test_listing_change_rebuilds(self, tmp_path, loaded, searches, edit, ids):
+        write_kb(tmp_path, {"a": "slack one", "b": "slack two"})
+        assert len(ranked(load_kb_dir("kb", tmp_path), "slack")) == 2
+        edit(tmp_path)
+        kb = load_kb_dir("kb", tmp_path)
+        assert kb.ids() == ids
+        assert [doc_id for doc_id, _, _ in ranked(kb, "slack")] == ids
+        assert searches == ["slack", "build"] * 2
+
+    def test_bytes_moved_across_a_file_boundary_never_share(self, tmp_path, loaded, searches):
+        write_kb(tmp_path, {"a": "ab", "b": "c"})
+        assert ranked(load_kb_dir("kb", tmp_path), "ab") == [("a", "ab", math.log(3 / 2) + 1.0)]
+        write_kb(tmp_path, {"a": "a", "b": "bc"})
+        kb = load_kb_dir("kb", tmp_path)
+        assert [kb.get("a").text, kb.get("b").text] == ["a", "bc"]
+        assert ranked(kb, "ab") == []
+        assert searches == ["ab", "build"] * 2
+
+    def test_same_bytes_under_another_name_carry_that_name(self, tmp_path, loaded):
+        write_kb(tmp_path, {"a": "slack"})
+        assert [load_kb_dir(name, tmp_path).name for name in ("one", "two", "one", "two")] == ["one", "two"] * 2
+        assert sorted(loaded) == ["one", "two"]
+
+    def test_file_turned_non_utf8_after_a_cached_load_is_unreadable(self, tmp_path, loaded):
+        write_kb(tmp_path, {"a": "slack", "bad": "fine"})
+        retrieve(load_kb_dir("kb", tmp_path), "slack", k=1)
+        (tmp_path / "bad.txt").write_bytes(b"\xff\xfe")
+        with pytest.raises(KnowledgeError) as exc:
+            load_kb_dir("kb", tmp_path)
+        assert exc.value.code == "KB_UNREADABLE"
+        assert str(tmp_path / "bad.txt") in str(exc.value)
+
+    def test_several_directories_under_one_name_keep_one_entry(self, tmp_path, loaded, searches):
+        dirs = [tmp_path / name for name in ("x", "y", "z")]
+        for i, directory in enumerate(dirs):
+            write_kb(directory, {"a": "slack " * (i + 1)})
+            assert ranked(load_kb_dir("kb", directory), "slack")[0][0] == "a"
+        assert list(loaded) == ["kb"]
+        assert ranked(load_kb_dir("kb", dirs[-1]), "slack")[0][0] == "a"  # the last build is the one kept
+        assert searches == ["slack", "build"] * 3
+
+    def test_concurrent_loads_share_one_build_and_rank_as_the_oracle(self, tmp_path, loaded, searches):
+        docs = {f"d{i}": " ".join(DOC_WORDS[(i * j) % len(DOC_WORDS)] for j in range(i + 3)) for i in range(40)}
+        write_kb(tmp_path, docs)
+        load_kb_dir("kb", tmp_path)  # the build the threads share
+        queries = [" ".join(QUERY_WORDS[i:i + 3]) for i in range(8)]
+        start = threading.Barrier(len(queries))
+        results: dict[str, list] = {}
+
+        def load_and_query(text):
+            start.wait(timeout=10)
+            kb = load_kb_dir("kb", tmp_path)
+            results[text] = [(doc.id, score) for doc, score in retrieve(kb, text, k=5)]
+
+        threads = [threading.Thread(target=load_and_query, args=(text,)) for text in queries]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == {text: tfidf_rank(docs, text, 5) for text in queries}
+        assert searches.count("build") == 1
+        assert sorted(token for token in searches if token != "build") == sorted({token for text in queries for token in tokenize(text)})
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        states=st.lists(
+            st.dictionaries(st.sampled_from("abcd"), st.text(alphabet="ab \n\u0130", max_size=6), max_size=4),
+            min_size=1, max_size=3,
+        ),
+        order=st.lists(st.integers(min_value=0, max_value=2), min_size=1, max_size=6),
+    )
+    def test_reused_retrieval_equals_a_fresh_build(self, states, order):
+        marco.knowledge._LOADED.pop("reuse", None)
+        with tempfile.TemporaryDirectory() as root:
+            directory = Path(root) / "kb"
+            for step in order:
+                files = states[step % len(states)]
+                write_kb(directory, files)
+                kb = load_kb_dir("reuse", directory)
+                fresh = KnowledgeBase("reuse", [Document(stem, files[stem]) for stem in sorted(files)])
+                assert [kb.get(doc_id) for doc_id in kb.ids()] == [fresh.get(doc_id) for doc_id in fresh.ids()]
+                for query in ("a", "b ab", "ba a", "i ab i"):
+                    assert ranked(kb, query) == ranked(fresh, query)
+                assert kb.parsed == {}
+                if len(kb):
+                    kb.parse_once(kb.ids()[0], len)  # kept on this load's knowledge base only
 
 
 def msg(role: str, content: str) -> ChatMessage:
