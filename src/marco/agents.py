@@ -1,11 +1,16 @@
 """Agent runtime: runs one task node as a scripted or live conversation.
 
-Three topologies share one loop. A single role talks to itself turn by turn;
-round-robin rotates speakers over content turns; hierarchical puts a leader
-in charge that must delegate each content turn with a trailing ``NEXT:`` line.
-Tool rounds never advance the rotation: the requesting role speaks again once
-its tool results are in the transcript. Planner nodes may emit a fenced PLAN
-block that becomes a graph expansion request.
+Three topologies share one loop, which keeps the conversation state itself and
+updates it from the reply just received. A single role talks to itself turn by
+turn; round-robin rotates speakers over content turns; hierarchical puts the
+first role in charge as leader, and each of its content turns must end with a
+``NEXT:`` line naming another role. A leader turn without one (no line, the
+leader itself, or an unknown name) is a strike: the first draws a moderator
+reprompt, the second fails the node. Tool rounds never advance the rotation:
+the requesting role speaks again once its tool results are in the transcript.
+After every turn, tool rounds included, the reply just received decides
+whether the node is solved; the turn budget is checked last. Planner nodes may
+emit a fenced PLAN block that becomes a graph expansion request.
 """
 
 from __future__ import annotations
@@ -80,15 +85,6 @@ class AgentConfig:
         if len(names) != len(set(names)):
             raise ValueError("role names must be unique within an agent")
 
-    def leader(self) -> RoleSpec:
-        return self.roles[0]
-
-    def role_named(self, name: str) -> RoleSpec | None:
-        for role in self.roles:
-            if role.name == name:
-                return role
-        return None
-
 
 @dataclass(frozen=True)
 class TranscriptEntry:
@@ -136,81 +132,12 @@ class NodeOutcome:
         }
 
 
-def _content_entries(transcript: list[TranscriptEntry]) -> list[TranscriptEntry]:
-    """Assistant messages that carry no tool calls; these drive rotation."""
-    return [e for e in transcript if e.message.role == "assistant" and not e.message.tool_calls]
-
-
-def _last_assistant(transcript: list[TranscriptEntry]) -> TranscriptEntry | None:
-    for entry in reversed(transcript):
-        if entry.message.role == "assistant":
-            return entry
-    return None
-
-
 def parse_next_directive(content: str) -> str | None:
     """Delegation target from the final non-empty line, or None."""
     for line in reversed(content.rstrip().splitlines()):
         if line.strip():
             match = _NEXT_RE.match(line.strip())
             return match.group(1) if match else None
-    return None
-
-
-def next_speaker(agent: AgentConfig, transcript: list[TranscriptEntry]) -> RoleSpec:
-    """Who produces the next assistant message.
-
-    A pending tool round keeps the floor with the requesting role. Otherwise
-    single always speaks, round-robin advances over content turns, and
-    hierarchical alternates leader and whichever role the leader last named.
-    """
-    last = _last_assistant(transcript)
-    if last is not None and last.message.tool_calls:
-        role = agent.role_named(last.speaker)
-        if role is not None:
-            return role
-
-    if agent.topology == "single":
-        return agent.roles[0]
-
-    content = _content_entries(transcript)
-    if agent.topology == "multi_round_robin":
-        return agent.roles[len(content) % len(agent.roles)]
-
-    leader = agent.leader()
-    if not content:
-        return leader
-    last_content = content[-1]
-    if last_content.speaker != leader.name:
-        return leader
-    target = parse_next_directive(last_content.message.content)
-    if target and target != leader.name:
-        delegate = agent.role_named(target)
-        if delegate is not None:
-            return delegate
-    return leader
-
-
-def check_termination(
-    agent: AgentConfig,
-    node: TaskNode,
-    transcript: list[TranscriptEntry],
-    blackboard: Blackboard,
-    turns_used: int,
-) -> str | None:
-    """Solved beats budget exhaustion when both hold on the same turn."""
-    term = agent.termination
-    last = _last_assistant(transcript)
-    if last is not None:
-        solved = True
-        if term.stop_phrase is not None:
-            solved = term.stop_phrase in last.message.content
-        if solved and term.require_outputs:
-            solved = all(blackboard.has(key) for key in node.outputs)
-        if solved:
-            return "solved"
-    if turns_used >= term.max_turns:
-        return "budget_exhausted"
     return None
 
 
@@ -315,7 +242,7 @@ def _write_artifact_handler(args: dict, context: ToolContext) -> ToolResult:
 
 
 def _retrieve_knowledge_handler(args: dict, context: ToolContext) -> ToolResult:
-    kbs = context.accessible_kbs()
+    kbs = context.knowledge_bases
     name = args["kb"]
     if name not in kbs:
         return error_result(f"knowledge base {name!r} is not accessible from this role")
@@ -427,7 +354,12 @@ def run_node(
         TranscriptEntry(speaker="task", message=ChatMessage(role="user", content=render_task_message(node, blackboard)))
     ]
     written: list[str] = []
+    term = agent.termination
+    leader = agent.roles[0]
+    delegates = {r.name: r for r in agent.roles[1:]}
+    role = leader
     turns = 0
+    content_turns = 0
     strikes = 0
     pending_expansion: ExpansionRequest | None = None
 
@@ -443,7 +375,6 @@ def run_node(
         )
 
     while True:
-        role = next_speaker(agent, transcript)
         backend = backends.get(role.model_ref)
         if backend is None:
             raise EngineError(
@@ -467,17 +398,12 @@ def run_node(
 
         if response.tool_calls:
             allowed = _allowed_tools(role, registry)
+            role_kbs = {ref: knowledge_bases[ref] for ref in role.knowledge_base_refs}
             for call in response.tool_calls:
                 if call.tool_name not in allowed:
                     result = error_result(f"tool {call.tool_name!r} is not available to role {role.name!r}")
                 else:
-                    context = ToolContext(
-                        node_id=node.id,
-                        blackboard=blackboard,
-                        knowledge_bases=dict(knowledge_bases),
-                        kb_refs=role.knowledge_base_refs,
-                        written=written,
-                    )
+                    context = ToolContext(node_id=node.id, blackboard=blackboard, knowledge_bases=role_kbs, written=written)
                     result = registry.invoke_tool(call.tool_name, call.arguments, context)
                 transcript.append(
                     TranscriptEntry(
@@ -496,34 +422,32 @@ def run_node(
                 if node.outputs[0] not in written:
                     written.append(node.outputs[0])
 
-        status = check_termination(agent, node, transcript, blackboard, turns)
-        if status == "solved":
+        if (term.stop_phrase is None or term.stop_phrase in response.content) and (
+            not term.require_outputs or all(blackboard.has(key) for key in node.outputs)
+        ):
             return finish("solved")
 
-        if (
-            agent.topology == "multi_hierarchical"
-            and role.name == agent.leader().name
-            and not response.tool_calls
-        ):
-            target = parse_next_directive(response.content)
-            valid = (
-                target is not None
-                and target != agent.leader().name
-                and agent.role_named(target) is not None
-            )
-            if valid:
-                strikes = 0
-            else:
-                strikes += 1
-                if strikes >= 2:
-                    return finish(
-                        "failed",
-                        "FAILED_DELEGATION: leader produced two consecutive messages without a valid NEXT directive",
+        if not response.tool_calls:  # a tool round keeps the floor
+            content_turns += 1
+            if agent.topology == "multi_round_robin":
+                role = agent.roles[content_turns % len(agent.roles)]
+            elif agent.topology == "multi_hierarchical" and role is not leader:
+                role = leader
+            elif agent.topology == "multi_hierarchical":
+                delegate = delegates.get(parse_next_directive(response.content))
+                if delegate is not None:
+                    role, strikes = delegate, 0
+                else:
+                    strikes += 1
+                    if strikes >= 2:
+                        return finish(
+                            "failed",
+                            "FAILED_DELEGATION: leader produced two consecutive messages without a valid NEXT directive",
+                        )
+                    names = ", ".join(delegates)
+                    transcript.append(
+                        _moderator(f"Your message must end with a line 'NEXT: <role>' naming one of: {names}.")
                     )
-                names = ", ".join(r.name for r in agent.roles[1:])
-                transcript.append(
-                    _moderator(f"Your message must end with a line 'NEXT: <role>' naming one of: {names}.")
-                )
 
-        if status == "budget_exhausted":
-            return finish("budget_exhausted", f"turn budget {agent.termination.max_turns} exhausted")
+        if turns >= term.max_turns:
+            return finish("budget_exhausted", f"turn budget {term.max_turns} exhausted")

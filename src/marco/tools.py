@@ -165,12 +165,11 @@ def validate_args(spec: ToolSpec, args: Mapping[str, Any]) -> tuple[dict | None,
 
 @dataclass
 class ToolContext:
-    """What a handler may touch: the blackboard and bound knowledge bases."""
+    """What a handler may touch: the blackboard and the knowledge bases its role lists."""
 
     node_id: str | None = None
     blackboard: "Blackboard | None" = None
     knowledge_bases: Mapping[str, "KnowledgeBase"] = field(default_factory=dict)
-    kb_refs: tuple[str, ...] = ()
     written: list[str] = field(default_factory=list)
 
     def write(self, key: str, value: Any) -> int:
@@ -180,15 +179,10 @@ class ToolContext:
         self.written.append(key)
         return version
 
-    def accessible_kbs(self) -> dict[str, "KnowledgeBase"]:
-        if self.kb_refs:
-            return {ref: self.knowledge_bases[ref] for ref in self.kb_refs if ref in self.knowledge_bases}
-        return dict(self.knowledge_bases)
-
     def find_document(self, doc_id: str) -> tuple["KnowledgeBase", "Document"]:
         """Resolve a document by id: the first accessible KB in name order
         that holds it, and the document."""
-        for name in sorted(self.accessible_kbs()):
+        for name in sorted(self.knowledge_bases):
             kb = self.knowledge_bases[name]
             doc = kb.get(doc_id)
             if doc is not None:

@@ -152,6 +152,95 @@ def oracle_commit_order(graph: TaskGraph) -> list[str]:
     return order
 
 
+# ---------------------------------------------------------------- conversations
+#
+# A scripted reply is ``(content, keys)``: with keys, one ``write_artifact``
+# call per key (a tool round); without, a content turn. A transcript entry is
+# ``(speaker, kind, content)`` with kind one of task, content, tool_call, tool
+# and moderator.
+
+def oracle_next_directive(content: str) -> str | None:
+    lines = [line.strip() for line in content.split("\n") if line.strip()]
+    if not lines or not lines[-1].startswith("NEXT:"):
+        return None
+    target = lines[-1][len("NEXT:"):].split()
+    return target[0] if len(target) == 1 else None
+
+
+def oracle_next_speaker(topology: str, roles: tuple[str, ...], transcript: list[tuple]) -> str:
+    """Who speaks next, read from the whole transcript: a tool round keeps the
+    floor; otherwise single stays, round-robin counts content turns, and
+    hierarchical returns to the leader unless its last content turn named
+    another role."""
+    replies = [e for e in transcript if e[1] in ("content", "tool_call")]
+    if replies and replies[-1][1] == "tool_call":
+        return replies[-1][0]
+    if topology == "single":
+        return roles[0]
+    content = [e for e in replies if e[1] == "content"]
+    if topology == "multi_round_robin":
+        return roles[len(content) % len(roles)]
+    if not content or content[-1][0] != roles[0]:
+        return roles[0]
+    target = oracle_next_directive(content[-1][2])
+    return target if target in roles[1:] else roles[0]
+
+
+def oracle_termination(
+    transcript: list[tuple], board: set[str], outputs: tuple[str, ...],
+    stop_phrase: str | None, require_outputs: bool, turns: int, max_turns: int,
+) -> str | None:
+    """Solved from the last reply in the transcript and the board, else the budget."""
+    replies = [e for e in transcript if e[1] in ("content", "tool_call")]
+    if (
+        replies
+        and (stop_phrase is None or stop_phrase in replies[-1][2])
+        and (not require_outputs or set(outputs) <= board)
+    ):
+        return "solved"
+    return "budget_exhausted" if turns >= max_turns else None
+
+
+def oracle_conversation(
+    topology: str, roles: tuple[str, ...], scripts: dict[str, list[tuple[str, tuple[str, ...]]]],
+    outputs: tuple[str, ...], stop_phrase: str | None, require_outputs: bool, max_turns: int,
+) -> tuple[str, int, str, list[str]]:
+    """Status, turns used, detail and transcript speakers of a node whose roles
+    reply from ``scripts`` in order; no role may run out of replies."""
+    transcript: list[tuple] = [("task", "task", "")]
+    board: set[str] = set()
+    served = dict.fromkeys(roles, 0)
+    turns = strikes = 0
+    detail = ""
+    while True:
+        speaker = oracle_next_speaker(topology, roles, transcript)
+        content, keys = scripts[speaker][served[speaker]]
+        served[speaker] += 1
+        turns += 1
+        transcript.append((speaker, "tool_call" if keys else "content", content))
+        for key in keys:
+            transcript.append(("tool:write_artifact", "tool", key))
+            if key in outputs:
+                board.add(key)
+        status = oracle_termination(transcript, board, outputs, stop_phrase, require_outputs, turns, max_turns)
+        if status == "solved":
+            break
+        if topology == "multi_hierarchical" and speaker == roles[0] and not keys:
+            if oracle_next_directive(content) in roles[1:]:
+                strikes = 0
+            else:
+                strikes += 1
+                if strikes == 2:
+                    status = "failed"
+                    detail = "FAILED_DELEGATION: leader produced two consecutive messages without a valid NEXT directive"
+                    break
+                transcript.append(("moderator", "moderator", ""))
+        if status == "budget_exhausted":
+            detail = f"turn budget {max_turns} exhausted"
+            break
+    return status, turns, detail, [e[0] for e in transcript]
+
+
 # ---------------------------------------------------------------- reports
 
 def make_stage(

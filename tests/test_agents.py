@@ -13,14 +13,12 @@ except ImportError:  # pragma: no cover - hypothesis is a dev dependency
     st = None
 
 from marco.agents import (
+    TOPOLOGIES,
     AgentConfig,
     NodeOutcome,
     RoleSpec,
     Termination,
-    TranscriptEntry,
     _allowed_tools,
-    check_termination,
-    next_speaker,
     parse_next_directive,
     parse_plan_block,
     register_builtin_tools,
@@ -32,6 +30,7 @@ from marco.gateway import ChatMessage, MockBackend, ScriptMatcher, ToolCallReque
 from marco.graph import ExpansionRequest, TaskEdge, TaskGraph, TaskNode
 from marco.knowledge import Blackboard, Document, KnowledgeBase
 from marco.tools import Param, ParamSchema, ToolRegistry, ToolResult, ToolSpec
+from oracles import oracle_conversation
 
 
 def role(name: str, model_ref: str = "m", **kwargs) -> RoleSpec:
@@ -54,10 +53,6 @@ def graph_of(*nodes: TaskNode, edges=(), mode: str = "static") -> TaskGraph:
 
 def assistant(content: str, tool_calls=()) -> ChatMessage:
     return ChatMessage(role="assistant", content=content, tool_calls=tool_calls)
-
-
-def entry(speaker: str, message: ChatMessage) -> TranscriptEntry:
-    return TranscriptEntry(speaker=speaker, message=message)
 
 
 def scripted(*responses) -> MockBackend:
@@ -135,95 +130,178 @@ def hier_agent(**term) -> AgentConfig:
     )
 
 
+def spoke(outcome: NodeOutcome) -> list[str]:
+    return [e.speaker for e in outcome.transcript if e.message.role == "assistant"]
+
+
+def write_call(key: str = "report", call_id: str = "c1") -> ToolCallRequest:
+    return ToolCallRequest(id=call_id, tool_name="write_artifact", arguments={"key": key, "value": "v"})
+
+
 class TestNextSpeaker:
+    """Who speaks next, read off the speakers of scripted runs."""
+
     def test_single_always_same_role(self):
-        agent = single_agent()
-        transcript = [entry("task", ChatMessage(role="user", content="go"))]
-        assert next_speaker(agent, transcript).name == "solo_role"
-        transcript.append(entry("solo_role", assistant("one")))
-        assert next_speaker(agent, transcript).name == "solo_role"
+        node = task_node()
+        outcome = run_node(
+            node, graph_of(node), single_agent(stop_phrase="NEVER", max_turns=3),
+            {"m": scripted("one", "two", "three")}, builtin_registry(), Blackboard(),
+        )
+        assert spoke(outcome) == ["solo_role"] * 3
 
     def test_round_robin_rotation(self):
-        agent = rr_agent()
-        transcript = [entry("task", ChatMessage(role="user", content="go"))]
-        seen = []
-        for _ in range(5):
-            speaker = next_speaker(agent, transcript)
-            seen.append(speaker.name)
-            transcript.append(entry(speaker.name, assistant("text")))
-        assert seen == ["a", "b", "a", "b", "a"]
+        node = task_node(agent_ref="pair")
+        outcome = run_node(
+            node, graph_of(node), rr_agent(stop_phrase="NEVER", max_turns=5),
+            {"ma": scripted("a1", "a2", "a3"), "mb": scripted("b1", "b2")},
+            builtin_registry(), Blackboard(),
+        )
+        assert outcome.status == "budget_exhausted"
+        assert spoke(outcome) == ["a", "b", "a", "b", "a"]
 
     def test_tool_round_keeps_floor(self):
-        agent = rr_agent()
-        call = ToolCallRequest(id="c1", tool_name="write_artifact", arguments={})
-        transcript = [
-            entry("task", ChatMessage(role="user", content="go")),
-            entry("a", assistant("first")),
-            entry("b", assistant("", tool_calls=(call,))),
-        ]
-        assert next_speaker(agent, transcript).name == "b"
-        transcript.append(
-            entry("tool:write_artifact", ChatMessage(role="tool", content="ok", tool_call_id="c1"))
+        node = task_node(agent_ref="pair", outputs=("report",))
+        outcome = run_node(
+            node, graph_of(node), rr_agent(stop_phrase="DONE", max_turns=9),
+            {"ma": scripted("first", "a closes DONE"), "mb": scripted(assistant("", tool_calls=(write_call(),)), "b")},
+            builtin_registry(), Blackboard({"n1": ["report"]}),
         )
-        assert next_speaker(agent, transcript).name == "b"
+        assert outcome.status == "solved"
+        assert [e.speaker for e in outcome.transcript] == ["task", "a", "b", "tool:write_artifact", "b", "a"]
 
     def test_hierarchical_alternation(self):
-        agent = hier_agent()
-        transcript = [entry("task", ChatMessage(role="user", content="go"))]
-        assert next_speaker(agent, transcript).name == "lead"
-        transcript.append(entry("lead", assistant("look here\nNEXT: tracer")))
-        assert next_speaker(agent, transcript).name == "tracer"
-        transcript.append(entry("tracer", assistant("traced")))
-        assert next_speaker(agent, transcript).name == "lead"
+        node = task_node(agent_ref="crew")
+        outcome = run_node(
+            node, graph_of(node), hier_agent(stop_phrase="DONE", max_turns=9),
+            {"ml": scripted("look\nNEXT: tracer", "again\nNEXT: tracer", "DONE"), "mt": scripted("t1", "t2")},
+            builtin_registry(), Blackboard(),
+        )
+        assert outcome.status == "solved"
+        assert [e.speaker for e in outcome.transcript] == ["task", "lead", "tracer", "lead", "tracer", "lead"]
 
     def test_hierarchical_invalid_target_keeps_leader(self):
-        agent = hier_agent()
-        base = [entry("task", ChatMessage(role="user", content="go"))]
+        node = task_node(agent_ref="crew")
         for content in ("no directive", "NEXT: lead", "NEXT: ghost"):
-            transcript = base + [entry("lead", assistant(content))]
-            assert next_speaker(agent, transcript).name == "lead"
+            outcome = run_node(
+                node, graph_of(node), hier_agent(stop_phrase="DONE", max_turns=9),
+                {"ml": scripted(content, "fixed\nNEXT: tracer"), "mt": scripted("traced DONE")},
+                builtin_registry(), Blackboard(),
+            )
+            assert outcome.status == "solved"
+            assert [e.speaker for e in outcome.transcript] == ["task", "lead", "moderator", "lead", "tracer"]
 
 
 class TestCheckTermination:
+    """When a scripted run stops, and with which status."""
+
     def test_any_reply_solves_without_conditions(self):
-        agent = single_agent()
-        transcript = [entry("solo_role", assistant("whatever"))]
-        assert check_termination(agent, task_node(), transcript, Blackboard(), 1) == "solved"
+        node = task_node(outputs=("report",))
+        for reply in ("whatever", assistant("", tool_calls=(write_call("stray"),))):
+            outcome = run_node(
+                node, graph_of(node), single_agent(max_turns=5),
+                {"m": scripted(reply)}, builtin_registry(), Blackboard({"n1": ["report"]}),
+            )
+            assert (outcome.status, outcome.turns_used) == ("solved", 1)
 
     def test_stop_phrase_required(self):
-        agent = single_agent(stop_phrase="SOLVED", max_turns=7)
         node = task_node()
-        missing = [entry("solo_role", assistant("still working"))]
-        assert check_termination(agent, node, missing, Blackboard(), 1) is None
-        present = [entry("solo_role", assistant("all SOLVED now"))]
-        assert check_termination(agent, node, present, Blackboard(), 1) == "solved"
+        outcome = run_node(
+            node, graph_of(node), single_agent(stop_phrase="SOLVED", max_turns=7),
+            {"m": scripted("still working", "all SOLVED now")}, builtin_registry(), Blackboard(),
+        )
+        assert (outcome.status, outcome.turns_used) == ("solved", 2)
 
     def test_stop_phrase_and_outputs_conjunction(self):
-        agent = single_agent(stop_phrase="SOLVED", require_outputs=True, max_turns=7)
+        """The reply just received must hold the phrase when the outputs are
+        on the board: a phrase sent before the write does not count."""
         node = task_node(outputs=("report",))
-        transcript = [entry("solo_role", assistant("SOLVED"))]
-        board = Blackboard()
-        assert check_termination(agent, node, transcript, board, 1) is None
-        board.seed("report", "text")
-        assert check_termination(agent, node, transcript, board, 1) == "solved"
+        agent = single_agent(stop_phrase="SOLVED", require_outputs=True, max_turns=7)
+        late = run_node(
+            node, graph_of(node), agent,
+            {"m": scripted("SOLVED", assistant("", tool_calls=(write_call(),)), "SOLVED")},
+            builtin_registry(), Blackboard({"n1": ["report"]}),
+        )
+        assert (late.status, late.turns_used) == ("solved", 3)
+        with_write = run_node(
+            node, graph_of(node), agent,
+            {"m": scripted("SOLVED", assistant("SOLVED", tool_calls=(write_call(),)))},
+            builtin_registry(), Blackboard({"n1": ["report"]}),
+        )
+        assert (with_write.status, with_write.turns_used) == ("solved", 2)
 
     def test_budget_boundary(self):
+        node = task_node()
         agent = single_agent(stop_phrase="NEVER", max_turns=7)
-        transcript = [entry("solo_role", assistant("working"))]
-        board = Blackboard()
-        assert check_termination(agent, task_node(), transcript, board, 6) is None
-        assert check_termination(agent, task_node(), transcript, board, 7) == "budget_exhausted"
-        assert check_termination(agent, task_node(), transcript, board, 8) == "budget_exhausted"
+        with pytest.raises(EngineError) as exc:  # at max_turns - 1 the loop asks for one more reply
+            run_node(node, graph_of(node), agent, {"m": scripted(*["working"] * 6)}, builtin_registry(), Blackboard())
+        assert exc.value.code == "BACKEND_ERROR" and "turn 6" in str(exc.value)
+        outcome = run_node(
+            node, graph_of(node), agent, {"m": scripted(*["working"] * 8)}, builtin_registry(), Blackboard()
+        )
+        assert (outcome.status, outcome.turns_used) == ("budget_exhausted", 7)
+        assert outcome.detail == "turn budget 7 exhausted"
 
     def test_solved_beats_budget_on_same_turn(self):
-        agent = single_agent(stop_phrase="SOLVED", max_turns=3)
-        transcript = [entry("solo_role", assistant("SOLVED"))]
-        assert check_termination(agent, task_node(), transcript, Blackboard(), 3) == "solved"
+        node = task_node()
+        outcome = run_node(
+            node, graph_of(node), single_agent(stop_phrase="SOLVED", max_turns=3),
+            {"m": scripted("one", "two", "SOLVED")}, builtin_registry(), Blackboard(),
+        )
+        assert (outcome.status, outcome.turns_used, outcome.detail) == ("solved", 3, "")
 
     def test_no_assistant_yet(self):
-        agent = single_agent()
-        transcript = [entry("task", ChatMessage(role="user", content="go"))]
-        assert check_termination(agent, task_node(), transcript, Blackboard(), 0) is None
+        """Nothing ends a node before its first reply."""
+        node = task_node()
+        outcome = run_node(
+            node, graph_of(node), single_agent(stop_phrase="NEVER", max_turns=1),
+            {"m": scripted("only")}, builtin_registry(), Blackboard(),
+        )
+        assert (outcome.status, outcome.turns_used) == ("budget_exhausted", 1)
+        assert spoke(outcome) == ["solo_role"]
+
+
+if st is not None:
+    _REPLY = st.builds(
+        lambda body, directive, keys: ("\n".join(part for part in (body, directive) if part), tuple(keys)),
+        st.sampled_from(["", "working", "checking slack", "DONE"]),
+        st.sampled_from([None, "NEXT: tracer", "NEXT:checker", "NEXT: lead", "NEXT: ghost", "NEXT: two words"]),
+        st.just([]) | st.lists(st.sampled_from(["report", "notes", "stray"]), min_size=1, max_size=2),
+    )
+
+    @st.composite
+    def _conversations(draw):
+        topology = draw(st.sampled_from(TOPOLOGIES))
+        roles = ("solo",) if topology == "single" else ("lead", "tracer", "checker")[: draw(st.integers(2, 3))]
+        max_turns = draw(st.integers(1, 8))
+        scripts = {name: draw(st.lists(_REPLY, min_size=max_turns, max_size=max_turns)) for name in roles}
+        return topology, roles, scripts, draw(st.sampled_from(["DONE", "DONE", None])), draw(st.booleans()), max_turns
+
+    class TestConversationMatchesModel:
+        """``run_node`` against the speaker, strike and termination rules
+        applied to the whole transcript (``oracles.oracle_conversation``)."""
+
+        @settings(max_examples=300, deadline=None)
+        @given(conversation=_conversations())
+        def test_outcome_matches_reference_model(self, conversation):
+            topology, roles, scripts, stop_phrase, require_outputs, max_turns = conversation
+            outputs = ("report", "notes")
+            agent = AgentConfig(
+                name="crew",
+                topology=topology,
+                roles=tuple(role(name, model_ref=f"m_{name}") for name in roles),
+                termination=Termination(max_turns=max_turns, stop_phrase=stop_phrase, require_outputs=require_outputs),
+            )
+            backends = {
+                f"m_{name}": scripted(*(
+                    assistant(content, tool_calls=tuple(write_call(key, f"c{i}") for i, key in enumerate(keys)))
+                    for content, keys in scripts[name]
+                ))
+                for name in roles
+            }
+            node = task_node(agent_ref="crew", outputs=outputs)
+            outcome = run_node(node, graph_of(node), agent, backends, builtin_registry(), Blackboard({"n1": list(outputs)}))
+            got = (outcome.status, outcome.turns_used, outcome.detail, [e.speaker for e in outcome.transcript])
+            assert got == oracle_conversation(topology, roles, scripts, outputs, stop_phrase, require_outputs, max_turns)
 
 
 class TestTaskMessage:

@@ -3,6 +3,7 @@
 import collections
 import dataclasses
 import enum
+import hashlib
 import http.server
 import json
 import shutil
@@ -36,6 +37,7 @@ from marco.errors import EngineError, GraphError
 from marco.gateway import ChatMessage, CompletionRequest, HttpBackend, MockBackend, ReplayBackend, ToolCallRequest
 
 BUNDLED = Path(marco.__file__).resolve().parent / "data" / "configs"
+EXPECTED_DIGESTS = Path(__file__).resolve().parents[1] / "bench" / "expected_digests.json"
 
 ALWAYS_TWO = [
     {
@@ -714,6 +716,18 @@ class TestBundledRuns:
         trace = run_baseline(config, backend_override="baseline_mock", deterministic=True)
         assert trace.status == "completed"
         assert len(trace.outcomes) == 1
+
+    @pytest.mark.parametrize("key", ["timing_debug", "mcmm", "baseline"])
+    def test_trace_matches_committed_digest(self, key):
+        """The deterministic trace of each bundled run hashes to the digest
+        the benchmark checks (``bench/expected_digests.json``)."""
+        if key == "baseline":
+            config = load_config(BUNDLED / "timing_debug.json")
+            trace = run_baseline(config, backend_override="baseline_mock", deterministic=True)
+        else:
+            trace = run(load_config(BUNDLED / f"{key}.json"), deterministic=True)
+        expected = json.loads(EXPECTED_DIGESTS.read_text(encoding="utf-8"))["bundled"][key]
+        assert hashlib.sha256(trace.render().encode("utf-8")).hexdigest() == expected
 
     def test_mcmm_run_expands_once(self):
         config = load_config(BUNDLED / "mcmm.json")

@@ -272,14 +272,33 @@ class TestContext:
         assert context.written == ["k"]
 
     def test_kb_scoping(self):
-        from marco.knowledge import Document, KnowledgeBase
+        """A tool call sees only the knowledge bases its role lists in
+        ``knowledge_base_refs``; a role that lists none sees none."""
+        from marco.agents import AgentConfig, RoleSpec, register_builtin_tools, run_node
+        from marco.gateway import ChatMessage, MockBackend, ScriptMatcher, ToolCallRequest
+        from marco.graph import TaskGraph, TaskNode
+        from marco.knowledge import Blackboard, Document, KnowledgeBase
 
-        kb_a = KnowledgeBase("a", [Document("d1", "alpha")])
-        kb_b = KnowledgeBase("b", [Document("d2", "beta")])
-        context = ToolContext(knowledge_bases={"a": kb_a, "b": kb_b}, kb_refs=("b",))
-        assert set(context.accessible_kbs()) == {"b"}
-        unscoped = ToolContext(knowledge_bases={"a": kb_a, "b": kb_b})
-        assert set(unscoped.accessible_kbs()) == {"a", "b"}
+        spec, handler = HANDLER_CATALOG["eda.find_missing_clock_edges"]
+        registry = ToolRegistry()
+        register_builtin_tools(registry)
+        registry.register_tool(spec, handler)
+        node = TaskNode(id="n1", title="t", goal="g", agent_ref="solo")
+        call = ToolCallRequest(id="c1", tool_name=spec.name, arguments={"report": "r"})
+        kbs = {"notes": KnowledgeBase("notes"), "timing_reports": KnowledgeBase("timing_reports", [Document("r", REPORT)])}
+        results = {}
+        for refs in ((), ("notes",), ("timing_reports",)):
+            backend = MockBackend()
+            backend.register_script(ScriptMatcher(kind="always"), [ChatMessage(role="assistant", content="", tool_calls=(call,))])
+            role = RoleSpec(name="solo_role", model_ref="m", tool_names=(spec.name,), knowledge_base_refs=refs)
+            outcome = run_node(
+                node, TaskGraph(nodes=(node,), edges=()), AgentConfig(name="solo", roles=(role,)),
+                {"m": backend}, registry, Blackboard(), kbs,
+            )
+            results[refs] = outcome.transcript[2].meta["ok"], outcome.transcript[2].message.content
+        not_found = (False, "ERROR: find_missing_clock_edges failed: \"document 'r' not found in any accessible knowledge base\"")
+        assert results[()] == results[("notes",)] == not_found
+        assert results[("timing_reports",)][0] is True
 
     def test_get_document_across_kbs(self):
         from marco.knowledge import Document, KnowledgeBase
