@@ -258,48 +258,46 @@ def _retrieve_knowledge_handler(args: dict, context: ToolContext) -> ToolResult:
 
 
 def register_builtin_tools(registry: ToolRegistry) -> None:
-    """Install the implicit tools every run exposes.
+    """Install the implicit tools every run exposes into a fresh registry.
 
     ``write_artifact`` is available to all roles; ``retrieve_knowledge`` only
     to roles with bound knowledge bases.
     """
-    if WRITE_TOOL not in registry:
-        registry.register_tool(
-            ToolSpec(
-                name=WRITE_TOOL,
-                description="Store a text artifact on the shared blackboard under a declared output key.",
-                params=ParamSchema(
-                    (
-                        Param("key", "string", doc="Declared output key to write."),
-                        Param("value", "string", doc="Artifact text, stored verbatim."),
-                    )
-                ),
+    registry.register_tool(
+        ToolSpec(
+            name=WRITE_TOOL,
+            description="Store a text artifact on the shared blackboard under a declared output key.",
+            params=ParamSchema(
+                (
+                    Param("key", "string", doc="Declared output key to write."),
+                    Param("value", "string", doc="Artifact text, stored verbatim."),
+                )
             ),
-            _write_artifact_handler,
-        )
-    if RETRIEVE_TOOL not in registry:
-        registry.register_tool(
-            ToolSpec(
-                name=RETRIEVE_TOOL,
-                description="Search a bound knowledge base; returns the top matching documents.",
-                params=ParamSchema(
-                    (
-                        Param("kb", "string", doc="Name of a knowledge base bound to this role."),
-                        Param("query", "string", doc="Search terms."),
-                        Param("k", "integer", required=False, doc="How many documents (default 5)."),
-                    )
-                ),
+        ),
+        _write_artifact_handler,
+    )
+    registry.register_tool(
+        ToolSpec(
+            name=RETRIEVE_TOOL,
+            description="Search a bound knowledge base; returns the top matching documents.",
+            params=ParamSchema(
+                (
+                    Param("kb", "string", doc="Name of a knowledge base bound to this role."),
+                    Param("query", "string", doc="Search terms."),
+                    Param("k", "integer", required=False, doc="How many documents (default 5)."),
+                )
             ),
-            _retrieve_knowledge_handler,
-        )
+        ),
+        _retrieve_knowledge_handler,
+    )
 
 
-def _allowed_tools(role: RoleSpec, registry: ToolRegistry) -> list[str]:
+def _allowed_tools(role: RoleSpec) -> list[str]:
     names = set(role.tool_names)
     names.add(WRITE_TOOL)
     if role.knowledge_base_refs:
         names.add(RETRIEVE_TOOL)
-    return sorted(n for n in names if n in registry)
+    return sorted(names)
 
 
 def _build_request(role: RoleSpec, transcript: list[TranscriptEntry], registry: ToolRegistry) -> CompletionRequest:
@@ -307,7 +305,7 @@ def _build_request(role: RoleSpec, transcript: list[TranscriptEntry], registry: 
     messages.extend(entry.message for entry in transcript)
     if role.memory is not None:
         messages = apply_window(messages, role.memory)
-    specs = tuple(registry.lookup(name).summary() for name in _allowed_tools(role, registry))
+    specs = tuple(registry.lookup(name).summary() for name in _allowed_tools(role))
     return CompletionRequest(model_ref=role.model_ref, messages=tuple(messages), tool_specs=specs)
 
 
@@ -347,7 +345,9 @@ def run_node(
     """Run one node's conversation to an outcome.
 
     Backend failures and missing declared inputs abort by raising; everything
-    an agent or tool does wrong is contained in the outcome instead.
+    an agent or tool does wrong is contained in the outcome instead. Every
+    role's ``model_ref`` and tools must be in ``backends`` and ``registry``,
+    as they are for a config ``load_config`` accepted.
     """
     knowledge_bases = knowledge_bases or {}
     transcript: list[TranscriptEntry] = [
@@ -375,17 +375,9 @@ def run_node(
         )
 
     while True:
-        backend = backends.get(role.model_ref)
-        if backend is None:
-            raise EngineError(
-                "BACKEND_ERROR",
-                f"no backend bound for model_ref {role.model_ref!r}",
-                node_id=node.id,
-                turn=turns,
-            )
         request = _build_request(role, transcript, registry)
         try:
-            response = backend.complete(request)
+            response = backends[role.model_ref].complete(request)
         except GatewayError as exc:
             raise EngineError(
                 "BACKEND_ERROR",
@@ -397,7 +389,7 @@ def run_node(
         transcript.append(TranscriptEntry(speaker=role.name, message=response))
 
         if response.tool_calls:
-            allowed = _allowed_tools(role, registry)
+            allowed = _allowed_tools(role)
             role_kbs = {ref: knowledge_bases[ref] for ref in role.knowledge_base_refs}
             for call in response.tool_calls:
                 if call.tool_name not in allowed:

@@ -8,19 +8,19 @@ once, not just the first. Relative paths resolve against the config file.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Mapping
 
-from .agents import AgentConfig, RETRIEVE_TOOL, RoleSpec, Termination, WRITE_TOOL
+from .agents import AgentConfig, RoleSpec, Termination, register_builtin_tools
 from .eda.toolpack import HANDLER_CATALOG
-from .errors import ConfigError
+from .errors import ConfigError, ToolError
 from .gateway import HTTP_SCHEMES, Script, canonical_json, read_json, read_script_file
 from .graph import TaskGraph, unproduced_inputs, validate_graph
 from .knowledge import MemoryWindow
+from .tools import ToolRegistry
 
 BACKEND_KINDS = ("mock", "http", "replay")
-BUILTIN_TOOLS = (WRITE_TOOL, RETRIEVE_TOOL)
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,7 @@ class RunConfig:
     agents: Mapping[str, AgentConfig]
     backends: Mapping[str, BackendDef]
     knowledge_bases: Mapping[str, Path]
-    tool_bindings: Mapping[str, str]
+    tools: ToolRegistry  # the built-in tools and the bound ones; read-only after load
     seeds: Mapping[str, Any]
     max_node_executions: int
 
@@ -60,7 +60,8 @@ _KINDS = {
     "texts": (lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v), "a list of strings"),
     "flag": (lambda v: isinstance(v, bool), "true or false"),
     "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
-    "seconds": (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool) and v > 0, "a positive number"),
+    "seconds": (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool) and 0 < v <= 1e9,
+                "a positive number of at most 1e9"),
     "object": (lambda v: isinstance(v, dict), "a JSON object"),
     "list": (lambda v: isinstance(v, list), "a list"),
 }
@@ -244,12 +245,18 @@ def load_config(path: str | Path) -> RunConfig:
             problems.append(f"knowledge_bases.{name}: directory {str(kb_dir)!r} does not exist")
         knowledge_bases[name] = kb_dir
 
-    tool_bindings: dict[str, str] = dict(_object("tool_bindings", raw.get("tool_bindings"), problems))
-    for tool_name, handler_ref in tool_bindings.items():
+    tools = ToolRegistry()
+    register_builtin_tools(tools)
+    for tool_name, handler_ref in _object("tool_bindings", raw.get("tool_bindings"), problems).items():
         if not isinstance(handler_ref, str) or handler_ref not in HANDLER_CATALOG:
             problems.append(f"tool_bindings.{tool_name}: unknown handler ref {handler_ref!r}")
+            continue
+        spec, handler = HANDLER_CATALOG[handler_ref]
+        try:
+            tools.register_tool(replace(spec, name=tool_name), handler)
+        except (ToolError, ValueError) as exc:
+            problems.append(f"tool_bindings.{tool_name}: {exc}")
 
-    known_tools = set(tool_bindings) | set(BUILTIN_TOOLS)
     for node in graph.nodes:
         if node.agent_ref not in agents:
             problems.append(f"graph node {node.id}: unknown agent {node.agent_ref!r}")
@@ -258,7 +265,7 @@ def load_config(path: str | Path) -> RunConfig:
             if role.model_ref not in backends:
                 problems.append(f"agents.{name}.{role.name}: model_ref {role.model_ref!r} names no backend")
             for tool_name in role.tool_names:
-                if tool_name not in known_tools:
+                if tool_name not in tools:
                     problems.append(f"agents.{name}.{role.name}: unknown tool {tool_name!r}")
             for kb_ref in role.knowledge_base_refs:
                 if kb_ref not in knowledge_bases:
@@ -293,7 +300,7 @@ def load_config(path: str | Path) -> RunConfig:
         agents=agents,
         backends=backends,
         knowledge_bases=knowledge_bases,
-        tool_bindings=tool_bindings,
+        tools=tools,
         seeds=seeds,
         max_node_executions=max_exec,
     )

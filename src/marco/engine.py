@@ -18,14 +18,12 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Mapping, TextIO
 
-from .agents import NodeOutcome, register_builtin_tools, run_node
+from .agents import NodeOutcome, run_node
 from .config import RunConfig
-from .eda.toolpack import HANDLER_CATALOG
 from .errors import EngineError
 from .gateway import Backend, HttpBackend, MockBackend, ReplayBackend
 from .graph import Schedule, TaskGraph, TaskNode, apply_expansion, execution_order, ready_frontier
 from .knowledge import Blackboard, BlackboardStage, load_kb_dir
-from .tools import ToolRegistry
 
 TRACE_STATUSES = ("completed", "aborted")
 MAX_AHEAD = 8  # nodes running ahead of the head on worker threads at once
@@ -196,43 +194,30 @@ def _render_json(value: Any) -> str:
 
 
 def build_backends(config: RunConfig, override: str | None = None) -> dict[str, Backend]:
-    """Instantiate every configured backend; override maps all names to one."""
+    """Instantiate every configured backend, each replay after its inner one;
+    override maps all names to one."""
     built: dict[str, Backend] = {}
-    for name in config.backends:
-        chain: list[str] = []  # name, then its replay inners not built yet
-        link = name
-        while link is not None and link not in built:
-            if link in chain:
-                raise EngineError("BACKEND_CYCLE", f"replay inner chain {' -> '.join([*chain, link])} is circular")
-            if link not in config.backends:
-                raise EngineError("UNKNOWN_BACKEND", f"inner backend {link!r} names no configured backend")
-            chain.append(link)
-            bdef = config.backends[link]
-            link = bdef.inner if bdef.kind == "replay" else None
-        for link in reversed(chain):
-            bdef = config.backends[link]
+
+    def build(name: str) -> Backend:
+        if name not in built:
+            bdef = config.backends[name]
             if bdef.kind == "mock":
-                built[link] = MockBackend(bdef.scripts)
+                built[name] = MockBackend(bdef.scripts)
             elif bdef.kind == "http":
-                built[link] = HttpBackend(base_url=bdef.base_url, timeout=bdef.timeout)
+                built[name] = HttpBackend(base_url=bdef.base_url, timeout=bdef.timeout)
             else:
-                inner = built[bdef.inner] if bdef.inner is not None else None
-                built[link] = ReplayBackend(bdef.cache_dir, inner=inner, record=bdef.record)
+                inner = build(bdef.inner) if bdef.inner is not None else None
+                built[name] = ReplayBackend(bdef.cache_dir, inner=inner, record=bdef.record)
+        return built[name]
+
+    for name in config.backends:
+        build(name)
     if override is not None:
         if override not in built:
             raise EngineError("UNKNOWN_BACKEND", f"backend override {override!r} names no configured backend")
         chosen = built[override]
         return {name: chosen for name in built}
     return built
-
-
-def build_registry(config: RunConfig) -> ToolRegistry:
-    registry = ToolRegistry()
-    register_builtin_tools(registry)
-    for tool_name in sorted(config.tool_bindings):
-        spec, handler = HANDLER_CATALOG[config.tool_bindings[tool_name]]
-        registry.register_tool(dataclasses.replace(spec, name=tool_name), handler)
-    return registry
 
 
 def _seed_blackboard(config: RunConfig, graph: TaskGraph) -> Blackboard:
@@ -273,7 +258,6 @@ def _execute(config: RunConfig, backend_override: str | None, deterministic: boo
         graph_initial=graph.to_dict(),
         meta={"deterministic": bool(deterministic), **meta},
     )
-    registry = build_registry(config)
     knowledge_bases = {name: load_kb_dir(name, kb_dir) for name, kb_dir in config.knowledge_bases.items()}
     blackboard = _seed_blackboard(config, graph)
     agent_names = tuple(config.agents)
@@ -281,7 +265,7 @@ def _execute(config: RunConfig, backend_override: str | None, deterministic: boo
     waiting_agents = {
         name
         for name, agent in config.agents.items()
-        if all(role.model_ref in backends and backends[role.model_ref].waits for role in agent.roles)
+        if all(backends[role.model_ref].waits for role in agent.roles)
     }
     nodes = {node.id: node for node in graph.nodes}
     done: set[str] = set()
@@ -299,7 +283,7 @@ def _execute(config: RunConfig, backend_override: str | None, deterministic: boo
                 graph,
                 config.agents[node.agent_ref],
                 backends,
-                registry,
+                config.tools,
                 stage,
                 knowledge_bases=knowledge_bases,
                 agent_names=agent_names,

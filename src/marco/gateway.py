@@ -211,7 +211,7 @@ class ScriptMatcher:
         if self.kind == "turn_index":
             try:
                 int(self.value)
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 raise ValueError(f"turn_index matcher needs an integer value, got {self.value!r}") from None
 
     def matches(self, req: CompletionRequest) -> bool:

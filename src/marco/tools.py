@@ -19,7 +19,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 PARAM_KINDS = ("string", "integer", "number", "boolean", "string_list")
 
-_NAME_RE = re.compile(r"^[a-z0-9_]+$")
+_NAME_RE = re.compile(r"[a-z0-9_]+")
 
 
 @dataclass(frozen=True)
@@ -57,7 +57,7 @@ class ToolSpec:
     params: ParamSchema = field(default_factory=ParamSchema)
 
     def __post_init__(self) -> None:
-        if not _NAME_RE.match(self.name):
+        if not _NAME_RE.fullmatch(self.name):
             raise ValueError(f"tool name {self.name!r} must match [a-z0-9_]+")
 
     def summary(self) -> dict:
@@ -78,9 +78,6 @@ class ToolResult:
     def __post_init__(self) -> None:
         if not self.ok and not self.content.startswith("ERROR:"):
             raise ValueError("failed results must render as 'ERROR: ...'")
-
-    def to_dict(self) -> dict:
-        return {"ok": self.ok, "content": self.content, "data": self.data}
 
 
 def error_result(message: str) -> ToolResult:
@@ -197,7 +194,7 @@ Handler = Callable[[dict, ToolContext], ToolResult]
 
 
 class ToolRegistry:
-    """Name-keyed tool store; immutable once the run starts."""
+    """Name-keyed tool store; read-only once load_config has built it."""
 
     def __init__(self) -> None:
         self._tools: dict[str, tuple[ToolSpec, Handler]] = {}

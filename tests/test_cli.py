@@ -123,8 +123,21 @@ class TestValidate:
         assert out == ""
         assert err == (
             "invalid: graph.nodes[0].inputs: must be a list of strings, got str\n"
-            "invalid: backends.live.timeout: must be a positive number, got str\n"
+            "invalid: backends.live.timeout: must be a positive number of at most 1e9, got str\n"
         )
+
+    @pytest.mark.parametrize("name", ["write_artifact", "Bad-Name"])
+    def test_binding_that_cannot_be_registered(self, capsys, tmp_path, name):
+        shutil.copytree(BUNDLED.parent, tmp_path / "data")
+        config_path = tmp_path / "data" / "configs" / "timing_debug.json"
+        payload = json.loads(config_path.read_text(encoding="utf-8"))
+        payload["tool_bindings"][name] = "eda.find_rc_mismatch_pairs"
+        config_path.write_text(json.dumps(payload), encoding="utf-8")
+        code, out, err = run_cli(capsys, "validate", str(config_path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"invalid: tool_bindings.{name}: ")
+        assert len(err.splitlines()) == 1
 
     def test_knowledge_edge_against_execution_order(self, capsys, tmp_path):
         shutil.copytree(BUNDLED.parent, tmp_path / "data")

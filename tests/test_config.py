@@ -211,6 +211,14 @@ class TestValidationProblems:
             f"backends.mock: script file {str(script)!r} must hold a JSON list, got dict"
         ]
 
+    def test_turn_index_too_large_for_an_integer(self, workdir):
+        (workdir / "script.json").write_text(
+            '[{"matcher": {"kind": "turn_index", "value": 1e400}, "responses": [{"content": "x"}]}]', encoding="utf-8"
+        )
+        assert problems_of(workdir, base_payload()) == [
+            "backends.mock: script entry 0: turn_index matcher needs an integer value, got inf"
+        ]
+
     def test_replay_needs_cache_dir_and_known_inner(self, workdir):
         payload = base_payload()
         payload["backends"]["rep"] = {"kind": "replay"}
@@ -248,7 +256,22 @@ class TestValidationProblems:
         payload = base_payload()
         payload["tool_bindings"] = {"find_rc_mismatch_pairs": "eda.find_rc_mismatch_pairs"}
         config = load_config(write_config(workdir, payload))
-        assert config.tool_bindings == {"find_rc_mismatch_pairs": "eda.find_rc_mismatch_pairs"}
+        assert [spec.name for spec in config.tools.list_tools()] == [
+            "find_rc_mismatch_pairs", "retrieve_knowledge", "write_artifact"
+        ]
+
+    @pytest.mark.parametrize(
+        "name, reason",
+        [
+            ("write_artifact", "DUPLICATE_TOOL: tool 'write_artifact' already registered"),
+            ("Bad-Name", "tool name 'Bad-Name' must match [a-z0-9_]+"),
+            ("probe\n", "tool name 'probe\\n' must match [a-z0-9_]+"),
+        ],
+    )
+    def test_binding_that_cannot_be_registered(self, workdir, name, reason):
+        payload = base_payload()
+        payload["tool_bindings"] = {name: "eda.find_rc_mismatch_pairs"}
+        assert problems_of(workdir, payload) == [f"tool_bindings.{name}: {reason}"]
 
     def test_node_with_unknown_agent(self, workdir):
         payload = base_payload()
@@ -332,7 +355,20 @@ class TestMalformedSections:
     def test_http_timeout_not_a_number(self, workdir):
         payload = base_payload()
         payload["backends"]["live"] = {"kind": "http", "timeout": "fast"}
-        assert problems_of(workdir, payload) == ["backends.live.timeout: must be a positive number, got str"]
+        assert problems_of(workdir, payload) == [
+            "backends.live.timeout: must be a positive number of at most 1e9, got str"
+        ]
+
+    @pytest.mark.parametrize("raw", ["1e400", "1e12"])
+    def test_http_timeout_too_large(self, workdir, raw):
+        """A timeout the socket layer cannot take is a problem, not an overflow at run time."""
+        payload = base_payload()
+        payload["backends"]["live"] = {"kind": "http", "base_url": "http://127.0.0.1:9", "timeout": "TIMEOUT"}
+        path = workdir / "run.json"
+        path.write_text(json.dumps(payload).replace('"TIMEOUT"', raw), encoding="utf-8")
+        with pytest.raises(ConfigError) as exc:
+            load_config(path)
+        assert exc.value.problems == ["backends.live.timeout: must be a positive number of at most 1e9, got float"]
 
     @pytest.mark.parametrize("base_url", ["file:///etc", "ftp://example.com", "example.com:8000"])
     def test_http_base_url_not_http(self, workdir, base_url):

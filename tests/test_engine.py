@@ -23,12 +23,11 @@ import marco
 import marco.eda.toolpack
 import marco.engine
 import marco.knowledge
-from marco.config import BackendDef, load_config
+from marco.config import load_config
 from marco.engine import (
     TraceDocument,
     _render_json,
     build_backends,
-    build_registry,
     collapse_graph,
     run,
     run_baseline,
@@ -375,30 +374,13 @@ class TestBuildBackends:
         assert built["outer"].inner is built["middle"]
         assert built["middle"].inner is built["mock"]
 
-    def test_circular_replay_chain_is_a_coded_error(self, tmp_path):
-        config = load_payload(tmp_path, chain_payload(), ALWAYS_TWO)
-        backends = dict(config.backends)
-        backends["r1"] = BackendDef(name="r1", kind="replay", cache_dir=tmp_path / "c1", inner="r2")
-        backends["r2"] = BackendDef(name="r2", kind="replay", cache_dir=tmp_path / "c2", inner="r1")
-        with pytest.raises(EngineError) as exc:
-            build_backends(dataclasses.replace(config, backends=backends))
-        assert exc.value.code == "BACKEND_CYCLE"
-        assert "r1 -> r2 -> r1" in str(exc.value)
-
-    def test_unknown_replay_inner_is_a_coded_error(self, tmp_path):
-        config = load_payload(tmp_path, chain_payload(), ALWAYS_TWO)
-        backends = {**config.backends, "rep": BackendDef(name="rep", kind="replay", cache_dir=tmp_path, inner="ghost")}
-        with pytest.raises(EngineError) as exc:
-            build_backends(dataclasses.replace(config, backends=backends))
-        assert exc.value.code == "UNKNOWN_BACKEND"
-
 
 class TestBuildRegistry:
     def test_builtins_plus_bindings(self, tmp_path):
         payload = chain_payload()
         payload["tool_bindings"] = {"rc_probe": "eda.find_rc_mismatch_pairs"}
         config = load_payload(tmp_path, payload, ALWAYS_TWO)
-        registry = build_registry(config)
+        registry = config.tools
         names = {spec.name for spec in registry.list_tools()}
         assert {"write_artifact", "retrieve_knowledge", "rc_probe"} <= names
         assert registry.lookup("rc_probe").name == "rc_probe"

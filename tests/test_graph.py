@@ -367,7 +367,7 @@ class TestExpansion:
         req = ExpansionRequest(planner_id="P", new_nodes=(node("P"),))
         with pytest.raises(GraphError) as exc:
             apply_expansion(planner_graph(), req)
-        assert exc.value.code == "DUPLICATE_NODE_ID"
+        assert str(exc.value) == "INVALID_EXPANSION: DUPLICATE_NODE_ID on P: node id repeats within graph"
 
     def test_duplicate_within_request(self):
         req = ExpansionRequest(
@@ -377,7 +377,7 @@ class TestExpansion:
         )
         with pytest.raises(GraphError) as exc:
             apply_expansion(planner_graph(), req)
-        assert exc.value.code == "DUPLICATE_NODE_ID"
+        assert str(exc.value) == "INVALID_EXPANSION: DUPLICATE_NODE_ID on x: node id repeats within graph"
 
     def test_unknown_planner(self):
         req = ExpansionRequest(planner_id="ghost")
@@ -402,7 +402,7 @@ class TestExpansion:
         )
         with pytest.raises(GraphError) as exc:
             apply_expansion(planner_graph(), req)
-        assert exc.value.code == "UNKNOWN_ENDPOINT"
+        assert str(exc.value) == "INVALID_EXPANSION: UNKNOWN_ENDPOINT on ghost->x [execution]: undefined node(s): ghost"
 
     def test_unreachable_new_node(self):
         req = ExpansionRequest(planner_id="P", new_nodes=(node("island"),))

@@ -364,3 +364,38 @@ class TestReportLoading:
             "ERROR: find_missing_clock_edges failed: \"document 'ghost' not found in any accessible knowledge base\""
         )
         assert parses == []
+
+
+class TestTimingDistributionTool:
+    def test_bundled_reports_through_the_registry(self):
+        """Per-report and pooled path counts against the PATH lines of the
+        bundled three-corner reports, and the payload saved under ``save_as``."""
+        import marco
+        from pathlib import Path
+
+        from marco.knowledge import Blackboard, load_kb_dir
+
+        fixtures = Path(marco.__file__).resolve().parent / "data" / "fixtures_3corner"
+        names = ["ff_0p88v_m40c__func__max", "ss_0p72v_125c__func__max", "tt_0p80v_25c__func__max"]
+        path_counts = [(fixtures / f"{name}.txt").read_text(encoding="utf-8").count("\nPATH ") for name in names]
+        spec, handler = HANDLER_CATALOG["eda.timing_distribution"]
+        registry = ToolRegistry()
+        registry.register_tool(spec, handler)
+        board = Blackboard({"n1": ["dist"]})
+        context = ToolContext(
+            node_id="n1", blackboard=board, knowledge_bases={"reports": load_kb_dir("reports", fixtures)}
+        )
+        result = registry.invoke_tool(
+            "timing_distribution", {"reports": names, "bin_width": 0.1, "save_as": "dist"}, context
+        )
+        assert result.ok
+        payload = result.data
+        assert payload["op"] == "timing_distribution"
+        assert payload["reports"] == names
+        assert [row["count"] for row in payload["per_report"]] == path_counts
+        assert [sum(row["counts"].values()) for row in payload["per_report"]] == path_counts
+        assert payload["pooled"]["count"] == sum(path_counts) == sum(payload["pooled"]["counts"].values())
+        assert [row["corner"] for row in payload["per_report"]] == [name.split("__")[0] for name in names]
+        assert board.read("dist") == payload
+        assert context.written == ["dist"]
+        assert result.content.endswith(f"pooled n={payload['pooled']['count']}\nsaved to 'dist'")
