@@ -2,111 +2,7 @@
 knowledge bases, and a timing-analysis domain pack.
 """
 
-from .agents import (
-    AgentConfig,
-    NodeOutcome,
-    RoleSpec,
-    Termination,
-    TranscriptEntry,
-    register_builtin_tools,
-    run_node,
-)
-from .config import RunConfig, load_config
-from .engine import TraceDocument, run, run_baseline
-from .errors import (
-    ConfigError,
-    EngineError,
-    GatewayError,
-    GraphError,
-    KnowledgeError,
-    MarcoError,
-    ReportError,
-    ToolError,
-)
-from .gateway import (
-    Backend,
-    ChatMessage,
-    CompletionRequest,
-    HttpBackend,
-    MockBackend,
-    ReplayBackend,
-    ToolCallRequest,
-    canonical_hash,
-    canonical_json,
-)
-from .graph import (
-    ExpansionRequest,
-    TaskEdge,
-    TaskGraph,
-    TaskNode,
-    ValidationReport,
-    apply_expansion,
-    export_dot,
-    ready_frontier,
-    validate_graph,
-)
-from .knowledge import (
-    Blackboard,
-    Document,
-    KnowledgeBase,
-    MemoryWindow,
-    load_kb_dir,
-    retrieve,
-)
-from .tools import Param, ParamSchema, ToolContext, ToolRegistry, ToolResult, ToolSpec
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "AgentConfig",
-    "Backend",
-    "Blackboard",
-    "ChatMessage",
-    "CompletionRequest",
-    "ConfigError",
-    "Document",
-    "EngineError",
-    "ExpansionRequest",
-    "GatewayError",
-    "GraphError",
-    "HttpBackend",
-    "KnowledgeBase",
-    "KnowledgeError",
-    "MarcoError",
-    "MemoryWindow",
-    "MockBackend",
-    "NodeOutcome",
-    "Param",
-    "ParamSchema",
-    "ReplayBackend",
-    "ReportError",
-    "RoleSpec",
-    "RunConfig",
-    "TaskEdge",
-    "TaskGraph",
-    "TaskNode",
-    "Termination",
-    "ToolCallRequest",
-    "ToolContext",
-    "ToolError",
-    "ToolRegistry",
-    "ToolResult",
-    "ToolSpec",
-    "TraceDocument",
-    "TranscriptEntry",
-    "ValidationReport",
-    "apply_expansion",
-    "canonical_hash",
-    "canonical_json",
-    "export_dot",
-    "load_config",
-    "load_kb_dir",
-    "ready_frontier",
-    "register_builtin_tools",
-    "retrieve",
-    "run",
-    "run_baseline",
-    "run_node",
-    "validate_graph",
-    "__version__",
-]
+# Importing the engine loads every module a run needs, so ``import marco``
+# pays for them all up front: bench/worker.py relies on that to keep import
+# time out of its first timed run.
+from . import engine  # noqa: F401

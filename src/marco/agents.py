@@ -204,32 +204,24 @@ def parse_plan_block(
     if not new_nodes:
         return None, "plan block contains no node lines"
 
-    node_outputs = {n.id: n.outputs for n in new_nodes}
-    node_outputs.update({nid: existing[nid].outputs for nid in existing})
-
+    node_outputs = {n.id: n.outputs for n in (*existing.values(), *new_nodes)}
     edges: list[TaskEdge] = []
-    seen: set[tuple] = set()
-
-    def add(edge: TaskEdge) -> None:
-        key = (edge.src, edge.dst, edge.kind, edge.key)
-        if key not in seen:
-            seen.add(key)
-            edges.append(edge)
-
     for node in new_nodes:
         after = after_map[node.id]
         if not any(dep in after_map for dep in after):
-            add(TaskEdge(src=planner.id, dst=node.id, kind="execution"))
+            edges.append(TaskEdge(src=planner.id, dst=node.id, kind="execution"))
         for dep in after:
-            add(TaskEdge(src=dep, dst=node.id, kind="execution"))
+            edges.append(TaskEdge(src=dep, dst=node.id, kind="execution"))
         for key in node.inputs:
             if key in planner.outputs:
-                add(TaskEdge(src=planner.id, dst=node.id, kind="knowledge", key=key))
+                edges.append(TaskEdge(src=planner.id, dst=node.id, kind="knowledge", key=key))
             for dep in after:
-                if key in node_outputs.get(dep, ()):
-                    add(TaskEdge(src=dep, dst=node.id, kind="knowledge", key=key))
+                if key in node_outputs[dep]:
+                    edges.append(TaskEdge(src=dep, dst=node.id, kind="knowledge", key=key))
 
-    return ExpansionRequest(planner_id=planner.id, new_nodes=tuple(new_nodes), new_edges=tuple(edges)), None
+    # ``after=<planner>`` or a repeated dependency gives an edge twice; keep its first place
+    new_edges = tuple(dict.fromkeys(edges))
+    return ExpansionRequest(planner_id=planner.id, new_nodes=tuple(new_nodes), new_edges=new_edges), None
 
 
 def _write_artifact_handler(args: dict, context: ToolContext) -> ToolResult:

@@ -1,32 +1,2 @@
 """Timing-analysis domain layer: report format, anomaly checks, metrics,
 fixture generation, and the tool pack that exposes them to agents."""
-
-from .report import Aggressor, Stage, TimingPath, TimingReport, parse_timing_report, render_timing_report
-from .anomalies import (
-    Anomaly,
-    anomaly_identity,
-    compare_timing_tables,
-    missing_clock_edges,
-    rc_mismatch_pairs,
-    aggressor_anomalies,
-    slowest_stage_constraints,
-)
-from .metrics import timing_distribution, timing_metric_compare
-
-__all__ = [
-    "Aggressor",
-    "Stage",
-    "TimingPath",
-    "TimingReport",
-    "parse_timing_report",
-    "render_timing_report",
-    "Anomaly",
-    "anomaly_identity",
-    "missing_clock_edges",
-    "rc_mismatch_pairs",
-    "aggressor_anomalies",
-    "slowest_stage_constraints",
-    "compare_timing_tables",
-    "timing_distribution",
-    "timing_metric_compare",
-]

@@ -338,7 +338,7 @@ def _execute(config: RunConfig, backend_override: str | None, deterministic: boo
             trace.outcomes.append(outcome.to_dict())
             if outcome.expansion is not None and outcome.status == "solved":
                 try:
-                    graph = apply_expansion(graph, outcome.expansion)
+                    graph = apply_expansion(graph, outcome.expansion, config.seeds)
                 except Exception as exc:
                     raise EngineError(
                         "EXPANSION_REJECTED",

@@ -208,18 +208,17 @@ class ScriptMatcher:
     def __post_init__(self) -> None:
         if self.kind not in ("substring", "turn_index", "always"):
             raise ValueError(f"unknown matcher kind {self.kind!r}")
-        if self.kind == "turn_index":
-            try:
-                int(self.value)
-            except (TypeError, ValueError, OverflowError):
-                raise ValueError(f"turn_index matcher needs an integer value, got {self.value!r}") from None
+        if self.kind == "turn_index" and type(self.value) is not int:  # bool is not a turn count
+            raise ValueError(f"turn_index matcher needs an integer value, got {self.value!r}")
+        if self.kind == "turn_index" and self.value < 0:
+            raise ValueError(f"turn_index matcher needs a value of at least 0, got {self.value!r}")
 
     def matches(self, req: CompletionRequest) -> bool:
         if self.kind == "always":
             return True
         if self.kind == "substring":
             return str(self.value) in req.last_message().content
-        return req.assistant_turns() == int(self.value)
+        return req.assistant_turns() == self.value
 
 
 # A mock script: its matcher and the responses it yields in turn.

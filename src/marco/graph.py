@@ -238,6 +238,17 @@ def unproduced_inputs(graph: TaskGraph, seeded: Container[str]) -> list[tuple[st
     nor an output of one of the node's execution ancestors, in node and input
     order. Nodes on or after an execution cycle are not checked."""
     position, lineage, _ = _kahn(graph)
+    return _unproduced(graph, position, lineage, seeded, graph.nodes)
+
+
+def _unproduced(
+    graph: TaskGraph,
+    position: dict[str, int],
+    lineage: dict[str, int],
+    seeded: Container[str],
+    checked: Iterable[TaskNode],
+) -> list[tuple[str, str]]:
+    """:func:`unproduced_inputs` over the ``checked`` nodes, from a Kahn pass already made."""
     producers: dict[str, int] = {}  # key -> bit set over positions of ordered nodes declaring it
     for node in graph.nodes:
         if node.id in position:
@@ -245,7 +256,7 @@ def unproduced_inputs(graph: TaskGraph, seeded: Container[str]) -> list[tuple[st
                 producers[key] = producers.get(key, 0) | 1 << position[node.id]
     return [
         (node.id, key)
-        for node in graph.nodes
+        for node in checked
         if node.id in position
         for key in node.inputs
         if key not in seeded and not (lineage[node.id] ^ 1 << position[node.id]) & producers.get(key, 0)
@@ -345,26 +356,15 @@ def ready_frontier(graph: TaskGraph, done: Iterable[str]) -> list[str]:
     """
     done_set = set(done)
     preds = graph.execution_predecessors()
-
-    unknown = sorted(done_set - preds.keys())
-    if unknown:
-        raise GraphError("UNKNOWN_NODE", f"done set names undefined node(s): {', '.join(unknown)}")
-    for nid in sorted(done_set):
-        missing = preds[nid] - done_set
-        if missing:
-            raise GraphError(
-                "NOT_PREFIX_CLOSED",
-                f"node {nid!r} is done but its predecessor(s) {sorted(missing)} are not",
-            )
-
     return sorted(nid for nid, ps in preds.items() if nid not in done_set and ps <= done_set)
 
 
-def apply_expansion(graph: TaskGraph, req: ExpansionRequest) -> TaskGraph:
+def apply_expansion(graph: TaskGraph, req: ExpansionRequest, seeded: Container[str] = ()) -> TaskGraph:
     """Grow a dynamic graph from one of its planner nodes, immutably.
 
-    The result always satisfies :func:`validate_graph`; anything that would
-    break it is rejected before a new graph value is produced.
+    The result always satisfies :func:`validate_graph`, and each new node's
+    inputs are in ``seeded`` or outputs of its execution ancestors; anything
+    else is rejected before a new graph value is produced.
     """
     planner = graph.node_map().get(req.planner_id)
     if planner is None or planner.expansion != "planner":
@@ -384,6 +384,17 @@ def apply_expansion(graph: TaskGraph, req: ExpansionRequest) -> TaskGraph:
         raise GraphError(
             "UNREACHABLE_NODE",
             f"new node(s) not reachable from planner via execution edges: {', '.join(orphans)}",
+        )
+    # only new nodes: an existing node's input may come from a later expansion, but
+    # a PLAN block adds edges only into its own nodes, so new nodes' ancestors are final
+    unproduced = _unproduced(candidate, position, lineage, seeded, req.new_nodes)
+    if unproduced:
+        raise GraphError(
+            "UNPRODUCED_INPUT",
+            "; ".join(
+                f"node {nid}: input {key} is neither seeded nor an output of an execution ancestor"
+                for nid, key in unproduced
+            ),
         )
 
     return candidate

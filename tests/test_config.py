@@ -219,6 +219,22 @@ class TestValidationProblems:
             "backends.mock: script entry 0: turn_index matcher needs an integer value, got inf"
         ]
 
+    @pytest.mark.parametrize(
+        "value,reason",
+        [
+            (1.5, "needs an integer value, got 1.5"),
+            (True, "needs an integer value, got True"),
+            ("2", "needs an integer value, got '2'"),
+            (" 3 ", "needs an integer value, got ' 3 '"),
+            (-1, "needs a value of at least 0, got -1"),
+        ],
+    )
+    def test_turn_index_takes_only_a_non_negative_int(self, workdir, value, reason):
+        valid = {"matcher": {"kind": "turn_index", "value": 0}, "responses": [{"content": "x"}]}
+        bad = {**valid, "matcher": {"kind": "turn_index", "value": value}}
+        (workdir / "script.json").write_text(json.dumps([bad, valid]), encoding="utf-8")
+        assert problems_of(workdir, base_payload()) == [f"backends.mock: script entry 0: turn_index matcher {reason}"]
+
     def test_replay_needs_cache_dir_and_known_inner(self, workdir):
         payload = base_payload()
         payload["backends"]["rep"] = {"kind": "replay"}

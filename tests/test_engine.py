@@ -6,10 +6,13 @@ import enum
 import hashlib
 import http.server
 import json
+import random
 import shutil
+import tempfile
 import threading
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -33,7 +36,7 @@ from marco.engine import (
     run_baseline,
 )
 from marco.errors import EngineError, GraphError
-from marco.gateway import ChatMessage, CompletionRequest, HttpBackend, MockBackend, ReplayBackend, ToolCallRequest
+from marco.gateway import Backend, ChatMessage, CompletionRequest, HttpBackend, MockBackend, ReplayBackend, ToolCallRequest
 
 BUNDLED = Path(marco.__file__).resolve().parent / "data" / "configs"
 EXPECTED_DIGESTS = Path(__file__).resolve().parents[1] / "bench" / "expected_digests.json"
@@ -468,7 +471,7 @@ class TestRunDynamic:
         assert trace.blackboard["the_plan"]["producer"] == "P"
 
     def test_rejected_expansion_aborts(self, tmp_path, monkeypatch):
-        def explode(graph, expansion):
+        def explode(graph, expansion, seeded):
             raise GraphError("CYCLE", "expansion would close a cycle")
 
         monkeypatch.setattr(marco.engine, "apply_expansion", explode)
@@ -481,6 +484,21 @@ class TestRunDynamic:
         assert partial.status == "aborted"
         assert outcome_ids(partial) == ["P"]
         assert partial.expansions == []
+
+    def test_expansion_with_an_input_nothing_produces_aborts(self, tmp_path):
+        scripts = [{"matcher": {"kind": "always"}, "responses": [{"content": "```PLAN\nt1 | T | g | in=ghost\n```\nTASK COMPLETE"}]}]
+        config = load_payload(tmp_path, planner_payload(), scripts)
+        with pytest.raises(EngineError) as exc:
+            run(config, deterministic=True)
+        assert str(exc.value) == (
+            "EXPANSION_REJECTED: planner P produced an unusable expansion: UNPRODUCED_INPUT:"
+            " node t1: input ghost is neither seeded nor an output of an execution ancestor"
+        )
+        assert outcome_ids(exc.value.trace) == ["P"]
+        payload = planner_payload()
+        payload["seeds"] = {"ghost": "seeded"}
+        scripts[0]["responses"].append({"content": "used it TASK COMPLETE"})
+        assert outcome_ids(run(load_payload(tmp_path, payload, scripts), deterministic=True)) == ["P", "t1"]
 
     def test_budget_abort_after_applied_expansion(self, tmp_path):
         scripts = [
@@ -950,3 +968,109 @@ class TestOverlappedRuns:
         assert exc.value.code == "BUDGET_EXCEEDED"
         assert outcome_ids(exc.value.trace) == ["plan_mcmm", "corner_ff", "corner_ss"]
         assert {node for node, _, _ in server.spans} == {"plan_mcmm", "corner_ff", "corner_ss"}
+
+
+class WaitingBackend(Backend):
+    """A backend that claims to wait, so the engine runs its nodes ahead:
+    each call is served under a lock, then held for a seeded 0-2 ms."""
+
+    waits = True
+
+    def __init__(self, inner: Backend, lock: threading.Lock, rng: random.Random) -> None:
+        self.inner, self.lock, self.rng = inner, lock, rng
+
+    def complete(self, req: CompletionRequest) -> ChatMessage:
+        with self.lock:
+            pause = self.rng.uniform(0.0, 0.002)
+            reply = self.inner.complete(req)
+        time.sleep(pause)
+        return reply
+
+
+if st is not None:
+
+    @st.composite
+    def _run_ahead_cases(draw):
+        """A static DAG of up to 8 nodes, each with its own agent and mock
+        backend, whose inputs are seeded or declared by an ancestor, and at
+        most one fault: a script that runs out, a producer that never writes,
+        or a node budget below the node count."""
+        count = draw(st.integers(1, 8))
+        ids = draw(st.permutations([f"n{i}" for i in range(count)]))
+        ancestors: list[set[int]] = []
+        nodes, edges = [], []
+        for i, nid in enumerate(ids):
+            # bit masks keep the draws few: predecessors, outputs, inputs, knowledge edges
+            mask = draw(st.integers(0, 2**i - 1))
+            preds = {p for p in range(i) if mask >> p & 1}
+            ancestors.append(preds.union(*(ancestors[p] for p in preds)))
+            edges += [{"src": ids[p], "dst": nid, "kind": "execution"} for p in sorted(preds)]
+            mask = draw(st.integers(0, 3))
+            outputs = [key for b, key in enumerate((f"{nid}_out", "shared")) if mask >> b & 1]
+            produced = sorted({"seed", *(key for a in ancestors[i] for key in nodes[a]["outputs"])})
+            mask = draw(st.integers(0, 2 ** len(produced) - 1))
+            inputs = [key for b, key in enumerate(produced) if mask >> b & 1]
+            linked = draw(st.integers(0, 2 ** len(inputs) - 1))
+            for b, key in enumerate(inputs):
+                producers = [ids[a] for a in sorted(ancestors[i]) if key in nodes[a]["outputs"]]
+                if producers and linked >> b & 1:
+                    edges.append({"src": producers[-1], "dst": nid, "kind": "knowledge", "key": key})
+            nodes.append({"id": nid, "title": nid, "goal": f"goal of {nid}", "agent_ref": f"a_{nid}",
+                          "inputs": inputs, "outputs": outputs})
+
+        fault = draw(st.sampled_from(["budget", "never_writes", "runs_out", None]))
+        read = {key for node in nodes for key in node["inputs"]}
+        silent = None
+        if fault == "never_writes" and any(read & set(node["outputs"]) for node in nodes):
+            silent = draw(st.sampled_from([node["id"] for node in nodes if read & set(node["outputs"])]))
+        exhausted = draw(st.sampled_from(ids)) if fault == "runs_out" else None
+        budget = draw(st.integers(1, count - 1)) if fault == "budget" and count > 1 else None
+
+        scripts, backends, agents = {}, {}, {}
+        for node in nodes:
+            nid = node["id"]
+            writes = {"content": "writing", "tool_calls": [
+                {"id": f"{nid}_{key}", "tool_name": "write_artifact", "arguments": {"key": key, "value": f"{key} by {nid}"}}
+                for key in node["outputs"]]}
+            responses = [{"content": "DONE"}] if nid == silent or not node["outputs"] else [writes, {"content": "DONE"}]
+            if nid == exhausted:
+                responses = responses[:-1] or [{"content": "thinking"}]
+            scripts[nid] = [{"matcher": {"kind": "always"}, "responses": responses}]
+            backends[f"m_{nid}"] = {"kind": "mock", "script": f"{nid}.json"}
+            agents[f"a_{nid}"] = {"topology": "single", "roles": [{"name": "w", "model_ref": f"m_{nid}"}],
+                                  "termination": {"max_turns": 3, "stop_phrase": "DONE"}}
+        payload = {"graph": {"mode": "static", "nodes": nodes, "edges": edges}, "agents": agents,
+                   "backends": backends, "seeds": {"seed": "s"}, "limits": {"max_node_executions": count}}
+        return payload, scripts, budget
+
+    def _outcome(config) -> tuple:
+        try:
+            return None, None, run(config, deterministic=True).render()
+        except EngineError as exc:
+            return exc.code, str(exc), exc.trace.render()
+
+    class TestRunAheadEqualsSerial:
+        @settings(max_examples=200, deadline=None)
+        @given(case=_run_ahead_cases(), seed=st.integers(0, 2**32 - 1))
+        def test_overlapped_run_renders_as_the_serial_one(self, case, seed):
+            """The oracle is the same config without the waiting wrapper, whose
+            nodes all run one after another on the main thread in Kahn order."""
+            payload, scripts, budget = case
+            with tempfile.TemporaryDirectory() as tmp:
+                for nid, script in scripts.items():
+                    Path(tmp, f"{nid}.json").write_text(json.dumps(script), encoding="utf-8")
+                Path(tmp, "run.json").write_text(json.dumps(payload), encoding="utf-8")
+                config = load_config(Path(tmp, "run.json"))
+            if budget is not None:
+                config = dataclasses.replace(config, max_node_executions=budget)
+            serial = _outcome(config)
+
+            lock = threading.Lock()
+
+            def waiting_backends(config, override=None):
+                built = build_backends(config, override)
+                return {name: WaitingBackend(b, lock, random.Random(f"{seed}:{name}")) for name, b in built.items()}
+
+            with mock.patch.object(marco.engine, "build_backends", waiting_backends):
+                overlapped = _outcome(config)
+            assert overlapped == serial

@@ -294,16 +294,6 @@ class TestFrontier:
         )
         assert ready_frontier(graph, set()) == ["A", "B"]
 
-    def test_unknown_done_node(self):
-        with pytest.raises(GraphError) as exc:
-            ready_frontier(diamond(), {"ghost"})
-        assert exc.value.code == "UNKNOWN_NODE"
-
-    def test_not_prefix_closed(self):
-        with pytest.raises(GraphError) as exc:
-            ready_frontier(diamond(), {"D"})
-        assert exc.value.code == "NOT_PREFIX_CLOSED"
-
     def test_pure_function(self):
         graph = diamond()
         first = ready_frontier(graph, {"A"})
@@ -409,6 +399,30 @@ class TestExpansion:
         with pytest.raises(GraphError) as exc:
             apply_expansion(planner_graph(), req)
         assert exc.value.code == "UNREACHABLE_NODE"
+
+    def test_new_node_input_nothing_produces(self):
+        req = ExpansionRequest(planner_id="P", new_nodes=(node("x", inputs=("ghost",)),), new_edges=(TaskEdge("P", "x"),))
+        with pytest.raises(GraphError) as exc:
+            apply_expansion(planner_graph(), req)
+        assert str(exc.value) == (
+            "UNPRODUCED_INPUT: node x: input ghost is neither seeded nor an output of an execution ancestor"
+        )
+        assert unproduced_inputs(apply_expansion(planner_graph(), req, {"ghost"}), {"ghost"}) == []
+
+    def test_new_node_inputs_from_planner_and_ancestors(self):
+        req = ExpansionRequest(
+            planner_id="P",
+            new_nodes=(node("a", outputs=("k",)), node("b", inputs=("plan", "k")), node("c", inputs=("k",))),
+            new_edges=(TaskEdge("P", "a"), TaskEdge("a", "b"), TaskEdge("P", "c")),
+        )
+        with pytest.raises(GraphError) as exc:
+            apply_expansion(planner_graph(), req)
+        # b reads the planner's output and a's; c's only producer, a, is not its ancestor
+        assert str(exc.value) == (
+            "UNPRODUCED_INPUT: node c: input k is neither seeded nor an output of an execution ancestor"
+        )
+        fixed = ExpansionRequest("P", req.new_nodes, req.new_edges + (TaskEdge("a", "c"),))
+        assert unproduced_inputs(apply_expansion(planner_graph(), fixed), ()) == []
 
     def test_invalid_expansion_surface(self):
         # knowledge edge without a key fails validation, not the cycle check

@@ -1,7 +1,10 @@
 """``src/marco`` imports only the standard library and itself, so a new
-runtime dependency fails here rather than in a user's install."""
+runtime dependency fails here rather than in a user's install; and
+``import marco`` loads the framework."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -32,3 +35,10 @@ def test_only_stdlib_and_marco_imported():
     }
     assert not outside, sorted(outside)
 
+
+def test_import_marco_loads_the_framework():
+    # the benchmark's worker imports marco to pay every import before its first timed run
+    probe = "import sys, marco; print(*sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    loaded = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert {"marco.engine", "marco.config", "marco.agents"} <= set(loaded.stdout.split())
