@@ -186,6 +186,8 @@ def parse_plan_block(
             key = key.strip()
             if not sep or key not in _PLAN_FIELDS:
                 return None, f"unknown plan field {extra!r}"
+            if key in fields:
+                return None, f"plan repeats field {key!r}"
             fields[key] = value.strip()
 
         agent_ref = fields.get("agent", planner.agent_ref)

@@ -13,6 +13,7 @@ repr, so fixtures emitted by the renderer round-trip byte-identically.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 
@@ -162,6 +163,10 @@ def _parse_edges(text: str) -> frozenset[str]:
     return frozenset(text.split(","))
 
 
+# A report is a function of its text alone and is frozen all through, so one
+# parse serves every run and thread. 16 covers the at most 4 distinct reports a
+# bench config touches; a 100-path report parses to about 0.45 MB.
+@functools.lru_cache(maxsize=16)
 def parse_timing_report(text: str) -> TimingReport:
     """Parse one report; any deviation raises PARSE_ERROR with line context."""
     lines = text.splitlines()

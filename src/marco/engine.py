@@ -247,8 +247,9 @@ def _execute(config: RunConfig, backend_override: str | None, deterministic: boo
     expansion of the least ready id. While the head runs, other ready nodes
     may run ahead on worker threads when (a) no planner is uncommitted, so
     the graph is final, (b) every role of their agent is served by a backend
-    that waits, and (c) no other uncommitted node declares one of their input
-    or output keys. Their writes are staged and committed, or dropped, when
+    that waits, (c) no other uncommitted node declares one of their input
+    or output keys, and (d) the serial run reaches them within the node
+    budget. Their writes are staged and committed, or dropped, when
     they reach the head.
     """
     backends = build_backends(config, backend_override)
@@ -307,12 +308,15 @@ def _execute(config: RunConfig, backend_override: str | None, deterministic: boo
                 )
             head = schedule.heap[0]
             if waiting_agents and not planners:
-                # committed plus running nodes, the head included, stay within the budget
-                room = min(MAX_AHEAD, config.max_node_executions - len(done) - (head not in ahead)) - len(ahead)
+                # only nodes the serial run reaches start: with fewer budget slots
+                # left than nodes, those are the schedule's next pops
+                left = config.max_node_executions - len(done)
+                reached = schedule.upcoming(left) if len(nodes) - len(done) > left else nodes
+                room = MAX_AHEAD - len(ahead)
                 for nid in sorted(schedule.heap)[1:]:
                     if room <= 0:
                         break
-                    if nid not in ahead and may_run_ahead(nodes[nid]):
+                    if nid not in ahead and nid in reached and may_run_ahead(nodes[nid]):
                         stage = blackboard.stage(nid)
                         ahead[nid] = (pool.submit(attempt, nodes[nid], graph, stage), stage)
                         room -= 1

@@ -193,6 +193,18 @@ class Schedule:
                 heapq.heappush(self.heap, succ)
         return nid
 
+    def upcoming(self, count: int) -> set[str]:
+        """The ids the next ``count`` pops would return; the schedule is left as it is."""
+        heap, waiting, ids = list(self.heap), {}, set()
+        while heap and len(ids) < count:
+            nid = heapq.heappop(heap)
+            ids.add(nid)
+            for succ in self.successors.get(nid, ()):
+                waiting[succ] = waiting.get(succ, self.waiting[succ]) - 1
+                if not waiting[succ]:
+                    heapq.heappush(heap, succ)
+        return ids
+
 
 def _kahn(graph: TaskGraph) -> tuple[dict[str, int], dict[str, int], list[str]]:
     """The one ordering pass: a :class:`Schedule` popped to empty, in the

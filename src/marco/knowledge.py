@@ -192,8 +192,11 @@ class KnowledgeBase:
     whole token has empty postings. The documents, the corpus and the
     postings live in an ``_Index`` that ``load_kb_dir`` hands on to the next
     knowledge base loaded from the same bytes. ``parsed`` holds what tools
-    derive from a document (doc id -> parsed form), so each document is
-    parsed at most once while this knowledge base lives; it is never shared.
+    derive from a document (doc id -> parsed form), so a tool asks for each
+    document's parse at most once while this knowledge base lives; it is
+    never shared. A parser may keep its own memo beneath it, as
+    ``parse_timing_report`` does, so ``parsed`` then saves the lookup, not
+    the parse.
     The index's lock guards the corpus and the postings and this knowledge
     base's lock guards ``parsed``, as nodes may query a knowledge base from
     several threads at once.

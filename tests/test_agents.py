@@ -675,6 +675,8 @@ class TestPlanParsing:
             ("t1 | t | g\nt1 | t | g", "plan repeats node id 't1'"),
             ("t1 | t | g | color=red", "unknown plan field 'color=red'"),
             ("t1 | t | g | junk", "unknown plan field 'junk'"),
+            ("t1 | t | g | in=a | in=b", "plan repeats field 'in'"),
+            ("t1 | t | g | out=k | after=P | out = j", "plan repeats field 'out'"),
             ("t1 | t | g | after=zz", "plan node 't1' depends on unknown node 'zz'"),
             ("   \n", "plan block contains no node lines"),
         ],
@@ -723,6 +725,8 @@ def scanning_parse_plan(content, planner, graph, agent_names=None):
             key = key.strip()
             if not sep or key not in ("agent", "in", "out", "after"):
                 return None, f"unknown plan field {extra!r}"
+            if key in fields:
+                return None, f"plan repeats field {key!r}"
             fields[key] = value.strip()
         agent_ref = fields.get("agent", planner.agent_ref)
         if agent_names is not None and agent_ref not in agent_names:

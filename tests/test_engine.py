@@ -27,6 +27,7 @@ import marco.eda.toolpack
 import marco.engine
 import marco.knowledge
 from marco.config import load_config
+from marco.eda.report import parse_timing_report
 from marco.engine import (
     TraceDocument,
     _render_json,
@@ -711,6 +712,19 @@ class TestBundledRuns:
         assert builds == ["notes"]  # the first run's; the second reuses it
         assert per_run == [1, 1]
 
+    def test_reports_parse_once_per_process(self, monkeypatch):
+        texts: list[str] = []
+        real = marco.eda.toolpack.parse_timing_report
+        monkeypatch.setattr(marco.eda.toolpack, "parse_timing_report", lambda text: texts.append(text) or real(text))
+        parse_timing_report.cache_clear()
+        config = load_config(BUNDLED / "timing_debug.json")
+        run(config, deterministic=True)
+        run(config, deterministic=True)
+        run_baseline(config, backend_override="baseline_mock", deterministic=True)
+        info = parse_timing_report.cache_info()
+        assert texts and info.misses == len(set(texts))
+        assert info.hits > 0
+
     def test_timing_debug_baseline_completes(self):
         config = load_config(BUNDLED / "timing_debug.json")
         trace = run_baseline(config, backend_override="baseline_mock", deterministic=True)
@@ -861,6 +875,41 @@ def new_non_daemon_threads(before: set) -> list[threading.Thread]:
 
 
 class TestOverlappedRuns:
+    def test_budget_starts_no_node_the_serial_run_never_reaches(self, tmp_path, monkeypatch):
+        """Static A, B, C, D with A -> C and a budget of 3: the serial run
+        takes A, B and C, so D, ready from the start, must not run ahead."""
+        nodes, agents, backends = [], {}, {}
+        for nid in "ABCD":
+            nodes.append({"id": nid, "title": nid, "goal": f"goal of {nid}", "agent_ref": f"a_{nid}"})
+            agents[f"a_{nid}"] = {"topology": "single", "roles": [{"name": "w", "model_ref": f"m_{nid}"}],
+                                  "termination": {"max_turns": 2, "stop_phrase": "DONE"}}
+            backends[f"m_{nid}"] = {"kind": "mock", "script": "scripts.json"}
+        payload = {"graph": {"mode": "static", "nodes": nodes, "edges": [{"src": "A", "dst": "C", "kind": "execution"}]},
+                   "agents": agents, "backends": backends, "limits": {"max_node_executions": 4}}
+        config = load_payload(tmp_path, payload, [{"matcher": {"kind": "always"}, "responses": [{"content": "DONE"}]}])
+        config = dataclasses.replace(config, max_node_executions=3)  # load_config wants one per static node
+        with pytest.raises(EngineError) as serial:
+            run(config, deterministic=True)
+
+        lock, called = threading.Lock(), []
+
+        class Recording(WaitingBackend):
+            def complete(self, req):
+                called.append(req.model_ref)
+                return super().complete(req)
+
+        def waiting_backends(config, override=None):
+            built = build_backends(config, override)
+            return {name: Recording(b, lock, random.Random(name)) for name, b in built.items()}
+
+        monkeypatch.setattr(marco.engine, "build_backends", waiting_backends)
+        with pytest.raises(EngineError) as overlapped:
+            run(config, deterministic=True)
+        assert sorted(called) == ["m_A", "m_B", "m_C"]
+        assert serial.value.code == overlapped.value.code == "BUDGET_EXCEEDED"
+        assert str(overlapped.value) == str(serial.value)
+        assert overlapped.value.trace.render() == serial.value.trace.render()
+
     def test_waiting_backends_overlap_and_trace_matches_serial_replay(self, tmp_path, script_server):
         server = script_server(BUNDLED / "mcmm_scripts.json")
         config = mcmm_over_http(tmp_path, server.url)
@@ -968,6 +1017,50 @@ class TestOverlappedRuns:
         assert exc.value.code == "BUDGET_EXCEEDED"
         assert outcome_ids(exc.value.trace) == ["plan_mcmm", "corner_ff", "corner_ss"]
         assert {node for node, _, _ in server.spans} == {"plan_mcmm", "corner_ff", "corner_ss"}
+
+
+class TestReportParseMemo:
+    """Reports are parsed once per process, keyed by their text."""
+
+    @pytest.fixture
+    def report_run(self, tmp_path, monkeypatch):
+        """Load and run a one-node config whose agent calls
+        ``find_missing_clock_edges`` on the document ``report`` in the
+        knowledge base ``reports`` (``tmp_path / "reports"``)."""
+        monkeypatch.setattr(marco.knowledge, "_LOADED", {})
+        (tmp_path / "reports").mkdir()
+        payload = chain_payload()
+        payload["graph"] = {"mode": "static", "nodes": [payload["graph"]["nodes"][0]], "edges": []}
+        payload["agents"]["solo"]["roles"][0].update(
+            tool_names=["write_artifact", "find_missing_clock_edges"], knowledge_base_refs=["reports"]
+        )
+        payload["knowledge_bases"] = {"reports": "reports"}
+        payload["tool_bindings"] = {"find_missing_clock_edges": "eda.find_missing_clock_edges"}
+        call = {"id": "c1", "tool_name": "find_missing_clock_edges", "arguments": {"report": "report"}}
+        scripts = [{"matcher": {"kind": "always"},
+                    "responses": [{"content": "checking", "tool_calls": [call]}, {"content": "TASK COMPLETE"}]}]
+        return lambda: run(load_payload(tmp_path, payload, scripts), deterministic=True).render()
+
+    def test_changed_report_bytes_parse_again(self, tmp_path, report_run):
+        report = tmp_path / "reports" / "report.txt"
+        text = (BUNDLED.parent / "fixtures_3corner" / "ss_0p72v_125c__func__max.txt").read_text(encoding="utf-8")
+        report.write_text(text, encoding="utf-8")
+        parse_timing_report.cache_clear()
+        first = report_run()
+        assert "missing_clock_edge|p0|-" in first and "missing_clock_edge|p1|-" not in first
+        report.write_text(text.replace(" p1 start=in_p1 end=out_p1 clk=clk_core edges=rise,fall ",
+                                       " p1 start=in_p1 end=out_p1 clk=clk_core edges=none "), encoding="utf-8")
+        second = report_run()
+        assert "missing_clock_edge|p0|-" in second and "missing_clock_edge|p1|-" in second
+        assert parse_timing_report.cache_info().misses == 2
+
+    def test_non_report_fails_to_parse_in_every_run(self, tmp_path, report_run):
+        (tmp_path / "reports" / "report.txt").write_text("a note, not a report\n", encoding="utf-8")
+        parse_timing_report.cache_clear()
+        rendered = [report_run(), report_run()]
+        assert "PARSE_ERROR" in rendered[0] and rendered[0] == rendered[1]
+        info = parse_timing_report.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (2, 0, 0)
 
 
 class WaitingBackend(Backend):
