@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Any, Collection, Mapping
+from typing import Any, Collection, Container, Mapping
 
-from .errors import EngineError, GatewayError
+from .errors import EngineError, GatewayError, GraphError
 from .gateway import Backend, ChatMessage, CompletionRequest, canonical_json
-from .graph import ExpansionRequest, TaskEdge, TaskGraph, TaskNode
+from .graph import ExpansionRequest, TaskEdge, TaskGraph, TaskNode, apply_expansion
 from .knowledge import Blackboard, KnowledgeBase, MemoryWindow, apply_window, retrieve
 from .tools import Param, ParamSchema, ToolContext, ToolRegistry, ToolResult, ToolSpec, error_result
 
@@ -335,13 +335,16 @@ def run_node(
     blackboard: Blackboard,
     knowledge_bases: Mapping[str, KnowledgeBase] | None = None,
     agent_names: Collection[str] | None = None,
+    seeds: Container[str] = (),
 ) -> NodeOutcome:
     """Run one node's conversation to an outcome.
 
     Backend failures and missing declared inputs abort by raising; everything
     an agent or tool does wrong is contained in the outcome instead. Every
     role's ``model_ref`` and tools must be in ``backends`` and ``registry``,
-    as they are for a config ``load_config`` accepted.
+    as they are for a config ``load_config`` accepted. A planner's PLAN block
+    is also tried on ``graph`` with the run's ``seeds``, as the engine will
+    apply it, and one it would reject gets the moderator reprompt.
     """
     knowledge_bases = knowledge_bases or {}
     transcript: list[TranscriptEntry] = [
@@ -400,6 +403,11 @@ def run_node(
                 )
         elif node.expansion == "planner":
             request_or_none, problem = parse_plan_block(response.content, node, graph, agent_names)
+            if request_or_none is not None:
+                try:  # what the engine would reject after the commit, the planner may still correct
+                    apply_expansion(graph, request_or_none, seeds)
+                except GraphError as exc:
+                    problem = str(exc)
             if problem is not None:
                 transcript.append(_moderator(f"PLAN rejected: {problem}. Re-emit a corrected PLAN block."))
             elif request_or_none is not None:

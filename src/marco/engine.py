@@ -288,6 +288,7 @@ def _execute(config: RunConfig, backend_override: str | None, deterministic: boo
                 stage,
                 knowledge_bases=knowledge_bases,
                 agent_names=agent_names,
+                seeds=config.seeds,
             )
         finally:
             elapsed[node.id] = time.perf_counter() - started

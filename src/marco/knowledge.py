@@ -314,39 +314,47 @@ def retrieve(kb: KnowledgeBase, query: str, k: int) -> list[tuple[Document, floa
     return scored[:k]
 
 
-def _read_file(path: str) -> bytes:
-    fd = os.open(path, os.O_RDONLY)
-    try:
-        # Reads sized to the file: a fixed 64 KB buffer, shrunk after each
-        # read, fragmented the heap and raised peak memory by about 1 MB over
-        # 2,000 small files.
-        size = os.fstat(fd).st_size + 1
-        chunks = []
-        while chunk := os.read(fd, size):
-            chunks.append(chunk)
-        return b"".join(chunks)
-    finally:
-        os.close(fd)
+# One read's worth: a file that fits is hashed and decoded where it was read.
+_READ_BUFFER = 1 << 16
 
 
-def _read_kb_files(files: list[tuple[str, str]], documents: list[Document] | None = None) -> bytes:
+def _read_kb_files(dir_fd: int, directory: Path, files: list[str], documents: list[Document] | None = None) -> bytes:
     """The sha256 of the files' names, lengths and bytes, hashed file by file;
     with ``documents``, each file's document is also appended to it.
 
-    The file stem is the document id; an optional first line ``tags: a,b``
-    declares tags and is stripped from the text. Line endings are read as
-    ``\\n``. A file that cannot be read as UTF-8 is ``KB_UNREADABLE``.
+    Each file is opened relative to ``dir_fd`` and read until EOF into one
+    buffer that every file reuses, so hashing alone keeps no file's bytes;
+    decoding copies only a file larger than the buffer. The file stem is the document id; an optional first line
+    ``tags: a,b`` declares tags and is stripped from the text. Line endings
+    are read as ``\\n``. A file that cannot be read as UTF-8 is
+    ``KB_UNREADABLE``, named by its path under ``directory``.
     """
     digest = hashlib.sha256()
     listing = []
-    for file_name, path in files:
+    buffer = bytearray(_READ_BUFFER)
+    view = memoryview(buffer)
+    for file_name in files:
         try:
-            data = _read_file(path)
-            raw = data.decode("utf-8") if documents is not None else ""
+            fd = os.open(file_name, os.O_RDONLY, dir_fd=dir_fd)
+            try:
+                chunks: list[bytes] = []
+                size = filled = 0
+                while count := os.readv(fd, (view[filled:],)):
+                    digest.update(view[filled : filled + count])
+                    filled += count
+                    size += count
+                    if filled == _READ_BUFFER:
+                        if documents is not None:
+                            chunks.append(bytes(buffer))
+                        filled = 0
+            finally:
+                os.close(fd)
+            if documents is not None:
+                raw = str(b"".join([*chunks, view[:filled]]) if chunks else view[:filled], "utf-8")
         except (OSError, UnicodeDecodeError) as exc:
+            path = os.path.join(directory, file_name)
             raise KnowledgeError("KB_UNREADABLE", f"knowledge base file {path!r} is unreadable: {exc}") from exc
-        digest.update(data)
-        listing.append(f"{file_name}\0{len(data)}")
+        listing.append(f"{file_name}\0{size}")
         if documents is None:
             continue
         if "\r" in raw:
@@ -360,7 +368,7 @@ def _read_kb_files(files: list[tuple[str, str]], documents: list[Document] | Non
         documents.append(Document(id=file_name[:-4] or file_name, text=text, tags=tags))  # the stem, as in Path.stem
     # The bytes, then each name and length (a name holds no NUL), then the
     # listing's length in fixed width: read from its end, the stream splits
-    # back into files one way only, with one hash update per file.
+    # back into files one way only.
     names = os.fsencode("\0".join(listing))
     digest.update(names)
     digest.update(len(names).to_bytes(8, "big"))
@@ -374,29 +382,35 @@ _LOADED: dict[str, tuple[bytes, _Index]] = {}
 def load_kb_dir(name: str, directory: str | Path) -> KnowledgeBase:
     """Load a knowledge base from a directory of ``*.txt`` files, in name order.
 
-    Every call reads every file. When the files' names, lengths and bytes
-    hash as they did when the last knowledge base under ``name`` was built,
-    the new one shares that one's index: its documents, its corpus and the
-    postings searched so far. Otherwise the files are decoded and a fresh
-    index is built and kept under ``name`` in its place. Either way the
-    knowledge base has its own, empty ``parsed``. A directory that is
-    missing is ``KB_DIR_MISSING``, a file that cannot be read as UTF-8
-    ``KB_UNREADABLE``.
+    The directory is opened once; its listing and every file come from that
+    descriptor, each file opened by its name alone, so a rename of the
+    directory's path during the load does not mix two directories. Every
+    call reads every file to its end and trusts no timestamp or size. When
+    the files' names, lengths and bytes hash as they did when the last
+    knowledge base under ``name`` was built, the new one shares that one's
+    index: its documents, its corpus and the postings searched so far.
+    Otherwise the files are read again, decoded, and a fresh index is built
+    and kept under ``name`` in its place. Either way the knowledge base has
+    its own, empty ``parsed``. A directory that cannot be opened is
+    ``KB_DIR_MISSING``, a file that cannot be read as UTF-8
+    ``KB_UNREADABLE``. Needs POSIX ``dir_fd`` support.
     """
     directory = Path(directory)
-    if not directory.is_dir():
-        raise KnowledgeError("KB_DIR_MISSING", f"knowledge base directory {str(directory)!r} does not exist")
-    with os.scandir(directory) as entries:
-        files = sorted((entry.name, entry.path) for entry in entries if entry.name.endswith(".txt"))
-    # Hashing alone keeps no file's bytes past its own read; a miss reads the
-    # files again, decoding them this time.
-    cached = _LOADED.get(name)
-    if cached is not None and _read_kb_files(files) == cached[0]:
-        kb = KnowledgeBase(name)
-        kb._index = cached[1]
-        return kb
-    documents: list[Document] = []
-    digest = _read_kb_files(files, documents)
+    try:
+        dir_fd = os.open(directory, os.O_RDONLY | os.O_DIRECTORY)
+    except OSError as exc:
+        raise KnowledgeError("KB_DIR_MISSING", f"knowledge base directory {str(directory)!r} does not exist") from exc
+    try:
+        files = sorted(entry for entry in os.listdir(dir_fd) if entry.endswith(".txt"))
+        cached = _LOADED.get(name)
+        if cached is not None and _read_kb_files(dir_fd, directory, files) == cached[0]:
+            kb = KnowledgeBase(name)
+            kb._index = cached[1]
+            return kb
+        documents: list[Document] = []
+        digest = _read_kb_files(dir_fd, directory, files, documents)
+    finally:
+        os.close(dir_fd)
     kb = KnowledgeBase(name, documents)
     # Loads that race under one name each keep a digest with its own index,
     # so whichever lands last is still a correct entry.

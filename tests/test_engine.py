@@ -25,6 +25,7 @@ except ImportError:  # pragma: no cover - hypothesis is a dev dependency
 import marco
 import marco.eda.toolpack
 import marco.engine
+import marco.graph
 import marco.knowledge
 from marco.config import load_config
 from marco.eda.report import parse_timing_report
@@ -471,6 +472,15 @@ class TestRunDynamic:
         assert {n["id"] for n in trace.graph_initial["nodes"]} == {"P"}
         assert trace.blackboard["the_plan"]["producer"] == "P"
 
+    def test_plan_is_checked_once_though_the_turn_and_the_engine_both_apply_it(self, tmp_path, monkeypatch):
+        config = load_payload(tmp_path, planner_payload(), PLANNER_SCRIPTS)
+        checked = []
+        real = marco.graph._checked
+        monkeypatch.setattr(marco.graph, "_checked", lambda graph: checked.append(len(graph.nodes)) or real(graph))
+        trace = run(config, deterministic=True)
+        assert outcome_ids(trace) == ["P", "t1"]
+        assert checked.count(2) == 1  # the grown graph: P and t1
+
     def test_rejected_expansion_aborts(self, tmp_path, monkeypatch):
         def explode(graph, expansion, seeded):
             raise GraphError("CYCLE", "expansion would close a cycle")
@@ -486,20 +496,28 @@ class TestRunDynamic:
         assert outcome_ids(partial) == ["P"]
         assert partial.expansions == []
 
-    def test_expansion_with_an_input_nothing_produces_aborts(self, tmp_path):
-        scripts = [{"matcher": {"kind": "always"}, "responses": [{"content": "```PLAN\nt1 | T | g | in=ghost\n```\nTASK COMPLETE"}]}]
-        config = load_payload(tmp_path, planner_payload(), scripts)
-        with pytest.raises(EngineError) as exc:
-            run(config, deterministic=True)
-        assert str(exc.value) == (
-            "EXPANSION_REJECTED: planner P produced an unusable expansion: UNPRODUCED_INPUT:"
-            " node t1: input ghost is neither seeded nor an output of an execution ancestor"
-        )
-        assert outcome_ids(exc.value.trace) == ["P"]
+    def test_expansion_with_an_input_nothing_produces_is_reprompted(self, tmp_path):
+        scripts = [{"matcher": {"kind": "always"}, "responses": [
+            {"content": "```PLAN\nt1 | T | g | in=ghost\n```"},
+            {"content": "```PLAN\nt1 | T | g\n```\nTASK COMPLETE"},
+            {"content": "done without it TASK COMPLETE"},
+        ]}]
+        trace = run(load_payload(tmp_path, planner_payload(), scripts), deterministic=True)
+        assert outcome_ids(trace) == ["P", "t1"]
+        planner = trace.outcomes[0]
+        assert planner["turns_used"] == 2
+        assert [e["message"]["content"] for e in planner["transcript"] if e["speaker"] == "moderator"] == [
+            "PLAN rejected: UNPRODUCED_INPUT: node t1: input ghost is neither seeded nor an output of an"
+            " execution ancestor. Re-emit a corrected PLAN block."
+        ]
+        assert [n["inputs"] for n in trace.expansions[0]["new_nodes"]] == [[]]
         payload = planner_payload()
         payload["seeds"] = {"ghost": "seeded"}
-        scripts[0]["responses"].append({"content": "used it TASK COMPLETE"})
-        assert outcome_ids(run(load_payload(tmp_path, payload, scripts), deterministic=True)) == ["P", "t1"]
+        scripts[0]["responses"][1:] = [{"content": "planned TASK COMPLETE"}, {"content": "used it TASK COMPLETE"}]
+        seeded = run(load_payload(tmp_path, payload, scripts), deterministic=True)
+        assert outcome_ids(seeded) == ["P", "t1"]
+        assert not any(e["speaker"] == "moderator" for e in seeded.outcomes[0]["transcript"])
+        assert [n["inputs"] for n in seeded.expansions[0]["new_nodes"]] == [["ghost"]]
 
     def test_budget_abort_after_applied_expansion(self, tmp_path):
         scripts = [
@@ -1084,11 +1102,11 @@ if st is not None:
 
     @st.composite
     def _run_ahead_cases(draw):
-        """A static DAG of up to 8 nodes, each with its own agent and mock
+        """A static DAG of up to 12 nodes, each with its own agent and mock
         backend, whose inputs are seeded or declared by an ancestor, and at
         most one fault: a script that runs out, a producer that never writes,
         or a node budget below the node count."""
-        count = draw(st.integers(1, 8))
+        count = draw(st.integers(1, 12))
         ids = draw(st.permutations([f"n{i}" for i in range(count)]))
         ancestors: list[set[int]] = []
         nodes, edges = [], []

@@ -1,5 +1,6 @@
 """Blackboard versioning, tf-idf retrieval, and memory windows."""
 
+import hashlib
 import math
 import os
 import sys
@@ -504,6 +505,91 @@ def write_kb(directory, files: dict[str, str]) -> None:
 
 def ranked(kb: KnowledgeBase, query: str, k: int = 9) -> list[tuple[str, str, float]]:
     return [(doc.id, doc.text, score) for doc, score in retrieve(kb, query, k)]
+
+
+def reference_digest(directory: Path) -> bytes:
+    """The documented digest, from whole-file reads: every file's bytes in
+    name order, then each name and length, then the listing's length."""
+    files = sorted(path for path in directory.iterdir() if path.name.endswith(".txt"))
+    data = [path.read_bytes() for path in files]
+    listing = os.fsencode("\0".join(f"{path.name}\0{len(body)}" for path, body in zip(files, data)))
+    return hashlib.sha256(b"".join(data) + listing + len(listing).to_bytes(8, "big")).digest()
+
+
+def open_fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+BUFFER = 1 << 16  # the reader's buffer size
+
+
+class TestLoadKbDirReads:
+    """Every file is read to its end through one reused buffer."""
+
+    @pytest.mark.parametrize("size", [0, 1, BUFFER - 1, BUFFER, BUFFER + 1, 200_003])
+    def test_sizes_around_the_buffer_read_whole_in_both_passes(self, tmp_path, loaded, size):
+        body = bytes(b"abcdefghij \n"[i % 12] for i in range(size))
+        (tmp_path / "big.txt").write_bytes(body)
+        (tmp_path / "small.txt").write_bytes(b"after")
+        kb = load_kb_dir("kb", tmp_path)
+        assert kb.get("big").text == body.decode() and kb.get("small").text == "after"
+        assert loaded["kb"][0] == reference_digest(tmp_path)
+        assert load_kb_dir("kb", tmp_path)._index is kb._index  # the hash-only pass agrees
+        (tmp_path / "big.txt").write_bytes(body + b"x")
+        assert load_kb_dir("kb", tmp_path).get("big").text == body.decode() + "x"
+        assert loaded["kb"][0] == reference_digest(tmp_path)
+
+    @pytest.mark.parametrize("char", ["\u00e9", "\u20ac", "\U0001f600"])
+    @pytest.mark.parametrize("boundary", [BUFFER, 2 * BUFFER])
+    def test_character_split_across_the_buffer_boundary(self, tmp_path, loaded, char, boundary):
+        text = "a" * (boundary - 1) + char + "tail"
+        (tmp_path / "split.txt").write_text(text, encoding="utf-8")
+        assert load_kb_dir("kb", tmp_path).get("split").text == text
+        assert loaded["kb"][0] == reference_digest(tmp_path)
+
+    def test_sub_directory_is_unreadable_in_the_hash_only_pass(self, tmp_path, loaded):
+        write_kb(tmp_path, {"a": "slack", "y": "clock"})
+        load_kb_dir("kb", tmp_path)
+        (tmp_path / "x.txt").mkdir()
+        with pytest.raises(KnowledgeError) as exc:
+            load_kb_dir("kb", tmp_path)
+        assert exc.value.code == "KB_UNREADABLE"
+        assert str(tmp_path / "x.txt") in str(exc.value)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    @pytest.mark.parametrize("cached", [False, True], ids=["decoding", "hash-only"])
+    def test_no_descriptor_left_open_after_an_unreadable_file(self, tmp_path, loaded, cached):
+        write_kb(tmp_path, {"a": "slack", "z": "clock"})
+        if cached:
+            load_kb_dir("kb", tmp_path)
+        (tmp_path / "m.txt").mkdir()
+        before = open_fds()
+        with pytest.raises(KnowledgeError) as exc:
+            load_kb_dir("kb", tmp_path)
+        assert exc.value.code == "KB_UNREADABLE"
+        assert open_fds() == before
+        (tmp_path / "m.txt").rmdir()
+        (tmp_path / "m.txt").write_bytes(b"\xff not utf-8")
+        with pytest.raises(KnowledgeError):
+            load_kb_dir("kb", tmp_path)
+        assert open_fds() == before
+
+    def test_directory_renamed_during_the_load_is_read_whole(self, tmp_path, loaded, monkeypatch):
+        directory = tmp_path / "kb"
+        write_kb(directory, {"a": "first", "b": "second"})
+        real_open = os.open
+        swapped = []
+
+        def swap_then_open(path, *args, **kwargs):
+            if str(path).endswith(".txt") and not swapped:  # the first file, after the listing
+                swapped.append(directory.rename(tmp_path / "moved"))
+                write_kb(directory, {"a": "other", "b": "other"})
+            return real_open(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", swap_then_open)
+        kb = load_kb_dir("kb", directory)
+        assert swapped
+        assert [kb.get(doc_id).text for doc_id in kb.ids()] == ["first", "second"]
 
 
 class TestLoadKbDirReuse:
