@@ -113,6 +113,8 @@ class NodeOutcome:
     written_keys: tuple[str, ...] = ()
     expansion: ExpansionRequest | None = None
     detail: str = ""
+    # the graph ``expansion`` grows, as the planner's turn checked it
+    grown: TaskGraph | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "transcript", tuple(self.transcript))
@@ -343,8 +345,9 @@ def run_node(
     an agent or tool does wrong is contained in the outcome instead. Every
     role's ``model_ref`` and tools must be in ``backends`` and ``registry``,
     as they are for a config ``load_config`` accepted. A planner's PLAN block
-    is also tried on ``graph`` with the run's ``seeds``, as the engine will
-    apply it, and one it would reject gets the moderator reprompt.
+    is applied to ``graph`` with the run's ``seeds``; one that is rejected
+    gets the moderator reprompt, and its turn does not end the node. The
+    accepted plan's grown graph is the outcome's ``grown``.
     """
     knowledge_bases = knowledge_bases or {}
     transcript: list[TranscriptEntry] = [
@@ -359,6 +362,7 @@ def run_node(
     content_turns = 0
     strikes = 0
     pending_expansion: ExpansionRequest | None = None
+    grown: TaskGraph | None = None
 
     def finish(status: str, detail: str = "") -> NodeOutcome:
         return NodeOutcome(
@@ -369,6 +373,7 @@ def run_node(
             written_keys=tuple(dict.fromkeys(written)),
             expansion=pending_expansion,
             detail=detail,
+            grown=grown,
         )
 
     while True:
@@ -384,6 +389,7 @@ def run_node(
             ) from exc
         turns += 1
         transcript.append(TranscriptEntry(speaker=role.name, message=response))
+        problem: str | None = None
 
         if response.tool_calls:
             allowed = _allowed_tools(role)
@@ -404,20 +410,22 @@ def run_node(
         elif node.expansion == "planner":
             request_or_none, problem = parse_plan_block(response.content, node, graph, agent_names)
             if request_or_none is not None:
-                try:  # what the engine would reject after the commit, the planner may still correct
-                    apply_expansion(graph, request_or_none, seeds)
+                try:
+                    grown = apply_expansion(graph, request_or_none, seeds)
                 except GraphError as exc:
                     problem = str(exc)
+                else:
+                    pending_expansion = request_or_none
+                    blackboard.write(node.outputs[0], pending_expansion.to_dict(), producer=node.id)
+                    if node.outputs[0] not in written:
+                        written.append(node.outputs[0])
             if problem is not None:
                 transcript.append(_moderator(f"PLAN rejected: {problem}. Re-emit a corrected PLAN block."))
-            elif request_or_none is not None:
-                pending_expansion = request_or_none
-                blackboard.write(node.outputs[0], pending_expansion.to_dict(), producer=node.id)
-                if node.outputs[0] not in written:
-                    written.append(node.outputs[0])
 
-        if (term.stop_phrase is None or term.stop_phrase in response.content) and (
-            not term.require_outputs or all(blackboard.has(key) for key in node.outputs)
+        if (
+            problem is None  # a rejected plan is answered before the node ends
+            and (term.stop_phrase is None or term.stop_phrase in response.content)
+            and (not term.require_outputs or all(blackboard.has(key) for key in node.outputs))
         ):
             return finish("solved")
 

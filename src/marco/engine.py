@@ -343,7 +343,9 @@ def _execute(config: RunConfig, backend_override: str | None, deterministic: boo
             trace.outcomes.append(outcome.to_dict())
             if outcome.expansion is not None and outcome.status == "solved":
                 try:
-                    graph = apply_expansion(graph, outcome.expansion, config.seeds)
+                    # a planner never runs ahead, so its turn grew the graph held here;
+                    # an outcome built without that graph is applied now
+                    graph = outcome.grown or apply_expansion(graph, outcome.expansion, config.seeds)
                 except Exception as exc:
                     raise EngineError(
                         "EXPANSION_REJECTED",

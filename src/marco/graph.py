@@ -371,24 +371,13 @@ def ready_frontier(graph: TaskGraph, done: Iterable[str]) -> list[str]:
     return sorted(nid for nid, ps in preds.items() if nid not in done_set and ps <= done_set)
 
 
-# The last expansion applied, by the identity of its arguments: a planner's
-# turn tries its plan on the graph it was given, and the engine applies the
-# same request to the same graph with the same seeds after the commit.
-_last_applied: tuple[TaskGraph, ExpansionRequest, Container[str], TaskGraph] | None = None
-
-
 def apply_expansion(graph: TaskGraph, req: ExpansionRequest, seeded: Container[str] = ()) -> TaskGraph:
     """Grow a dynamic graph from one of its planner nodes, immutably.
 
     The result always satisfies :func:`validate_graph`, and each new node's
     inputs are in ``seeded`` or outputs of its execution ancestors; anything
-    else is rejected before a new graph value is produced. A call with the
-    very objects of the last call that returned gets that result back.
+    else is rejected before a new graph value is produced.
     """
-    global _last_applied
-    last = _last_applied
-    if last is not None and last[0] is graph and last[1] is req and last[2] is seeded:
-        return last[3]
     planner = graph.node_map().get(req.planner_id)
     if planner is None or planner.expansion != "planner":
         raise GraphError("UNKNOWN_PLANNER", f"{req.planner_id!r} does not name a planner node")
@@ -419,7 +408,7 @@ def apply_expansion(graph: TaskGraph, req: ExpansionRequest, seeded: Container[s
                 for nid, key in unproduced
             ),
         )
-    _last_applied = (graph, req, seeded, candidate)
+
     return candidate
 
 

@@ -7,6 +7,7 @@ tf-idf: deterministic, dependency-free, and checkable against a naive oracle.
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import math
 import os
@@ -324,10 +325,11 @@ def _read_kb_files(dir_fd: int, directory: Path, files: list[str], documents: li
 
     Each file is opened relative to ``dir_fd`` and read until EOF into one
     buffer that every file reuses, so hashing alone keeps no file's bytes;
-    decoding copies only a file larger than the buffer. The file stem is the document id; an optional first line
-    ``tags: a,b`` declares tags and is stripped from the text. Line endings
-    are read as ``\\n``. A file that cannot be read as UTF-8 is
-    ``KB_UNREADABLE``, named by its path under ``directory``.
+    decoding copies only a file larger than the buffer. The file stem is
+    the document id; an optional first line ``tags: a,b`` declares tags and
+    is stripped from the text. Line endings are read as ``\\n``. A file
+    that cannot be read as UTF-8 is ``KB_UNREADABLE``, named by its path
+    under ``directory``.
     """
     digest = hashlib.sha256()
     listing = []
@@ -392,14 +394,15 @@ def load_kb_dir(name: str, directory: str | Path) -> KnowledgeBase:
     Otherwise the files are read again, decoded, and a fresh index is built
     and kept under ``name`` in its place. Either way the knowledge base has
     its own, empty ``parsed``. A directory that cannot be opened is
-    ``KB_DIR_MISSING``, a file that cannot be read as UTF-8
+    ``KB_DIR_MISSING``, which says why unless it is absent; a file that cannot be read as UTF-8
     ``KB_UNREADABLE``. Needs POSIX ``dir_fd`` support.
     """
     directory = Path(directory)
     try:
         dir_fd = os.open(directory, os.O_RDONLY | os.O_DIRECTORY)
     except OSError as exc:
-        raise KnowledgeError("KB_DIR_MISSING", f"knowledge base directory {str(directory)!r} does not exist") from exc
+        why = "does not exist" if exc.errno in (errno.ENOENT, errno.ENOTDIR) else f"cannot be opened: {exc.strerror}"
+        raise KnowledgeError("KB_DIR_MISSING", f"knowledge base directory {str(directory)!r} {why}") from exc
     try:
         files = sorted(entry for entry in os.listdir(dir_fd) if entry.endswith(".txt"))
         cached = _LOADED.get(name)

@@ -839,3 +839,25 @@ class TestRunNodePlanner:
             "PLAN rejected: plan line 'bad line' needs 'id | title | goal'. Re-emit a corrected PLAN block."
         )
         assert outcome.expansion is not None
+
+    def test_bad_plan_beside_the_stop_phrase_is_answered_before_the_node_ends(self):
+        node = planner_node()
+        board = Blackboard({"P": ["plan"]})
+        outcome = run_node(
+            node, planner_graph(), single_agent(stop_phrase="DONE"),
+            {"m": scripted(
+                "```PLAN\nbad line\n```\nDONE",
+                "```PLAN\nt1 | T | g | in=ghost\n```\nDONE",
+                "```PLAN\nt1 | T | g\n```\nDONE",
+            )},
+            builtin_registry(), board,
+        )
+        assert outcome.status == "solved"
+        assert outcome.turns_used == 3
+        assert [e.message.content for e in outcome.transcript if e.speaker == "moderator"] == [
+            "PLAN rejected: plan line 'bad line' needs 'id | title | goal'. Re-emit a corrected PLAN block.",
+            "PLAN rejected: UNPRODUCED_INPUT: node t1: input ghost is neither seeded nor an output of an"
+            " execution ancestor. Re-emit a corrected PLAN block.",
+        ]
+        assert [n.id for n in outcome.grown.nodes] == ["P", "t1"]
+        assert outcome.grown.edges == (TaskEdge("P", "t1"),)

@@ -472,7 +472,7 @@ class TestRunDynamic:
         assert {n["id"] for n in trace.graph_initial["nodes"]} == {"P"}
         assert trace.blackboard["the_plan"]["producer"] == "P"
 
-    def test_plan_is_checked_once_though_the_turn_and_the_engine_both_apply_it(self, tmp_path, monkeypatch):
+    def test_the_engine_commits_the_graph_the_planner_turn_grew(self, tmp_path, monkeypatch):
         config = load_payload(tmp_path, planner_payload(), PLANNER_SCRIPTS)
         checked = []
         real = marco.graph._checked
@@ -485,6 +485,11 @@ class TestRunDynamic:
         def explode(graph, expansion, seeded):
             raise GraphError("CYCLE", "expansion would close a cycle")
 
+        def without_grown_graph(*args, **kwargs):
+            return dataclasses.replace(run_node(*args, **kwargs), grown=None)
+
+        run_node = marco.engine.run_node
+        monkeypatch.setattr(marco.engine, "run_node", without_grown_graph)
         monkeypatch.setattr(marco.engine, "apply_expansion", explode)
         config = load_payload(tmp_path, planner_payload(), PLANNER_SCRIPTS)
         with pytest.raises(EngineError) as exc:
@@ -497,11 +502,15 @@ class TestRunDynamic:
         assert partial.expansions == []
 
     def test_expansion_with_an_input_nothing_produces_is_reprompted(self, tmp_path):
-        scripts = [{"matcher": {"kind": "always"}, "responses": [
-            {"content": "```PLAN\nt1 | T | g | in=ghost\n```"},
+        rejected = {"content": "```PLAN\nt1 | T | g | in=ghost\n```\nTASK COMPLETE"}
+        scripts = [{"matcher": {"kind": "always"}, "responses": [rejected]}]
+        with pytest.raises(EngineError) as exc:  # the stop phrase does not end a turn whose plan was rejected
+            run(load_payload(tmp_path, planner_payload(), scripts), deterministic=True)
+        assert exc.value.code == "BACKEND_ERROR"
+        scripts[0]["responses"] += [
             {"content": "```PLAN\nt1 | T | g\n```\nTASK COMPLETE"},
             {"content": "done without it TASK COMPLETE"},
-        ]}]
+        ]
         trace = run(load_payload(tmp_path, planner_payload(), scripts), deterministic=True)
         assert outcome_ids(trace) == ["P", "t1"]
         planner = trace.outcomes[0]
@@ -513,7 +522,7 @@ class TestRunDynamic:
         assert [n["inputs"] for n in trace.expansions[0]["new_nodes"]] == [[]]
         payload = planner_payload()
         payload["seeds"] = {"ghost": "seeded"}
-        scripts[0]["responses"][1:] = [{"content": "planned TASK COMPLETE"}, {"content": "used it TASK COMPLETE"}]
+        scripts[0]["responses"][1:] = [{"content": "used it TASK COMPLETE"}]
         seeded = run(load_payload(tmp_path, payload, scripts), deterministic=True)
         assert outcome_ids(seeded) == ["P", "t1"]
         assert not any(e["speaker"] == "moderator" for e in seeded.outcomes[0]["transcript"])

@@ -1,5 +1,6 @@
 """Blackboard versioning, tf-idf retrieval, and memory windows."""
 
+import errno
 import hashlib
 import math
 import os
@@ -465,6 +466,30 @@ class TestLoadKbDir:
         with pytest.raises(KnowledgeError) as exc:
             load_kb_dir("kb", tmp_path / "nowhere")
         assert exc.value.code == "KB_DIR_MISSING"
+        assert str(exc.value).endswith(f"{str(tmp_path / 'nowhere')!r} does not exist")
+        (tmp_path / "plain.txt").write_text("a file")
+        with pytest.raises(KnowledgeError, match="does not exist$"):
+            load_kb_dir("kb", tmp_path / "plain.txt")
+
+    def test_dir_in_a_symlink_loop_says_why_it_cannot_be_opened(self, tmp_path):
+        (tmp_path / "loop").symlink_to(tmp_path / "loop")
+        with pytest.raises(KnowledgeError) as exc:
+            load_kb_dir("kb", tmp_path / "loop")
+        assert exc.value.code == "KB_DIR_MISSING"
+        assert str(exc.value).endswith(f"cannot be opened: {os.strerror(errno.ELOOP)}")
+
+    @pytest.mark.skipif(not hasattr(os, "geteuid") or os.geteuid() == 0, reason="root reads any directory")
+    def test_unreadable_dir_says_why_it_cannot_be_opened(self, tmp_path):
+        locked = tmp_path / "locked"
+        locked.mkdir()
+        locked.chmod(0)
+        try:
+            with pytest.raises(KnowledgeError) as exc:
+                load_kb_dir("kb", locked)
+        finally:
+            locked.chmod(0o700)
+        assert exc.value.code == "KB_DIR_MISSING"
+        assert str(exc.value).endswith(f"cannot be opened: {os.strerror(errno.EACCES)}")
 
     def test_non_utf8_file_is_coded_error(self, tmp_path):
         (tmp_path / "bad.txt").write_bytes(b"\xff\xfe not utf-8")
