@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Collection, Container, Mapping
 
 from .errors import EngineError, GatewayError, GraphError
@@ -51,6 +52,11 @@ class RoleSpec:
         object.__setattr__(self, "knowledge_base_refs", tuple(self.knowledge_base_refs))
         if not self.name:
             raise ValueError("role name must be non-empty")
+
+    @cached_property
+    def system_message(self) -> ChatMessage:
+        """The message that opens every request of this role."""
+        return ChatMessage(role="system", content=self.system_prompt)
 
 
 @dataclass(frozen=True)
@@ -297,11 +303,11 @@ def _allowed_tools(role: RoleSpec) -> list[str]:
 
 
 def _build_request(role: RoleSpec, transcript: list[TranscriptEntry], registry: ToolRegistry) -> CompletionRequest:
-    messages = [ChatMessage(role="system", content=role.system_prompt)]
+    messages = [role.system_message]
     messages.extend(entry.message for entry in transcript)
     if role.memory is not None:
         messages = apply_window(messages, role.memory)
-    specs = tuple(registry.lookup(name).summary() for name in _allowed_tools(role))
+    specs = registry.tool_specs(_allowed_tools(role))
     return CompletionRequest(model_ref=role.model_ref, messages=tuple(messages), tool_specs=specs)
 
 

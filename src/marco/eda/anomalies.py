@@ -104,16 +104,6 @@ def missing_clock_edges(report: TimingReport) -> list[Anomaly]:
     return found
 
 
-def _ratio_trigger(a: float, b: float, threshold: float) -> tuple[bool, float]:
-    """(triggered, measure) for the pairwise mismatch rule."""
-    lo, hi = sorted((a, b))
-    if lo > 0:
-        ratio = hi / lo
-        return ratio >= threshold, ratio
-    # zero (or negative, unreachable for parsed R/C) denominator stand-in
-    return hi > 0, hi
-
-
 def _index_filter(indices: Sequence[int] | None) -> set[int] | None:
     return set(indices) if indices is not None else None
 
@@ -130,30 +120,38 @@ def rc_mismatch_pairs(
     stages_allowed = _index_filter(stage_filter)
     paths_allowed = set(path_filter) if path_filter is not None else None
 
+    # Per facet, the pair's larger value over its smaller one must reach the
+    # threshold; a zero (or negative, unreachable for parsed R/C) smaller value
+    # flags any positive larger one, which is then the measure.
     found = []
     for path in report.paths:
         if paths_allowed is not None and path.path_id not in paths_allowed:
             continue
-        stages = [s for s in path.stages if stages_allowed is None or s.index in stages_allowed]
-        for a_pos in range(len(stages)):
-            for b_pos in range(a_pos + 1, len(stages)):
-                sa, sb = stages[a_pos], stages[b_pos]
-                r_hit, r_measure = _ratio_trigger(sa.resistance, sb.resistance, ratio_threshold)
-                c_hit, c_measure = _ratio_trigger(sa.capacitance, sb.capacitance, ratio_threshold)
-                if not (r_hit or c_hit):
-                    continue
-                triggered = [m for hit, m in ((r_hit, r_measure), (c_hit, c_measure)) if hit]
-                facets = "+".join(name for hit, name in ((r_hit, "R"), (c_hit, "C")) if hit)
+        rc = [(s, s.resistance, s.capacitance) for s in path.stages if stages_allowed is None or s.index in stages_allowed]
+        for a_pos, (sa, ra, ca) in enumerate(rc):
+            for sb, rb, cb in rc[a_pos + 1 :]:
+                lo, hi = (rb, ra) if rb < ra else (ra, rb)
+                r_measure = (hi / lo if hi / lo >= ratio_threshold else None) if lo > 0 else (hi if hi > 0 else None)
+                lo, hi = (cb, ca) if cb < ca else (ca, cb)
+                c_measure = (hi / lo if hi / lo >= ratio_threshold else None) if lo > 0 else (hi if hi > 0 else None)
+                if c_measure is None:
+                    if r_measure is None:
+                        continue
+                    facets, measure = "R", r_measure
+                elif r_measure is None:
+                    facets, measure = "C", c_measure
+                else:
+                    facets, measure = "R+C", max(r_measure, c_measure)
                 found.append(
                     Anomaly(
                         kind="rc_mismatch",
                         path_id=path.path_id,
                         stage_pair=(sa.index, sb.index),
                         subjects=(sa.net, sb.net),
-                        measure=max(triggered),
+                        measure=measure,
                         explanation=(
                             f"{facets} mismatch between stages {sa.index} and {sb.index}"
-                            f" of path {path.path_id} (measure {max(triggered):.6g})"
+                            f" of path {path.path_id} (measure {measure:.6g})"
                         ),
                     )
                 )

@@ -16,6 +16,7 @@ import re
 import threading
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
@@ -86,6 +87,12 @@ class ChatMessage:
             payload["tool_call_id"] = self.tool_call_id
         return payload
 
+    @cached_property
+    def canonical_utf8(self) -> bytes:
+        """This message's canonical JSON, UTF-8 encoded; built on first use,
+        so a message is serialized once however many requests carry it."""
+        return canonical_json(self.to_dict()).encode("utf-8")
+
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "ChatMessage":
         return cls(
@@ -96,18 +103,32 @@ class ChatMessage:
         )
 
 
+class ToolSpecs(tuple):
+    """The tool-spec summaries offered with a request, each copied once; not
+    to be changed after the first hash, which keeps their canonical JSON."""
+
+    def __new__(cls, specs: Iterable[Mapping[str, Any]] = ()) -> "ToolSpecs":
+        return super().__new__(cls, (dict(s) for s in specs))
+
+    @cached_property
+    def canonical_utf8(self) -> bytes:
+        """The specs' canonical JSON joined by commas, UTF-8 encoded."""
+        return ",".join(canonical_json(s) for s in self).encode("utf-8")
+
+
 @dataclass(frozen=True)
 class CompletionRequest:
     """Everything a backend needs to produce the next assistant message."""
 
     model_ref: str
     messages: tuple[ChatMessage, ...]
-    tool_specs: tuple[Mapping[str, Any], ...] = ()
+    tool_specs: ToolSpecs = ToolSpecs()
     temperature: float = 0.0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "messages", tuple(self.messages))
-        object.__setattr__(self, "tool_specs", tuple(dict(s) for s in self.tool_specs))
+        if not isinstance(self.tool_specs, ToolSpecs):  # a registry's set is kept as built
+            object.__setattr__(self, "tool_specs", ToolSpecs(self.tool_specs))
         if not self.messages:
             raise ValueError("messages must be non-empty")
         if self.messages[0].role != "system":
@@ -152,9 +173,24 @@ def canonical_hash(req: CompletionRequest) -> str:
 
     Map keys are sorted and separators fixed, so semantically identical
     requests hash equal regardless of construction order; content whitespace
-    is preserved verbatim.
+    is preserved verbatim. The bytes hashed are those of
+    ``canonical_json(canonical_request(req))``, assembled from each message's
+    and the tool set's own canonical JSON in sorted key order: ``messages``,
+    ``model_ref``, ``temperature``, ``tool_specs``.
     """
-    return hashlib.sha256(canonical_json(canonical_request(req)).encode("utf-8")).hexdigest()
+    scalars = canonical_json({"model_ref": req.model_ref, "temperature": float(req.temperature)})
+    text = b"".join(
+        (
+            b'{"messages":[',
+            b",".join(m.canonical_utf8 for m in req.messages),
+            b"],",
+            scalars[1:-1].encode("utf-8"),
+            b',"tool_specs":[',
+            req.tool_specs.canonical_utf8,
+            b"]}",
+        )
+    )
+    return hashlib.sha256(text).hexdigest()
 
 
 _BRACE = re.compile(r"[{}]")
@@ -330,7 +366,7 @@ class ReplayBackend(Backend):
                 raise GatewayError("CACHE_CORRUPT", f"cache entry {str(path)!r} is unreadable: {exc}") from exc
             return response
         if not self.record:
-            raise GatewayError("CACHE_MISS", f"no cache entry for digest {digest}")
+            raise GatewayError("CACHE_MISS", f"no cache entry for digest {digest}; {self._nearest_difference(req)}")
         if self.inner is None:
             raise GatewayError("CACHE_MISS", "recording mode requires an inner backend")
         response = self.inner.complete(req)
@@ -349,6 +385,44 @@ class ReplayBackend(Backend):
                 finally:
                     temp.unlink(missing_ok=True)
         return response
+
+    def _nearest_difference(self, req: CompletionRequest) -> str:
+        """Where ``req`` first differs from the cached request of its
+        ``model_ref`` that shares the longest message prefix with it (the
+        first in digest order among equals); read only on a miss."""
+        ours = [m.canonical_utf8 for m in req.messages]
+        nearest = None  # (common prefix, digest, stored request, its messages)
+        for path in sorted(self.cache_dir.glob("*.json")):
+            try:
+                stored = read_json(path)["request"]
+                if stored["model_ref"] != req.model_ref:
+                    continue
+                messages = list(stored["messages"])
+                theirs = [canonical_json(m).encode("utf-8") for m in messages]
+            except (KeyError, TypeError, ValueError):  # an unreadable entry is no candidate
+                continue
+            common = next((i for i, (a, b) in enumerate(zip(ours, theirs)) if a != b), min(len(ours), len(theirs)))
+            if nearest is None or common > nearest[0]:
+                nearest = (common, path.stem, stored, messages)
+        if nearest is None:
+            return f"no cached request has model_ref {req.model_ref!r}"
+        common, other, stored, messages = nearest
+        if common < len(ours) and common < len(messages):
+            mine, theirs = req.messages[common].to_dict(), messages[common]
+            theirs = theirs if isinstance(theirs, dict) else {}
+            keys = ("role", "content", "tool_calls", "tool_call_id")
+            field_name = next((f".{k}" for k in keys if mine.get(k) != theirs.get(k)), "")
+            where = f"messages[{common}]{field_name} (role {mine['role']})"
+        elif common < len(ours) or common < len(messages):
+            shorter = "the cached request" if common == len(messages) else "this request"
+            where = f"messages[{common}] ({shorter} ends before it)"
+        elif stored.get("tool_specs") != [dict(s) for s in req.tool_specs]:
+            where = "tool_specs"
+        elif stored.get("temperature") != float(req.temperature):
+            where = "temperature"
+        else:
+            where = "no field: the entry is stored under another digest"
+        return f"the nearest cached request for model_ref {req.model_ref!r}, {other}, first differs at {where}"
 
 
 def _malformed(why: str) -> GatewayError:

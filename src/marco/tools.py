@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, TYPE_CHECKING
+from typing import Any, Callable, Iterable, Mapping, TYPE_CHECKING
 
 from .errors import ToolError
+from .gateway import ToolSpecs
 
 if TYPE_CHECKING:  # pragma: no cover
     from .knowledge import Blackboard, Document, KnowledgeBase
@@ -198,11 +199,23 @@ class ToolRegistry:
 
     def __init__(self) -> None:
         self._tools: dict[str, tuple[ToolSpec, Handler]] = {}
+        self._tool_sets: dict[tuple[str, ...], ToolSpecs] = {}
 
     def register_tool(self, spec: ToolSpec, handler: Handler) -> None:
         if spec.name in self._tools:
             raise ToolError("DUPLICATE_TOOL", f"tool {spec.name!r} already registered")
         self._tools[spec.name] = (spec, handler)
+
+    def tool_specs(self, names: Iterable[str]) -> ToolSpecs:
+        """The summaries of the named tools, in the order given, built once
+        per list of names, so that every request offering the same tools
+        shares one ``ToolSpecs`` and its canonical JSON. A registered tool is
+        never replaced, so a built list stays true."""
+        key = tuple(names)
+        specs = self._tool_sets.get(key)
+        if specs is None:  # two threads may both build it; either copy serves
+            specs = self._tool_sets.setdefault(key, ToolSpecs(self.lookup(name).summary() for name in key))
+        return specs
 
     def lookup(self, name: str) -> ToolSpec:
         if name not in self._tools:

@@ -14,6 +14,7 @@ import re
 import string
 from fractions import Fraction
 
+from marco.eda.anomalies import Anomaly
 from marco.eda.report import Aggressor, Stage, TimingPath, TimingReport
 from marco.graph import TaskEdge, TaskGraph, TaskNode
 
@@ -348,10 +349,11 @@ def oracle_missing_clock(report: TimingReport) -> set[tuple]:
     return found
 
 
-def _pair_trigger(a: float, b: float, threshold: float) -> tuple[bool, float]:
-    lo, hi = min(a, b), max(a, b)
+def _ratio_trigger(a: float, b: float, threshold: float) -> tuple[bool, float]:
+    lo, hi = sorted((a, b))
     if lo > 0:
-        return hi / lo >= threshold, hi / lo
+        ratio = hi / lo
+        return ratio >= threshold, ratio
     return hi > 0, hi
 
 
@@ -364,13 +366,49 @@ def oracle_rc_pairs(report, threshold, stage_filter=None, path_filter=None) -> s
         for i in range(len(kept)):
             for j in range(i + 1, len(kept)):
                 sa, sb = kept[i], kept[j]
-                r_hit, r_m = _pair_trigger(sa.resistance, sb.resistance, threshold)
-                c_hit, c_m = _pair_trigger(sa.capacitance, sb.capacitance, threshold)
+                r_hit, r_m = _ratio_trigger(sa.resistance, sb.resistance, threshold)
+                c_hit, c_m = _ratio_trigger(sa.capacitance, sb.capacitance, threshold)
                 if r_hit or c_hit:
                     measure = max([m for hit, m in ((r_hit, r_m), (c_hit, c_m)) if hit])
                     found.add(
                         ("rc_mismatch", "", path.path_id, f"{sa.index}-{sb.index}", (sa.net, sb.net), measure)
                     )
+    return found
+
+
+def oracle_rc_mismatch_list(report, ratio_threshold, stage_filter=None, path_filter=None) -> list[Anomaly]:
+    """The earlier formulation of ``rc_mismatch_pairs``, one ratio-rule call per
+    facet and pair: the same anomalies in the same order, with the same
+    measures and explanations (the threshold check is left out)."""
+    stages_allowed = set(stage_filter) if stage_filter is not None else None
+    paths_allowed = set(path_filter) if path_filter is not None else None
+    found = []
+    for path in report.paths:
+        if paths_allowed is not None and path.path_id not in paths_allowed:
+            continue
+        stages = [s for s in path.stages if stages_allowed is None or s.index in stages_allowed]
+        for a_pos in range(len(stages)):
+            for b_pos in range(a_pos + 1, len(stages)):
+                sa, sb = stages[a_pos], stages[b_pos]
+                r_hit, r_measure = _ratio_trigger(sa.resistance, sb.resistance, ratio_threshold)
+                c_hit, c_measure = _ratio_trigger(sa.capacitance, sb.capacitance, ratio_threshold)
+                if not (r_hit or c_hit):
+                    continue
+                triggered = [m for hit, m in ((r_hit, r_measure), (c_hit, c_measure)) if hit]
+                facets = "+".join(name for hit, name in ((r_hit, "R"), (c_hit, "C")) if hit)
+                found.append(
+                    Anomaly(
+                        kind="rc_mismatch",
+                        path_id=path.path_id,
+                        stage_pair=(sa.index, sb.index),
+                        subjects=(sa.net, sb.net),
+                        measure=max(triggered),
+                        explanation=(
+                            f"{facets} mismatch between stages {sa.index} and {sb.index}"
+                            f" of path {path.path_id} (measure {max(triggered):.6g})"
+                        ),
+                    )
+                )
     return found
 
 

@@ -340,6 +340,22 @@ class TestRunNodeSingle:
         assert outcome.transcript[0].speaker == "task"
         assert outcome.transcript[1].speaker == "solo_role"
 
+    def test_turns_share_the_system_message_and_the_tool_set(self):
+        class Recording(MockBackend):
+            def complete(self, req):
+                seen.append(req)
+                return super().complete(req)
+
+        seen = []
+        backend = Recording([(ScriptMatcher(kind="always"), [assistant("one"), assistant("two")])])
+        node = task_node()
+        registry = builtin_registry()
+        run_node(node, graph_of(node), single_agent(stop_phrase="NEVER", max_turns=2), {"m": backend}, registry, Blackboard())
+        first, second = seen
+        assert first.messages[0] is second.messages[0]
+        assert first.messages[0] == ChatMessage(role="system", content="speak as solo_role")
+        assert first.tool_specs is second.tool_specs is registry.tool_specs(["write_artifact"])
+
     def test_budget_exhausts_after_exact_turns(self):
         node = task_node()
         outcome = run_node(

@@ -354,6 +354,7 @@ class TestRun:
             code, out, err = run_cli(capsys, "run", str(config_path), "--backend", "web", "--deterministic")
         finally:
             server.shutdown()
+            server.server_close()
             thread.join()
         assert code == 1
         assert err.startswith("error: BACKEND_ERROR: ")

@@ -4,6 +4,12 @@ import random
 
 import pytest
 
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+except ImportError:  # pragma: no cover - hypothesis is a dev dependency
+    st = None
+
 from oracles import (
     anomaly_key,
     make_path,
@@ -11,6 +17,7 @@ from oracles import (
     make_stage,
     oracle_aggressor_rc,
     oracle_missing_clock,
+    oracle_rc_mismatch_list,
     oracle_rc_pairs,
     oracle_slowest,
     oracle_table_mismatch,
@@ -147,6 +154,34 @@ class TestRcMismatchPairs:
         with pytest.raises(ReportError) as exc:
             rc_mismatch_pairs(report, ratio_threshold=1.0)
         assert exc.value.code == "BAD_THRESHOLD"
+
+
+if st is not None:
+    RC_VALUES = st.sampled_from([0.0, 1.0, 2.0, 5.0, 10.0]) | st.floats(0.001, 1000.0)
+    RC_PATHS = st.lists(st.lists(st.tuples(RC_VALUES, RC_VALUES), max_size=6), min_size=1, max_size=4)
+
+    class TestRcMismatchPairsProperty:
+        @settings(max_examples=300, deadline=None)
+        @given(
+            paths=RC_PATHS,
+            threshold=st.sampled_from([2.0, 3.0, 5.0]) | st.floats(1.0, 20.0, exclude_min=True),
+            stage_filter=st.none() | st.lists(st.integers(0, 6), max_size=4),
+            path_filter=st.none() | st.lists(st.sampled_from(["p0", "p1", "p2", "p3", "px"]), max_size=3),
+        )
+        def test_matches_the_earlier_formulation(self, paths, threshold, stage_filter, path_filter):
+            """Zero and equal R and C values, both filters: the same anomalies in
+            the same order, with the same measures and explanations."""
+            report = make_report(
+                tuple(
+                    make_path(
+                        f"p{i}",
+                        tuple(make_stage(j, net=f"n{i}_{j}", resistance=r, capacitance=c) for j, (r, c) in enumerate(rcs)),
+                    )
+                    for i, rcs in enumerate(paths)
+                )
+            )
+            got = rc_mismatch_pairs(report, threshold, stage_filter=stage_filter, path_filter=path_filter)
+            assert got == oracle_rc_mismatch_list(report, threshold, stage_filter=stage_filter, path_filter=path_filter)
 
 
 class TestXtalkConstraint:

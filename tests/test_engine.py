@@ -779,6 +779,35 @@ class TestBundledRuns:
         assert len(new_nodes) == 4
         assert "mcmm_takeaways" in trace.blackboard
 
+    def test_replay_miss_names_the_edited_system_prompt(self, tmp_path):
+        """Record mcmm through replay over its mock scripts, edit the
+        reviewer's system prompt, then replay: the miss names the first
+        message's content and the reviewer's model_ref."""
+        payload = json.loads((BUNDLED / "mcmm.json").read_text(encoding="utf-8"))
+        payload["backends"] = {
+            "scripted": {"kind": "mock", "script": str(BUNDLED / "mcmm_scripts.json")},
+            "mock": {"kind": "replay", "cache_dir": "cache", "record": True, "inner": "scripted"},
+            "review": {"kind": "replay", "cache_dir": "cache", "record": True, "inner": "scripted"},
+        }
+        payload["knowledge_bases"] = {"timing_reports": str(BUNDLED.parent / "fixtures_3corner")}
+        reviewer = payload["agents"]["mcmm_planners"]["roles"][1]
+        reviewer["model_ref"] = "review"
+        path = tmp_path / "mcmm_replay.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        assert run(load_config(path), deterministic=True).status == "completed"
+
+        for name in ("mock", "review"):
+            payload["backends"][name]["record"] = False
+        reviewer["system_prompt"] += " Keep it short."
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(EngineError) as exc:
+            run(load_config(path), deterministic=True)
+        assert exc.value.code == "BACKEND_ERROR"
+        message = str(exc.value)
+        assert "CACHE_MISS: no cache entry for digest " in message
+        assert "the nearest cached request for model_ref 'review', " in message
+        assert message.endswith("first differs at messages[0].content (role system)")
+
 
 # --- overlapped runs against a local chat-completions server -------------------
 

@@ -1,6 +1,7 @@
 """Message model, canonical hashing, and the three backends."""
 
 import contextlib
+import hashlib
 import http.server
 import json
 import random
@@ -27,6 +28,7 @@ from marco.gateway import (
     ReplayBackend,
     ScriptMatcher,
     ToolCallRequest,
+    ToolSpecs,
     canonical_hash,
     canonical_json,
     canonical_request,
@@ -140,6 +142,65 @@ class TestCanonicalHash:
             tool_call_id=base.messages[idx].tool_call_id,
         )
         assert canonical_hash(req(*mutated_messages)) != digest
+
+
+def pinned_request() -> CompletionRequest:
+    """A request with non-ASCII text, nested tool-call arguments, a tool reply,
+    two tool specs and a non-zero temperature."""
+    call = ToolCallRequest(
+        id="call_0",
+        tool_name="find_rc_mismatch_pairs",
+        arguments={"report": "ss.txt", "filters": {"stages": [2, 1], "paths": ["p5"], "ratio": 5.0}},
+    )
+    return CompletionRequest(
+        model_ref="rec",
+        messages=(
+            sys_msg("Analysez le rapport — «slack» négatif ≤ 0 ns, 時間"),
+            user("Task node: t1\nGoal: find the worst path\n"),
+            ChatMessage(role="assistant", tool_calls=(call,)),
+            ChatMessage(role="tool", content="p5: R mismatch 1-2 (measure 12.5)\n", tool_call_id="call_0"),
+        ),
+        tool_specs=(
+            {
+                "name": "write_artifact",
+                "description": "Store a text artifact.",
+                "params": [{"name": "key", "kind": "string", "required": True, "doc": "Declared key."}],
+            },
+            {
+                "name": "find_rc_mismatch_pairs",
+                "description": "Pairs with an R or C ratio ≥ threshold.",
+                "params": [
+                    {"name": "report", "kind": "string", "required": True, "doc": ""},
+                    {"name": "ratio_threshold", "kind": "number", "required": False, "doc": "> 1"},
+                ],
+            },
+        ),
+        temperature=0.7,
+    )
+
+
+class TestDigestBytes:
+    def test_pinned_digest(self):
+        # computed by hashing canonical_json(canonical_request(...)) whole; a
+        # change here orphans every recorded cache entry
+        digest = "08e47cc92fa128674c23cfbc507c9445ab2eb67b3bd3c915abb274086941cfef"
+        assert canonical_hash(pinned_request()) == digest
+
+    def test_message_serialized_on_first_hash_only(self):
+        r = pinned_request()
+        assert all("canonical_utf8" not in m.__dict__ for m in r.messages)
+        assert "canonical_utf8" not in r.tool_specs.__dict__
+        first = canonical_hash(r)
+        assert all("canonical_utf8" in m.__dict__ for m in r.messages)
+        assert canonical_hash(r) == first
+
+    def test_a_built_spec_set_is_kept(self):
+        specs = ToolSpecs([{"name": "t", "params": []}])
+        assert req(sys_msg()).tool_specs == ()
+        kept = CompletionRequest(model_ref="m", messages=(sys_msg(),), tool_specs=specs)
+        assert kept.tool_specs is specs
+        copied = CompletionRequest(model_ref="m", messages=(sys_msg(),), tool_specs=[{"name": "t", "params": []}])
+        assert type(copied.tool_specs) is ToolSpecs and copied.tool_specs == specs
 
 
 class TestReadJson:
@@ -314,6 +375,49 @@ class TestReplayBackend:
         with pytest.raises(GatewayError) as exc:
             replayer.complete(req(sys_msg(), user("q!")))
         assert exc.value.code == "CACHE_MISS"
+
+    def recorded(self, cache, *requests: CompletionRequest) -> ReplayBackend:
+        inner = MockBackend([(ScriptMatcher("always"), [assistant("recorded")] * len(requests))])
+        recorder = ReplayBackend(cache, inner=inner, record=True)
+        for r in requests:
+            recorder.complete(r)
+        return ReplayBackend(cache)
+
+    def miss(self, replayer: ReplayBackend, r: CompletionRequest) -> str:
+        with pytest.raises(GatewayError) as exc:
+            replayer.complete(r)
+        assert exc.value.code == "CACHE_MISS"
+        assert str(exc.value).startswith(f"CACHE_MISS: no cache entry for digest {canonical_hash(r)}; ")
+        return str(exc.value)
+
+    def test_miss_names_the_first_difference_from_the_nearest_entry(self, tmp_path):
+        near = req(sys_msg(), user("q"), assistant("a"), user("more"))
+        replayer = self.recorded(tmp_path, near, req(sys_msg(), user("other")), req(*near.messages, model="other"))
+        (tmp_path / "0.json").write_text("[", encoding="utf-8")  # unreadable entries are passed over
+        (tmp_path / "1.json").write_text('{"request": {"model_ref": "m", "messages": 5}}', encoding="utf-8")
+        call = ToolCallRequest(id="c1", tool_name="t")
+        cases = {
+            "messages[3].content (role user)": req(sys_msg(), user("q"), assistant("a"), user("more!")),
+            "messages[2].role (role user)": req(sys_msg(), user("q"), user("a")),
+            "messages[2].tool_calls (role assistant)": req(
+                sys_msg(), user("q"), ChatMessage(role="assistant", content="a", tool_calls=(call,))
+            ),
+            "messages[4] (the cached request ends before it)": req(*near.messages, assistant("b")),
+            "messages[3] (this request ends before it)": req(*near.messages[:3]),
+            "temperature": req(*near.messages, temperature=0.5),
+            "tool_specs": CompletionRequest("m", near.messages, [{"name": "t"}]),
+        }
+        for where, r in cases.items():
+            expected = f"the nearest cached request for model_ref 'm', {canonical_hash(near)}, first differs at {where}"
+            assert self.miss(replayer, r).endswith(expected)
+        assert self.miss(replayer, req(sys_msg(), model="ghost")).endswith("no cached request has model_ref 'ghost'")
+
+    def test_miss_names_the_tool_call_id(self, tmp_path):
+        call = ToolCallRequest(id="c1", tool_name="t")
+        asked = (sys_msg(), ChatMessage(role="assistant", tool_calls=(call,)))
+        replayer = self.recorded(tmp_path, req(*asked, ChatMessage(role="tool", content="r", tool_call_id="c1")))
+        edited = req(*asked, ChatMessage(role="tool", content="r", tool_call_id="c2"))
+        assert self.miss(replayer, edited).endswith("first differs at messages[2].tool_call_id (role tool)")
 
     def test_record_without_inner(self, tmp_path):
         backend = ReplayBackend(tmp_path, inner=None, record=True)
@@ -687,6 +791,35 @@ if st is not None:
         @given(entry=JSON_VALUES | st.builds(lambda response: {"response": response}, RESPONSES))
         def test_any_json(self, tmp_path_factory, entry):
             self.check(tmp_path_factory.mktemp("cache"), json.dumps(entry).encode("utf-8"))
+
+
+if st is not None:
+    TEXT = st.text(max_size=8)
+    CALL_LISTS = st.lists(
+        st.builds(ToolCallRequest, id=TEXT, tool_name=TEXT, arguments=st.dictionaries(TEXT, JSON_VALUES, max_size=3)),
+        max_size=2,
+        unique_by=lambda call: call.id,
+    )
+    LATER_MESSAGES = st.one_of(
+        st.builds(ChatMessage, role=st.just("user"), content=TEXT),
+        st.builds(ChatMessage, role=st.just("assistant"), content=TEXT, tool_calls=CALL_LISTS),
+        st.builds(ChatMessage, role=st.just("tool"), content=TEXT, tool_call_id=TEXT),
+    )
+    REQUESTS = st.builds(
+        lambda model, system, later, specs, temperature: CompletionRequest(model, (system, *later), specs, temperature),
+        TEXT,
+        st.builds(ChatMessage, role=st.just("system"), content=TEXT),
+        st.lists(LATER_MESSAGES, max_size=6),
+        st.lists(st.dictionaries(TEXT, JSON_VALUES, max_size=4), max_size=3),
+        st.floats() | st.integers(-3, 3),
+    )
+
+    class TestDigestAssembly:
+        @settings(max_examples=300, deadline=None)
+        @given(r=REQUESTS)
+        def test_digest_hashes_the_whole_canonical_request(self, r):
+            whole = canonical_json(canonical_request(r)).encode("utf-8")
+            assert canonical_hash(r) == hashlib.sha256(whole).hexdigest()
 
 
 class TestToolArgumentParsing:

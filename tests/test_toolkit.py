@@ -197,6 +197,18 @@ class TestRegistry:
         assert listed == sorted(names)
         assert len(listed) == 10
 
+    def test_tool_specs_built_once_per_list_of_names(self):
+        registry = ToolRegistry()
+        registry.register_tool(spec_with(name="a"), ok_handler)
+        registry.register_tool(spec_with(name="b"), ok_handler)
+        specs = registry.tool_specs(["a", "b"])
+        assert specs == (registry.lookup("a").summary(), registry.lookup("b").summary())
+        assert registry.tool_specs(("a", "b")) is specs
+        assert registry.tool_specs(["b", "a"]) == specs[::-1]
+        with pytest.raises(ToolError) as exc:
+            registry.tool_specs(["ghost"])
+        assert exc.value.code == "UNKNOWN_TOOL"
+
     def test_lookup_unknown(self):
         with pytest.raises(ToolError) as exc:
             ToolRegistry().lookup("ghost")
