@@ -15,10 +15,11 @@ import os
 import re
 import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .errors import GatewayError
 
@@ -168,6 +169,50 @@ def read_json(source: Path | bytes) -> Any:
         raise ValueError(str(exc)) from exc
 
 
+# Parsed files, keyed by the parser and the sha256 of a file's full bytes,
+# least recently used first. Only frozen results are kept, never the bytes.
+# A run reads its cache entries and script files in the same order each time,
+# and an LRU smaller than one run's distinct files evicts each before its next
+# use and never hits, so the bound must exceed that count (35 cache entries in
+# the reports_replay bench workload, 3 script files in bundled); 256 leaves
+# room for larger caches at about a response message or one file's scripts each.
+_PARSED: OrderedDict[tuple[Callable[[bytes], Any], bytes], Any] = OrderedDict()
+_PARSED_MAX = 256
+_parsed_lock = threading.Lock()
+
+
+def _parse_once(parse: Callable[[bytes], Any], data: bytes) -> Any:
+    """``parse(data)``, computed once per distinct bytes in the process. A
+    parse that raises is not kept, so each call with those bytes raises."""
+    key = (parse, hashlib.sha256(data).digest())
+    with _parsed_lock:
+        if key in _PARSED:
+            _PARSED.move_to_end(key)
+            return _PARSED[key]
+    value = parse(data)
+    with _parsed_lock:
+        _PARSED[key] = value
+        if len(_PARSED) > _PARSED_MAX:
+            _PARSED.popitem(last=False)
+    return value
+
+
+# One read's worth: a recorded cache entry or a script file is a few KB.
+_READ_SIZE = 1 << 16
+
+
+def _read_to_eof(path: Path) -> bytes:
+    """The bytes of the file at ``path``, through one descriptor read to EOF."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        chunks = []
+        while chunk := os.read(fd, _READ_SIZE):
+            chunks.append(chunk)
+        return b"".join(chunks)
+    finally:
+        os.close(fd)
+
+
 def canonical_hash(req: CompletionRequest) -> str:
     """Stable sha256 digest of the canonical request serialization.
 
@@ -308,13 +353,23 @@ class MockBackend(Backend):
 
 def read_script_file(path: Path) -> tuple[list[Script], list[str]]:
     """The usable scripts of a mock script file, and one line for every reason
-    the file or one of its entries cannot be used."""
+    the file or one of its entries cannot be used. The file is read whole on
+    every call and parsed once per distinct bytes in the process."""
     try:
-        payload = read_json(path)
-    except ValueError as exc:
+        scripts, problems = _parse_once(_parse_scripts, _read_to_eof(path))
+    except (OSError, ValueError) as exc:
         return [], [f"script file {str(path)!r} is not readable JSON: {exc}"]
+    except TypeError as exc:
+        return [], [f"script file {str(path)!r} {exc}"]
+    return list(scripts), list(problems)
+
+
+def _parse_scripts(data: bytes) -> tuple[tuple[Script, ...], tuple[str, ...]]:
+    """The checked scripts of a script file's bytes and its entries' problems,
+    which do not name the file; ``TypeError`` if the bytes hold no JSON list."""
+    payload = read_json(data)
     if not isinstance(payload, list):
-        return [], [f"script file {str(path)!r} must hold a JSON list, got {type(payload).__name__}"]
+        raise TypeError(f"must hold a JSON list, got {type(payload).__name__}")
     scripts: list[Script] = []
     problems = []
     probe = MockBackend()  # register_script holds the checks on responses
@@ -329,7 +384,15 @@ def read_script_file(path: Path) -> tuple[list[Script], list[str]]:
             problems.append(f"script entry {index}: {exc}")
         else:
             scripts.append((matcher, responses))
-    return scripts, problems
+    return tuple(scripts), tuple(problems)
+
+
+def _entry_response(data: bytes) -> ChatMessage:
+    """The response of a replay cache entry's bytes, an assistant message."""
+    response = ChatMessage.from_dict(read_json(data)["response"])
+    if response.role != "assistant":
+        raise ValueError(f"response role {response.role!r} is not 'assistant'")
+    return response
 
 
 class ReplayBackend(Backend):
@@ -357,14 +420,12 @@ class ReplayBackend(Backend):
     def complete(self, req: CompletionRequest) -> ChatMessage:
         digest = canonical_hash(req)
         path = self._path(digest)
-        if path.exists():
-            try:
-                response = ChatMessage.from_dict(read_json(path)["response"])
-                if response.role != "assistant":
-                    raise ValueError(f"response role {response.role!r} is not 'assistant'")
-            except (AttributeError, KeyError, TypeError, ValueError) as exc:
-                raise GatewayError("CACHE_CORRUPT", f"cache entry {str(path)!r} is unreadable: {exc}") from exc
-            return response
+        try:  # an entry is read whole on every hit and parsed once per distinct bytes
+            return _parse_once(_entry_response, _read_to_eof(path))
+        except (FileNotFoundError, NotADirectoryError):  # no entry, or no cache_dir: a miss
+            pass
+        except (AttributeError, KeyError, OSError, TypeError, ValueError) as exc:
+            raise GatewayError("CACHE_CORRUPT", f"cache entry {str(path)!r} is unreadable: {exc}") from exc
         if not self.record:
             raise GatewayError("CACHE_MISS", f"no cache entry for digest {digest}; {self._nearest_difference(req)}")
         if self.inner is None:

@@ -211,6 +211,29 @@ class TestValidationProblems:
             f"backends.mock: script file {str(script)!r} must hold a JSON list, got dict"
         ]
 
+    def test_rewritten_script_file_takes_effect(self, workdir):
+        script = workdir / "script.json"
+        for content in ("first", "second", "first"):
+            script.write_text(
+                json.dumps([{"matcher": {"kind": "always"}, "responses": [{"content": content}]}]), encoding="utf-8"
+            )
+            (_, responses), = load_config(write_config(workdir, base_payload())).backends["mock"].scripts
+            assert [r.content for r in responses] == [content]
+
+    @pytest.mark.parametrize("raw, why", [("{}", "must hold a JSON list, got dict"), ("[", "is not readable JSON: ")])
+    def test_each_backend_names_its_own_script_file(self, workdir, raw, why):
+        """Two script files with the same bytes each get a problem naming
+        their own path, on every load."""
+        payload = base_payload()
+        payload["backends"]["other"] = {"kind": "mock", "script": "other.json"}
+        for name in ("script.json", "other.json"):
+            (workdir / name).write_text(raw, encoding="utf-8")
+        for _ in range(2):
+            problems = problems_of(workdir, payload)
+            for backend, name in (("mock", "script.json"), ("other", "other.json")):
+                prefix = f"backends.{backend}: script file {str(workdir / name)!r} {why}"
+                assert sum(p.startswith(prefix) for p in problems) == 1
+
     def test_turn_index_too_large_for_an_integer(self, workdir):
         (workdir / "script.json").write_text(
             '[{"matcher": {"kind": "turn_index", "value": 1e400}, "responses": [{"content": "x"}]}]', encoding="utf-8"

@@ -3,14 +3,23 @@ every code a run can raise is rejected at load or has a reason it cannot be."""
 
 import ast
 import json
+import os
 import re
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 import marco
 from marco.config import load_config
-from marco.errors import ConfigError
+from marco.engine import run
+from marco.errors import ConfigError, MarcoError
+
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+except ImportError:  # pragma: no cover - hypothesis is a dev dependency
+    st = None
 
 SRC = Path(marco.__file__).resolve().parent
 README = SRC.parents[1] / "README.md"
@@ -120,3 +129,61 @@ def test_row_is_a_reason_or_a_rejected_mutation(code, tmp_path):
     path.write_text(json.dumps(payload), encoding="utf-8")
     with pytest.raises(ConfigError):
         load_config(path)
+
+
+def _leaves(value):
+    """Every value inside a JSON document that is neither an object nor a list."""
+    if isinstance(value, (dict, list)):
+        for child in value.values() if isinstance(value, dict) else value:
+            yield from _leaves(child)
+    else:
+        yield value
+
+
+def _bundled_payload(name: str) -> dict:
+    """A bundled config with its script and knowledge-base paths made
+    absolute, so a copy loads from any directory."""
+    path = SRC / "data" / "configs" / f"{name}.json"
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    for backend in payload["backends"].values():
+        backend["script"] = str(path.parent / backend["script"])
+    payload["knowledge_bases"] = {kb: str(path.parent / d) for kb, d in payload["knowledge_bases"].items()}
+    return payload
+
+
+if st is not None:
+    from test_config import JSON_VALUES, _json_paths
+
+    class TestLoadedConfigsRun:
+        """Validation is the one gate: a run of a config that ``load_config``
+        accepted completes, or fails with a code that has a fixed reason in
+        RUN_CODES, never one that a config mutation stands for."""
+
+        @settings(max_examples=300, deadline=None)
+        @given(name=st.sampled_from(["timing_debug", "mcmm"]), data=st.data())
+        def test_mutated_bundled_config_runs_or_fails_for_a_reason(self, tmp_path_factory, name, data):
+            payload = _bundled_payload(name)
+            # the config's own leaf values pass the kind checks far more often than random ones
+            leaves = sorted({repr(v): v for v in _leaves(payload)}.items())
+            values = JSON_VALUES | st.sampled_from([v for _, v in leaves])
+            for _ in range(data.draw(st.integers(1, 2), label="mutations")):
+                path = data.draw(st.sampled_from(sorted(_json_paths(payload), key=repr)), label="path")
+                parent = payload
+                for key in path[:-1]:
+                    parent = parent[key]
+                if data.draw(st.booleans(), label="delete"):
+                    del parent[path[-1]]
+                else:
+                    parent[path[-1]] = data.draw(values, label="value")
+            config_path = tmp_path_factory.mktemp("mutated") / "run.json"
+            config_path.write_text(json.dumps(payload), encoding="utf-8")
+            try:
+                config = load_config(config_path)
+            except ConfigError:
+                return
+            # an http backend made by a mutation must find no server to call
+            with mock.patch.dict(os.environ, {"MARCO_BASE_URL": ""}):
+                try:
+                    run(config, deterministic=True)
+                except MarcoError as exc:
+                    assert isinstance(RUN_CODES.get(exc.code), str), f"{exc.code} after load_config accepted: {exc}"

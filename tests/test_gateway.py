@@ -1,9 +1,11 @@
 """Message model, canonical hashing, and the three backends."""
 
+import collections
 import contextlib
 import hashlib
 import http.server
 import json
+import os
 import random
 import socket
 import sys
@@ -19,6 +21,7 @@ try:
 except ImportError:  # pragma: no cover - hypothesis is a dev dependency
     st = None
 
+from marco import gateway
 from marco.errors import GatewayError
 from marco.gateway import (
     ChatMessage,
@@ -311,6 +314,10 @@ class TestMockBackend:
         assert backend.complete(req(sys_msg(), user("hello"))).content == "hi there"
 
 
+def _entry(response: ChatMessage) -> str:
+    return canonical_json({"response": response.to_dict()})
+
+
 class TestReplayBackend:
     def test_record_then_replay_identical(self, tmp_path):
         inner = MockBackend()
@@ -434,6 +441,94 @@ class TestReplayBackend:
         # second call hits the cache, never consuming the inner script
         assert recorder.complete(r).content == "one"
         assert len(list(tmp_path.glob("*.json"))) == 1
+
+    # A hit reads its entry whole every time and parses only bytes new to the
+    # process; what the entry's bytes say is what is served.
+    def test_rewritten_entry_is_served_as_rewritten(self, tmp_path):
+        r = req(sys_msg(), user("q"))
+        entry = tmp_path / f"{canonical_hash(r)}.json"
+        replayer = ReplayBackend(tmp_path)
+        for content in ("one", "two", "one"):
+            entry.write_text(_entry(assistant(content)), encoding="utf-8")
+            assert replayer.complete(r).content == content
+            assert ReplayBackend(tmp_path).complete(r).content == content
+
+    def test_corrupt_entry_fails_every_hit(self, tmp_path):
+        r = req(sys_msg(), user("q"))
+        (tmp_path / f"{canonical_hash(r)}.json").write_text('{"response": 7}', encoding="utf-8")
+        replayer = ReplayBackend(tmp_path)
+        for _ in range(3):
+            with pytest.raises(GatewayError) as exc:
+                replayer.complete(r)
+            assert exc.value.code == "CACHE_CORRUPT"
+
+    def test_known_bytes_are_not_parsed_again(self, tmp_path, monkeypatch):
+        r = req(sys_msg(), user("parsed once"))
+        (tmp_path / f"{canonical_hash(r)}.json").write_text(_entry(assistant("kept")), encoding="utf-8")
+        first = ReplayBackend(tmp_path).complete(r)
+        parses = []
+        monkeypatch.setattr(gateway, "read_json", lambda data: parses.append(data))
+        assert ReplayBackend(tmp_path).complete(r) is first
+        assert parses == []
+
+    def test_memo_keeps_its_bound(self, monkeypatch):
+        monkeypatch.setattr(gateway, "_PARSED", collections.OrderedDict())
+        monkeypatch.setattr(gateway, "_PARSED_MAX", 2)
+        for data in (b"1", b"2", b"1", b"3"):
+            gateway._parse_once(gateway.read_json, data)
+        assert [gateway._PARSED[key] for key in gateway._PARSED] == [1, 3]  # 2 was least recently used
+
+    @pytest.mark.parametrize("make", ["absent", "a_file"])
+    def test_missing_cache_dir_is_a_miss(self, tmp_path, make):
+        cache = tmp_path / "cache"
+        if make == "a_file":
+            cache.write_text("not a directory", encoding="utf-8")
+        r = req(sys_msg(), user("q"))
+        message = self.miss(ReplayBackend(cache), r)
+        assert message.endswith("no cached request has model_ref 'm'")
+
+    def test_entry_that_is_a_directory_is_corrupt(self, tmp_path):
+        r = req(sys_msg(), user("q"))
+        entry = tmp_path / f"{canonical_hash(r)}.json"
+        entry.mkdir()
+        with pytest.raises(GatewayError) as exc:
+            ReplayBackend(tmp_path).complete(r)
+        assert exc.value.code == "CACHE_CORRUPT"
+        assert f"cache entry {str(entry)!r} is unreadable: " in str(exc.value)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_reads_close_every_descriptor(self, tmp_path):
+        """Raw descriptors raise no ResourceWarning, so the leak guard in
+        conftest cannot see one; the process's open descriptors are counted."""
+        hit, corrupt = req(sys_msg(), user("hit")), req(sys_msg(), user("corrupt"))
+        (tmp_path / f"{canonical_hash(hit)}.json").write_text(_entry(assistant("a")), encoding="utf-8")
+        (tmp_path / f"{canonical_hash(corrupt)}.json").write_text("[", encoding="utf-8")
+        replayer = ReplayBackend(tmp_path)
+        before = len(os.listdir("/proc/self/fd"))
+        for _ in range(100):
+            replayer.complete(hit)
+        for r in (req(sys_msg(), user("miss")), corrupt):
+            with pytest.raises(GatewayError):
+                replayer.complete(r)
+        assert len(os.listdir("/proc/self/fd")) == before
+
+
+class TestScriptFileReads:
+    """A script file is read whole on every load and parsed only when its
+    bytes are new to the process; problems that name the file stay with it."""
+
+    def test_missing_file_names_its_path(self, tmp_path):
+        path = tmp_path / "ghost.json"
+        scripts, problems = read_script_file(path)
+        assert scripts == []
+        reason = f"[Errno 2] No such file or directory: {str(path)!r}"
+        assert problems == [f"script file {str(path)!r} is not readable JSON: {reason}"]
+
+    def test_entry_problems_are_the_same_for_the_same_bytes(self, tmp_path):
+        raw = json.dumps([{"matcher": {"kind": "always"}, "responses": []}])
+        for name in ("a.json", "b.json"):
+            (tmp_path / name).write_text(raw, encoding="utf-8")
+            assert read_script_file(tmp_path / name) == ([], ["script entry 0: a script needs at least one response"])
 
 
 class _ChatHandler(http.server.BaseHTTPRequestHandler):
