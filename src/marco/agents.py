@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Collection, Container, Mapping
+from typing import Any, Collection, Container, Generator, Mapping
 
 from .errors import EngineError, GatewayError, GraphError
 from .gateway import Backend, ChatMessage, CompletionRequest, canonical_json
@@ -334,26 +334,26 @@ def _moderator(text: str) -> TranscriptEntry:
     return TranscriptEntry(speaker="moderator", message=ChatMessage(role="user", content=text))
 
 
-def run_node(
+def converse(
     node: TaskNode,
     graph: TaskGraph,
     agent: AgentConfig,
-    backends: Mapping[str, Backend],
     registry: ToolRegistry,
     blackboard: Blackboard,
     knowledge_bases: Mapping[str, KnowledgeBase] | None = None,
     agent_names: Collection[str] | None = None,
     seeds: Container[str] = (),
-) -> NodeOutcome:
-    """Run one node's conversation to an outcome.
+) -> Generator[tuple[str, CompletionRequest], ChatMessage, NodeOutcome]:
+    """Run one node's conversation to an outcome without calling a model: it
+    yields ``(model_ref, request)`` for each call and is sent the reply, or
+    has the call's ``GatewayError`` thrown in, which aborts as ``BACKEND_ERROR``.
 
-    Backend failures and missing declared inputs abort by raising; everything
-    an agent or tool does wrong is contained in the outcome instead. Every
-    role's ``model_ref`` and tools must be in ``backends`` and ``registry``,
-    as they are for a config ``load_config`` accepted. A planner's PLAN block
-    is applied to ``graph`` with the run's ``seeds``; one that is rejected
-    gets the moderator reprompt, and its turn does not end the node. The
-    accepted plan's grown graph is the outcome's ``grown``.
+    Missing declared inputs abort by raising too; everything an agent or tool
+    does wrong is contained in the outcome instead. Every role's tools must
+    be in ``registry``, as they are for a config ``load_config`` accepted. A
+    planner's PLAN block is applied to ``graph`` with the run's ``seeds``;
+    one that is rejected gets the moderator reprompt, and its turn does not
+    end the node. The accepted plan's grown graph is the outcome's ``grown``.
     """
     knowledge_bases = knowledge_bases or {}
     transcript: list[TranscriptEntry] = [
@@ -385,7 +385,7 @@ def run_node(
     while True:
         request = _build_request(role, transcript, registry)
         try:
-            response = backends[role.model_ref].complete(request)
+            response = yield role.model_ref, request
         except GatewayError as exc:
             raise EngineError(
                 "BACKEND_ERROR",
@@ -459,3 +459,29 @@ def run_node(
 
         if turns >= term.max_turns:
             return finish("budget_exhausted", f"turn budget {term.max_turns} exhausted")
+
+
+def run_node(
+    node: TaskNode,
+    graph: TaskGraph,
+    agent: AgentConfig,
+    backends: Mapping[str, Backend],
+    registry: ToolRegistry,
+    blackboard: Blackboard,
+    knowledge_bases: Mapping[str, KnowledgeBase] | None = None,
+    agent_names: Collection[str] | None = None,
+    seeds: Container[str] = (),
+) -> NodeOutcome:
+    """``converse``, with each model call made directly on ``backends``, which
+    must hold every role's ``model_ref``."""
+    conversation = converse(node, graph, agent, registry, blackboard, knowledge_bases, agent_names, seeds)
+    reply = None
+    while True:
+        try:
+            model_ref, request = conversation.send(reply)
+        except StopIteration as stop:
+            return stop.value
+        try:
+            reply = backends[model_ref].complete(request)
+        except GatewayError as exc:
+            conversation.throw(exc)  # raises the node's BACKEND_ERROR

@@ -8,6 +8,7 @@ once, not just the first. Relative paths resolve against the config file.
 from __future__ import annotations
 
 import hashlib
+import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Mapping
@@ -179,6 +180,10 @@ def _load_backend(name: str, payload: Any, base_dir: Path, problems: list[str]) 
             problems.append(f"backends.{name}: replay backend needs a 'cache_dir'")
             return None
         cache_dir = (base_dir / raw_dir).resolve()
+        if payload.get("record"):  # a recorder makes cache_dir as a run starts, under its nearest existing path
+            nearest = next(path for path in (cache_dir, *cache_dir.parents) if path.exists())
+            if not nearest.is_dir() or (nearest != cache_dir and not os.access(nearest, os.W_OK | os.X_OK)):
+                problems.append(f"backends.{name}.cache_dir: {str(cache_dir)!r} cannot be made a directory")
     elif kind == "http" and payload.get("base_url") and not payload["base_url"].lower().startswith(HTTP_SCHEMES):
         problems.append(f"backends.{name}.base_url: must start with http:// or https://, got {payload['base_url']!r}")
     return BackendDef(

@@ -1,11 +1,12 @@
 """End-to-end run engine: schedule ready nodes, run each through its
 agent, apply planner expansions, and persist a replayable trace.
 
-Nodes commit strictly in sorted-frontier order, one at a time: a node's
-outcome, blackboard writes and expansion land exactly as if the nodes had
-run one after another, even when nodes served by waiting backends ran side
-by side. Deterministic mode also zeroes wall-clock timings, so two runs of
-the same config and scripts serialize identically.
+One loop on the calling thread runs every node; only calls to backends that
+wait run on worker threads, side by side. Nodes commit strictly in
+sorted-frontier order, one at a time: a node's outcome, blackboard writes and
+expansion land exactly as if the nodes had run one after another.
+Deterministic mode also zeroes wall-clock timings, so two runs of the same
+config and scripts serialize identically.
 """
 
 from __future__ import annotations
@@ -14,11 +15,12 @@ import dataclasses
 import json
 import time
 from collections import Counter
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
+from contextlib import ExitStack
 from dataclasses import dataclass, field
-from typing import Any, Mapping, TextIO
+from typing import Any, Generator, Mapping, TextIO
 
-from .agents import NodeOutcome, run_node
+from .agents import NodeOutcome, converse, run_node
 from .config import RunConfig
 from .errors import EngineError
 from .gateway import Backend, HttpBackend, MockBackend, ReplayBackend
@@ -26,7 +28,7 @@ from .graph import Schedule, TaskGraph, TaskNode, apply_expansion, execution_ord
 from .knowledge import Blackboard, BlackboardStage, load_kb_dir
 
 TRACE_STATUSES = ("completed", "aborted")
-MAX_AHEAD = 8  # nodes running ahead of the head on worker threads at once
+MAX_AHEAD = 8  # nodes started ahead of the head at once
 BASELINE_NODE_ID = "baseline"
 
 
@@ -241,16 +243,18 @@ def _finish(trace: TraceDocument, graph: TaskGraph, blackboard: Blackboard, stat
 
 def _execute(config: RunConfig, backend_override: str | None, deterministic: bool, meta: dict) -> TraceDocument:
     """Shared run path for run and run_baseline: build the backends and the
-    trace, then schedule.
+    trace, then schedule in one loop on the calling thread.
 
     Nodes commit one at a time in Kahn order: outcome, blackboard writes and
-    expansion of the least ready id. While the head runs, other ready nodes
-    may run ahead on worker threads when (a) no planner is uncommitted, so
-    the graph is final, (b) every role of their agent is served by a backend
-    that waits, (c) no other uncommitted node declares one of their input
-    or output keys, and (d) the serial run reaches them within the node
-    budget. Their writes are staged and committed, or dropped, when
-    they reach the head.
+    expansion of the least ready id. A node whose agent's roles all use
+    backends that wait is a conversation this loop steps, with only its
+    backend calls on worker threads; any other node runs through
+    ``run_node`` as the head. A stepped node may start ahead of the head
+    when (a) no planner is uncommitted, so the graph is final, (b) no other
+    uncommitted node declares one of its input or output keys, and (c) the
+    serial run reaches it within the node budget. Its writes are staged, and
+    its outcome held, until it reaches the head. The run returns only after
+    every node it started has finished.
     """
     backends = build_backends(config, backend_override)
     graph = config.graph
@@ -273,32 +277,61 @@ def _execute(config: RunConfig, backend_override: str | None, deterministic: boo
     schedule = Schedule(graph, done, ready_frontier(graph, done))
     planners = sum(node.expansion == "planner" for node in graph.nodes)  # uncommitted ones
     producers = Counter(key for node in graph.nodes for key in node.outputs)  # uncommitted declarers
-    ahead: dict[str, tuple[Future, BlackboardStage]] = {}
+    ahead: dict[str, BlackboardStage] = {}  # started node -> its staged writes, until it reaches the head
+    ended: dict[str, NodeOutcome | Exception] = {}  # started node -> its outcome, or the error it raised
+    calls: dict[Future, tuple[str, Generator]] = {}  # backend call in flight -> its node and conversation
     elapsed: dict[str, float] = {}
 
-    def attempt(node: TaskNode, graph: TaskGraph, stage: BlackboardStage) -> NodeOutcome:
-        started = time.perf_counter()
+    def start(node: TaskNode) -> None:
+        """Start a node: step its conversation to its first backend call if
+        its agent waits, or else run it through ``run_node`` to its end."""
+        ahead[node.id] = stage = blackboard.stage(node.id)
+        elapsed[node.id] = -time.perf_counter()  # the clock is added when the node ends
+        agent = config.agents[node.agent_ref]
+        if node.agent_ref in waiting_agents:
+            conversation = converse(node, graph, agent, config.tools, stage, knowledge_bases, agent_names, config.seeds)
+            step(node.id, conversation, None)
+            return
         try:
-            return run_node(
-                node,
-                graph,
-                config.agents[node.agent_ref],
-                backends,
-                config.tools,
-                stage,
-                knowledge_bases=knowledge_bases,
-                agent_names=agent_names,
-                seeds=config.seeds,
+            ended[node.id] = run_node(
+                node, graph, agent, backends, config.tools, stage, knowledge_bases, agent_names, config.seeds
             )
-        finally:
-            elapsed[node.id] = time.perf_counter() - started
+        except Exception as exc:
+            ended[node.id] = exc
+        elapsed[node.id] += time.perf_counter()
+
+    def step(nid: str, conversation: Generator, reply: Future | None) -> None:
+        """Send a conversation the reply to its last call, or start it; then
+        submit its next call, or keep how it ended."""
+        try:
+            if reply is not None and reply.exception() is not None:
+                conversation.throw(reply.exception())  # raises the node's error
+            model_ref, request = conversation.send(None if reply is None else reply.result())
+        except StopIteration as stop:
+            ended[nid] = stop.value
+        except Exception as exc:
+            ended[nid] = exc
+        else:
+            calls[pool.submit(backends[model_ref].complete, request)] = (nid, conversation)
+            return
+        elapsed[nid] += time.perf_counter()
+
+    def advance(until: str | None) -> None:
+        """Feed replies to their conversations as they arrive, until node
+        ``until`` has ended, or else until no call is in flight."""
+        while calls and (until is None or until not in ended):
+            arrived, _ = wait(calls, return_when=FIRST_COMPLETED)
+            for call in arrived:
+                step(*calls.pop(call), call)
 
     def may_run_ahead(node: TaskNode) -> bool:
         if node.agent_ref not in waiting_agents:
             return False
         return all(producers[key] == (key in node.outputs) for key in {*node.inputs, *node.outputs})
 
-    with ThreadPoolExecutor(max_workers=MAX_AHEAD, thread_name_prefix="marco-node") as pool:
+    # a worker for each node that may wait at once, so the head never queues behind nodes run ahead
+    with ThreadPoolExecutor(max_workers=MAX_AHEAD + 1, thread_name_prefix="marco-call") as pool, ExitStack() as leaving:
+        leaving.callback(advance, None)  # nodes started ahead of a failed head run to their end, then are dropped
         while schedule.heap:
             if len(done) >= config.max_node_executions:
                 raise EngineError(
@@ -318,23 +351,19 @@ def _execute(config: RunConfig, backend_override: str | None, deterministic: boo
                     if room <= 0:
                         break
                     if nid not in ahead and nid in reached and may_run_ahead(nodes[nid]):
-                        stage = blackboard.stage(nid)
-                        ahead[nid] = (pool.submit(attempt, nodes[nid], graph, stage), stage)
+                        start(nodes[nid])
                         room -= 1
             node = nodes[head]
-            if head in ahead:
-                future, stage = ahead.pop(head)
-            else:
-                future, stage = None, blackboard.stage(head)
-            try:
-                outcome = future.result() if future is not None else attempt(node, graph, stage)
-            except EngineError as exc:
-                stage.commit()  # what the head wrote before it failed, as a serial run keeps it
-                exc.trace = _finish(trace, graph, blackboard, "aborted")
-                raise
-            finally:
-                # runs before an error leaves, so an aborted trace still times this node
-                trace.timings[head] = 0.0 if zero_clock else round(elapsed[head], 6)
+            if head not in ahead:
+                start(node)
+            advance(head)
+            stage, outcome = ahead.pop(head), ended.pop(head)
+            trace.timings[head] = 0.0 if zero_clock else round(elapsed[head], 6)  # an aborted trace times it too
+            if isinstance(outcome, Exception):
+                if isinstance(outcome, EngineError):
+                    stage.commit()  # what the head wrote before it failed, as a serial run keeps it
+                    outcome.trace = _finish(trace, graph, blackboard, "aborted")
+                raise outcome
             stage.commit()
             schedule.pop()
             done.add(head)

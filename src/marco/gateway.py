@@ -16,6 +16,7 @@ import re
 import threading
 import time
 from collections import OrderedDict
+from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -269,8 +270,9 @@ class Backend:
     """Interface every backend implements.
 
     ``waits`` is true when a call spends its time waiting on another process
-    rather than computing; the engine runs nodes served only by such backends
-    side by side.
+    rather than computing; the engine runs such calls on worker threads, so
+    nodes served only by such backends overlap, and ``complete`` must then
+    be safe to call from several threads at once.
     """
 
     waits = False
@@ -408,7 +410,10 @@ class ReplayBackend(Backend):
         self.record = record
         self._lock = threading.Lock()
         if record:
-            self.cache_dir.mkdir(parents=True, exist_ok=True)
+            try:
+                self.cache_dir.mkdir(parents=True, exist_ok=True)
+            except OSError as exc:
+                raise GatewayError("CACHE_WRITE", f"cache_dir {str(self.cache_dir)!r} cannot be made: {exc}") from exc
 
     @property
     def waits(self) -> bool:
@@ -443,8 +448,11 @@ class ReplayBackend(Backend):
                 try:
                     temp.write_text(canonical_json(entry), encoding="utf-8")
                     os.replace(temp, path)
+                except OSError as exc:
+                    raise GatewayError("CACHE_WRITE", f"cache entry {str(path)!r} cannot be written: {exc}") from exc
                 finally:
-                    temp.unlink(missing_ok=True)
+                    with suppress(OSError):  # gone once replaced, or never made
+                        temp.unlink()
         return response
 
     def _nearest_difference(self, req: CompletionRequest) -> str:

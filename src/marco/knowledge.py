@@ -12,7 +12,6 @@ import hashlib
 import math
 import os
 import re
-import threading
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
@@ -41,7 +40,7 @@ class Artifact:
 
 
 class Blackboard:
-    """Shared, versioned key-value store with per-key atomicity.
+    """Shared, versioned key-value store; not thread-safe.
 
     Writes are restricted to keys the producing node declared as outputs;
     declarations are registered by the engine as the graph (and any
@@ -54,39 +53,31 @@ class Blackboard:
     def __init__(self, declarations: Mapping[str, Iterable[str]] | None = None) -> None:
         self._entries: dict[str, Artifact] = {}
         self._declarations: dict[str, set[str]] = {}
-        self._lock = threading.Lock()
         for node_id, keys in (declarations or {}).items():
             self.declare_outputs(node_id, keys)
 
     def declare_outputs(self, node_id: str, keys: Iterable[str]) -> None:
-        with self._lock:
-            self._declarations.setdefault(node_id, set()).update(keys)
+        self._declarations.setdefault(node_id, set()).update(keys)
 
-    def _next(self, key: str, value: Any, producer: str, previous: Artifact | None) -> Artifact:
-        """The artifact a write makes after ``previous``; call with the lock held."""
+    def write(self, key: str, value: Any, producer: str) -> int:
+        """Write one artifact version; returns the new version number."""
+        artifact = self._entries[key] = self.prepare(key, value, producer)
+        return artifact.version
+
+    def prepare(self, key: str, value: Any, producer: str, after: Artifact | None = None) -> Artifact:
+        """The artifact a write would make, checked but not applied: its
+        version follows ``after``, or else the latest entry under ``key``."""
         if producer != self.SEED_PRODUCER and key not in self._declarations.get(producer, ()):
             raise KnowledgeError(
                 "UNDECLARED_OUTPUT",
                 f"node {producer!r} did not declare output key {key!r}",
             )
+        previous = after or self._entries.get(key)
         return Artifact(value=value, producer=producer, version=1 if previous is None else previous.version + 1)
 
-    def write(self, key: str, value: Any, producer: str) -> int:
-        """Write one artifact version; returns the new version number."""
-        with self._lock:
-            artifact = self._entries[key] = self._next(key, value, producer, self._entries.get(key))
-            return artifact.version
-
-    def prepare(self, key: str, value: Any, producer: str, after: Artifact | None = None) -> Artifact:
-        """The artifact a write would make, checked but not applied: its
-        version follows ``after``, or else the latest entry under ``key``."""
-        with self._lock:
-            return self._next(key, value, producer, after or self._entries.get(key))
-
     def commit(self, writes: Mapping[str, Artifact]) -> None:
-        """Apply artifacts made by ``prepare``, all under one lock."""
-        with self._lock:
-            self._entries.update(writes)
+        """Apply artifacts made by ``prepare``."""
+        self._entries.update(writes)
 
     def stage(self, node_id: str) -> "BlackboardStage":
         """A view that holds one node's writes apart until they are committed."""
@@ -99,26 +90,22 @@ class Blackboard:
         return self.entry(key).value
 
     def entry(self, key: str) -> Artifact:
-        with self._lock:
-            if key not in self._entries:
-                raise KnowledgeError("KEY_ABSENT", f"no artifact under key {key!r}")
-            return self._entries[key]
+        if key not in self._entries:
+            raise KnowledgeError("KEY_ABSENT", f"no artifact under key {key!r}")
+        return self._entries[key]
 
     def has(self, key: str) -> bool:
-        with self._lock:
-            return key in self._entries
+        return key in self._entries
 
     def keys(self) -> list[str]:
-        with self._lock:
-            return sorted(self._entries)
+        return sorted(self._entries)
 
     def snapshot(self) -> dict[str, dict]:
         """Stable serializable view: key -> {value, producer, version}."""
-        with self._lock:
-            return {
-                key: {"value": art.value, "producer": art.producer, "version": art.version}
-                for key, art in sorted(self._entries.items())
-            }
+        return {
+            key: {"value": art.value, "producer": art.producer, "version": art.version}
+            for key, art in sorted(self._entries.items())
+        }
 
 
 class BlackboardStage:
@@ -165,10 +152,9 @@ class Document:
 
 class _Index:
     """What knowledge bases loaded from the same bytes share: the documents,
-    the corpus and its offsets, the postings searched so far, and the lock
-    that guards building them. The documents never change, and the corpus
-    and each token's postings, built once under the lock, are the same
-    whichever knowledge base asks first."""
+    the corpus and its offsets, and the postings searched so far. The
+    documents never change, and the corpus and each token's postings, built
+    once, are the same whichever knowledge base asks first; not thread-safe."""
 
     def __init__(self) -> None:
         self.docs: dict[str, Document] = {}
@@ -176,7 +162,6 @@ class _Index:
         self.starts: list[int] = []  # corpus offset of each document, in ``ids`` order
         self.ids: list[str] = []
         self.postings: dict[str, dict[str, int]] = {}  # queried token -> doc id -> count
-        self.lock = threading.Lock()
 
 
 class KnowledgeBase:
@@ -197,16 +182,12 @@ class KnowledgeBase:
     document's parse at most once while this knowledge base lives; it is
     never shared. A parser may keep its own memo beneath it, as
     ``parse_timing_report`` does, so ``parsed`` then saves the lookup, not
-    the parse.
-    The index's lock guards the corpus and the postings and this knowledge
-    base's lock guards ``parsed``, as nodes may query a knowledge base from
-    several threads at once.
+    the parse. Not thread-safe, nor is the index it shares.
     """
 
     def __init__(self, name: str, documents: Iterable[Document] = ()) -> None:
         self.name = name
         self.parsed: dict[str, Any] = {}
-        self._lock = threading.Lock()
         self._index = _Index()
         docs = self._index.docs
         for doc in documents:
@@ -215,7 +196,7 @@ class KnowledgeBase:
             docs[doc.id] = doc
 
     def _build_corpus(self) -> None:
-        """Join the documents into the corpus; call with the index's lock held."""
+        """Join the documents into the corpus."""
         index = self._index
         index.ids = list(index.docs)
         # An ASCII text is lowercased by the byte table; lowering any other
@@ -228,7 +209,7 @@ class KnowledgeBase:
         index.corpus = " ".join(["", *texts, ""]).encode("ascii", "replace").translate(_CORPUS_BYTES)
 
     def _search(self, token: str) -> dict[str, int]:
-        """Doc id -> count of the whole token ``token``; call with the index's lock held."""
+        """Doc id -> count of the whole token ``token``."""
         index = self._index
         if index.corpus is None:
             self._build_corpus()
@@ -255,19 +236,15 @@ class KnowledgeBase:
         index = self._index
         posting = index.postings.get(token)
         if posting is None:
-            with index.lock:
-                posting = index.postings.get(token)
-                if posting is None:
-                    posting = index.postings[token] = self._search(token) if _TOKEN_RE.fullmatch(token) else {}
+            posting = index.postings[token] = self._search(token) if _TOKEN_RE.fullmatch(token) else {}
         return posting
 
     def parse_once(self, doc_id: str, parse: Callable[[str], Any]) -> Any:
         """``parse`` of the document's text, kept in ``parsed``; a parse that
         raises is not kept."""
-        with self._lock:
-            if doc_id not in self.parsed:
-                self.parsed[doc_id] = parse(self._index.docs[doc_id].text)
-            return self.parsed[doc_id]
+        if doc_id not in self.parsed:
+            self.parsed[doc_id] = parse(self._index.docs[doc_id].text)
+        return self.parsed[doc_id]
 
     def get(self, doc_id: str) -> Document | None:
         return self._index.docs.get(doc_id)
@@ -280,9 +257,6 @@ class KnowledgeBase:
 
     def token_count(self, doc_id: str, token: str) -> int:
         return self.postings(token).get(doc_id, 0)
-
-    def doc_frequency(self, token: str) -> int:
-        return len(self.postings(token))
 
 
 def retrieve(kb: KnowledgeBase, query: str, k: int) -> list[tuple[Document, float]]:
@@ -415,8 +389,6 @@ def load_kb_dir(name: str, directory: str | Path) -> KnowledgeBase:
     finally:
         os.close(dir_fd)
     kb = KnowledgeBase(name, documents)
-    # Loads that race under one name each keep a digest with its own index,
-    # so whichever lands last is still a correct entry.
     _LOADED[name] = (digest, kb._index)
     return kb
 

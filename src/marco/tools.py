@@ -187,9 +187,6 @@ class ToolContext:
                 return kb, doc
         raise KeyError(f"document {doc_id!r} not found in any accessible knowledge base")
 
-    def get_document(self, doc_id: str) -> str:
-        return self.find_document(doc_id)[1].text
-
 
 Handler = Callable[[dict, ToolContext], ToolResult]
 
@@ -213,17 +210,14 @@ class ToolRegistry:
         never replaced, so a built list stays true."""
         key = tuple(names)
         specs = self._tool_sets.get(key)
-        if specs is None:  # two threads may both build it; either copy serves
-            specs = self._tool_sets.setdefault(key, ToolSpecs(self.lookup(name).summary() for name in key))
+        if specs is None:
+            specs = self._tool_sets[key] = ToolSpecs(self.lookup(name).summary() for name in key)
         return specs
 
     def lookup(self, name: str) -> ToolSpec:
         if name not in self._tools:
             raise ToolError("UNKNOWN_TOOL", f"no tool named {name!r}")
         return self._tools[name][0]
-
-    def list_tools(self) -> list[ToolSpec]:
-        return [self._tools[name][0] for name in sorted(self._tools)]
 
     def __contains__(self, name: str) -> bool:
         return name in self._tools

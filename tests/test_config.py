@@ -1,6 +1,7 @@
 """Run-configuration loading: full validation, accumulated problems."""
 
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,7 @@ import marco
 from marco.agents import Termination
 from marco.cli import main
 from marco.config import load_config
+from marco.eda.toolpack import HANDLER_CATALOG
 from marco.errors import ConfigError
 from marco.knowledge import MemoryWindow
 
@@ -267,6 +269,30 @@ class TestValidationProblems:
         problems = problems_of(workdir, payload)
         assert any("inner backend 'ghost' is not defined" in p for p in problems)
 
+    @pytest.mark.parametrize("cache_dir", ["file", "file/cache", "file/cache/deeper"])
+    def test_recording_cache_dir_under_a_file_rejected(self, workdir, cache_dir):
+        (workdir / "file").write_text("a regular file", encoding="utf-8")
+        payload = base_payload()
+        payload["backends"]["rep"] = {"kind": "replay", "cache_dir": cache_dir, "inner": "mock", "record": True}
+        assert problems_of(workdir, payload) == [
+            f"backends.rep.cache_dir: {str(workdir / cache_dir)!r} cannot be made a directory"
+        ]
+        payload["backends"]["rep"]["record"] = False  # replaying only reads: no directory is a miss
+        load_config(write_config(workdir, payload))
+
+    @pytest.mark.skipif(os.geteuid() == 0, reason="root writes to any directory")
+    def test_recording_cache_dir_under_a_read_only_directory_rejected(self, workdir):
+        (workdir / "locked").mkdir(mode=0o500)
+        payload = base_payload()
+        payload["backends"]["rep"] = {"kind": "replay", "cache_dir": "locked/cache", "inner": "mock", "record": True}
+        assert [p.split(":")[0] for p in problems_of(workdir, payload)] == ["backends.rep.cache_dir"]
+
+    def test_recording_cache_dir_is_checked_not_made(self, workdir):
+        payload = base_payload()
+        payload["backends"]["rep"] = {"kind": "replay", "cache_dir": "new/cache", "inner": "mock", "record": True}
+        assert load_config(write_config(workdir, payload)).backends["rep"].cache_dir == workdir / "new" / "cache"
+        assert not (workdir / "new").exists()
+
     def test_circular_replay_inner_chains_rejected(self, workdir):
         payload = base_payload()
         payload["backends"]["r2"] = {"kind": "replay", "cache_dir": "c2", "inner": "r1", "record": True}
@@ -295,9 +321,10 @@ class TestValidationProblems:
         payload = base_payload()
         payload["tool_bindings"] = {"find_rc_mismatch_pairs": "eda.find_rc_mismatch_pairs"}
         config = load_config(write_config(workdir, payload))
-        assert [spec.name for spec in config.tools.list_tools()] == [
-            "find_rc_mismatch_pairs", "retrieve_knowledge", "write_artifact"
-        ]
+        names = ["find_rc_mismatch_pairs", "retrieve_knowledge", "write_artifact"]
+        assert [spec["name"] for spec in config.tools.tool_specs(names)] == names
+        catalog_names = [spec.name for spec, _ in HANDLER_CATALOG.values()]
+        assert [name for name in catalog_names if name in config.tools] == ["find_rc_mismatch_pairs"]
 
     @pytest.mark.parametrize(
         "name, reason",

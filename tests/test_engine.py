@@ -11,6 +11,7 @@ import shutil
 import tempfile
 import threading
 import time
+from concurrent.futures import FIRST_COMPLETED, Future
 from pathlib import Path
 from unittest import mock
 
@@ -37,7 +38,7 @@ from marco.engine import (
     run,
     run_baseline,
 )
-from marco.errors import EngineError, GraphError
+from marco.errors import EngineError, GatewayError, GraphError
 from marco.gateway import Backend, ChatMessage, CompletionRequest, HttpBackend, MockBackend, ReplayBackend, ToolCallRequest
 
 BUNDLED = Path(marco.__file__).resolve().parent / "data" / "configs"
@@ -386,8 +387,7 @@ class TestBuildRegistry:
         payload["tool_bindings"] = {"rc_probe": "eda.find_rc_mismatch_pairs"}
         config = load_payload(tmp_path, payload, ALWAYS_TWO)
         registry = config.tools
-        names = {spec.name for spec in registry.list_tools()}
-        assert {"write_artifact", "retrieve_knowledge", "rc_probe"} <= names
+        assert all(name in registry for name in ("write_artifact", "retrieve_knowledge", "rc_probe"))
         assert registry.lookup("rc_probe").name == "rc_probe"
 
 
@@ -589,6 +589,16 @@ class TestReplayRecording:
         assert f"CACHE_CORRUPT: cache entry {str(n2_entry)!r} is unreadable" in str(exc.value)
         assert exc.value.trace.status == "aborted"
         assert outcome_ids(exc.value.trace) == ["n1"]
+
+    def test_cache_dir_made_unusable_after_load_is_a_coded_error(self, tmp_path):
+        payload = chain_payload()
+        payload["agents"]["solo"]["roles"][0]["model_ref"] = "rec"
+        payload["backends"]["rec"] = {"kind": "replay", "cache_dir": "under/cache", "inner": "mock", "record": True}
+        config = load_payload(tmp_path, payload, ALWAYS_TWO)
+        (tmp_path / "under").write_text("a regular file", encoding="utf-8")
+        with pytest.raises(GatewayError) as exc:
+            run(config, deterministic=True)
+        assert exc.value.code == "CACHE_WRITE"
 
     def test_replay_presence_zeroes_wall_clock(self, tmp_path):
         config = self.replay_config(tmp_path)
@@ -1119,14 +1129,25 @@ class TestReportParseMemo:
         assert (info.misses, info.hits, info.currsize) == (2, 0, 0)
 
 
-class WaitingBackend(Backend):
-    """A backend that claims to wait, so the engine runs its nodes ahead:
-    each call is served under a lock, then held for a seeded 0-2 ms."""
+class ClaimsToWait(Backend):
+    """A backend that claims to wait, so the engine runs its nodes ahead."""
 
     waits = True
 
+    def __init__(self, inner: Backend) -> None:
+        self.inner = inner
+
+    def complete(self, req: CompletionRequest) -> ChatMessage:
+        return self.inner.complete(req)
+
+
+class WaitingBackend(ClaimsToWait):
+    """A backend that claims to wait, called on the engine's worker threads:
+    each call is served under a lock, then held for a seeded 0-2 ms."""
+
     def __init__(self, inner: Backend, lock: threading.Lock, rng: random.Random) -> None:
-        self.inner, self.lock, self.rng = inner, lock, rng
+        super().__init__(inner)
+        self.lock, self.rng = lock, rng
 
     def complete(self, req: CompletionRequest) -> ChatMessage:
         with self.lock:
@@ -1198,12 +1219,48 @@ if st is not None:
         except EngineError as exc:
             return exc.code, str(exc), exc.trace.render()
 
+    class ChosenReplies:
+        """Stands in for ``marco.engine``'s worker pool and its ``wait``, with
+        no thread: a submitted backend call runs only when ``wait`` is asked
+        for a reply, and the Hypothesis draw chooses which pending call's reply
+        arrives next, so every order of replies can be drawn."""
+
+        def __init__(self, data) -> None:
+            self.data = data
+            self.pending: dict[Future, tuple] = {}  # in submit order
+
+        def executor(self, **_options) -> "ChosenReplies":
+            return self
+
+        def __enter__(self) -> "ChosenReplies":
+            return self
+
+        def __exit__(self, *_exc) -> None:
+            assert not self.pending, "the run ended with backend calls still pending"
+
+        def submit(self, fn, *args) -> Future:
+            future = Future()
+            self.pending[future] = (fn, args)
+            return future
+
+        def wait(self, futures, return_when):
+            assert return_when == FIRST_COMPLETED
+            waiting = [f for f in futures if f in self.pending]
+            chosen = waiting[self.data.draw(st.integers(0, len(waiting) - 1), label="next reply")]
+            fn, args = self.pending.pop(chosen)
+            try:
+                chosen.set_result(fn(*args))
+            except Exception as exc:  # noqa: BLE001 - handed to the engine, as a worker's future would
+                chosen.set_exception(exc)
+            return {chosen}, set(futures) - {chosen}
+
     class TestRunAheadEqualsSerial:
         @settings(max_examples=200, deadline=None)
-        @given(case=_run_ahead_cases(), seed=st.integers(0, 2**32 - 1))
-        def test_overlapped_run_renders_as_the_serial_one(self, case, seed):
+        @given(case=_run_ahead_cases(), data=st.data())
+        def test_overlapped_run_renders_as_the_serial_one(self, case, data):
             """The oracle is the same config without the waiting wrapper, whose
-            nodes all run one after another on the main thread in Kahn order."""
+            nodes all run one after another in Kahn order. With the wrapper, the
+            draw decides which in-flight reply arrives next."""
             payload, scripts, budget = case
             with tempfile.TemporaryDirectory() as tmp:
                 for nid, script in scripts.items():
@@ -1214,12 +1271,12 @@ if st is not None:
                 config = dataclasses.replace(config, max_node_executions=budget)
             serial = _outcome(config)
 
-            lock = threading.Lock()
-
             def waiting_backends(config, override=None):
-                built = build_backends(config, override)
-                return {name: WaitingBackend(b, lock, random.Random(f"{seed}:{name}")) for name, b in built.items()}
+                return {name: ClaimsToWait(b) for name, b in build_backends(config, override).items()}
 
-            with mock.patch.object(marco.engine, "build_backends", waiting_backends):
+            replies = ChosenReplies(data)
+            with mock.patch.object(marco.engine, "build_backends", waiting_backends), \
+                    mock.patch.object(marco.engine, "ThreadPoolExecutor", replies.executor), \
+                    mock.patch.object(marco.engine, "wait", replies.wait):
                 overlapped = _outcome(config)
             assert overlapped == serial

@@ -83,6 +83,7 @@ RUN_CODES = {
     "NO_SCRIPT_MATCH": "model output",  # earlier replies decide the request a script must match
     "CACHE_MISS": "changed after load",
     "CACHE_CORRUPT": "changed after load",
+    "CACHE_WRITE": "changed after load",  # load_config checks a recording cache_dir can be made
     "HTTP_ERROR": "network",
     "BUDGET_EXCEEDED": "planner expansion",  # load_config holds the limit to the initial node count
     "EXPANSION_REJECTED": "planner expansion",

@@ -432,6 +432,26 @@ class TestReplayBackend:
             backend.complete(req(sys_msg(), user("q")))
         assert exc.value.code == "CACHE_MISS"
 
+    def test_recorder_whose_cache_dir_cannot_be_made(self, tmp_path):
+        (tmp_path / "file").write_text("a regular file", encoding="utf-8")
+        with pytest.raises(GatewayError) as exc:
+            ReplayBackend(tmp_path / "file" / "cache", inner=MockBackend(), record=True)
+        assert exc.value.code == "CACHE_WRITE"
+        assert f"cache_dir {str(tmp_path / 'file' / 'cache')!r} cannot be made: " in str(exc.value)
+
+    def test_entry_that_cannot_be_written(self, tmp_path):
+        cache = tmp_path / "cache"
+        inner = MockBackend([(ScriptMatcher("always"), [assistant("recorded")])])
+        recorder = ReplayBackend(cache, inner=inner, record=True)
+        cache.rmdir()
+        cache.write_text("the cache directory, replaced by a file", encoding="utf-8")
+        r = req(sys_msg(), user("q"))
+        with pytest.raises(GatewayError) as exc:
+            recorder.complete(r)
+        assert exc.value.code == "CACHE_WRITE"
+        assert f"cache entry {str(cache / (canonical_hash(r) + '.json'))!r} cannot be written: " in str(exc.value)
+        assert os.listdir(tmp_path) == ["cache"]
+
     def test_at_most_once_entry(self, tmp_path):
         inner = MockBackend()
         inner.register_script(ScriptMatcher("always"), [assistant("one"), assistant("two")])

@@ -1,6 +1,6 @@
 """``src/marco`` imports only the standard library and itself, so a new
-runtime dependency fails here rather than in a user's install; and
-``import marco`` loads the framework."""
+runtime dependency fails here rather than in a user's install; threads live
+only where the engine puts them; and ``import marco`` loads the framework."""
 
 import ast
 import os
@@ -34,6 +34,31 @@ def test_only_stdlib_and_marco_imported():
         if name not in ALLOWED
     }
     assert not outside, sorted(outside)
+
+
+def thread_modules(tree: ast.AST) -> set[str]:
+    """``concurrent`` and ``threading`` (``_thread`` counted as it), for every
+    import of one of them, or of a module under one, anywhere in a module."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return {"threading" if name == "_thread" else name for name in names} & {"concurrent", "threading"}
+
+
+def test_threads_live_only_in_the_engine_pool_and_the_gateway():
+    """Only the engine starts threads, a pool that runs backend calls and
+    nothing else, and only the gateway, whose backends those calls reach,
+    takes locks. Code that ran a node's own work on a worker again would
+    need a lock somewhere else, and fails here."""
+    users = {
+        name: sorted(str(path.relative_to(SRC)) for path in SRC.rglob("*.py")
+                     if name in thread_modules(ast.parse(path.read_text(encoding="utf-8"))))
+        for name in ("concurrent", "threading")
+    }
+    assert users == {"concurrent": ["engine.py"], "threading": ["gateway.py"]}
 
 
 def test_import_marco_loads_the_framework():

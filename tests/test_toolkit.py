@@ -188,14 +188,14 @@ class TestRegistry:
             registry.register_tool(spec, ok_handler)
         assert exc.value.code == "DUPLICATE_TOOL"
 
-    def test_listing_sorted(self):
+    def test_every_registered_tool_is_found(self):
         registry = ToolRegistry()
         names = [f"tool_{c}" for c in "jcfbeadghi"]
         for name in names:
             registry.register_tool(spec_with(name=name), ok_handler)
-        listed = [s.name for s in registry.list_tools()]
-        assert listed == sorted(names)
-        assert len(listed) == 10
+        assert all(name in registry and registry.lookup(name).name == name for name in names)
+        assert [s["name"] for s in registry.tool_specs(sorted(names))] == sorted(names)
+        assert "tool_k" not in registry
 
     def test_tool_specs_built_once_per_list_of_names(self):
         registry = ToolRegistry()
@@ -312,16 +312,16 @@ class TestContext:
         assert results[()] == results[("notes",)] == not_found
         assert results[("timing_reports",)][0] is True
 
-    def test_get_document_across_kbs(self):
+    def test_find_document_across_kbs(self):
         from marco.knowledge import Document, KnowledgeBase
 
         kb_a = KnowledgeBase("a", [Document("shared", "from a")])
-        kb_b = KnowledgeBase("b", [Document("only_b", "from b")])
-        context = ToolContext(knowledge_bases={"a": kb_a, "b": kb_b})
-        assert context.get_document("only_b") == "from b"
-        assert context.get_document("shared") == "from a"
+        kb_b = KnowledgeBase("b", [Document("only_b", "from b"), Document("shared", "from b")])
+        context = ToolContext(knowledge_bases={"b": kb_b, "a": kb_a})
+        assert context.find_document("only_b") == (kb_b, Document("only_b", "from b"))
+        assert context.find_document("shared") == (kb_a, Document("shared", "from a"))
         with pytest.raises(KeyError):
-            context.get_document("ghost")
+            context.find_document("ghost")
 
 
 REPORT = (
