@@ -24,7 +24,7 @@ from .errors import EngineError, GatewayError, GraphError
 from .gateway import Backend, ChatMessage, CompletionRequest, canonical_json
 from .graph import ExpansionRequest, TaskEdge, TaskGraph, TaskNode, apply_expansion
 from .knowledge import Blackboard, KnowledgeBase, MemoryWindow, apply_window, retrieve
-from .tools import Param, ParamSchema, ToolContext, ToolRegistry, ToolResult, ToolSpec, error_result
+from .tools import Param, ToolContext, ToolRegistry, ToolResult, ToolSpec, error_result
 
 TOPOLOGIES = ("single", "multi_round_robin", "multi_hierarchical")
 NODE_STATUSES = ("solved", "failed", "budget_exhausted")
@@ -269,11 +269,9 @@ def register_builtin_tools(registry: ToolRegistry) -> None:
         ToolSpec(
             name=WRITE_TOOL,
             description="Store a text artifact on the shared blackboard under a declared output key.",
-            params=ParamSchema(
-                (
-                    Param("key", "string", doc="Declared output key to write."),
-                    Param("value", "string", doc="Artifact text, stored verbatim."),
-                )
+            params=(
+                Param("key", "string", doc="Declared output key to write."),
+                Param("value", "string", doc="Artifact text, stored verbatim."),
             ),
         ),
         _write_artifact_handler,
@@ -282,12 +280,10 @@ def register_builtin_tools(registry: ToolRegistry) -> None:
         ToolSpec(
             name=RETRIEVE_TOOL,
             description="Search a bound knowledge base; returns the top matching documents.",
-            params=ParamSchema(
-                (
-                    Param("kb", "string", doc="Name of a knowledge base bound to this role."),
-                    Param("query", "string", doc="Search terms."),
-                    Param("k", "integer", required=False, doc="How many documents (default 5)."),
-                )
+            params=(
+                Param("kb", "string", doc="Name of a knowledge base bound to this role."),
+                Param("query", "string", doc="Search terms."),
+                Param("k", "integer", required=False, doc="How many documents (default 5)."),
             ),
         ),
         _retrieve_knowledge_handler,

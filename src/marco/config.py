@@ -28,8 +28,7 @@ BACKEND_KINDS = ("mock", "http", "replay")
 class BackendDef:
     name: str
     kind: str
-    script: Path | None = None
-    scripts: tuple[Script, ...] = ()  # mock: the scripts load_config read from ``script``
+    scripts: tuple[Script, ...] = ()  # mock: the scripts load_config read from the ``script`` file
     cache_dir: Path | None = None
     record: bool = False
     inner: str | None = None
@@ -162,7 +161,7 @@ def _load_backend(name: str, payload: Any, base_dir: Path, problems: list[str]) 
         problems.append(f"backends.{name}: kind must be one of {BACKEND_KINDS}, got {kind!r}")
         return None
     scripts: list[Script] = []
-    script = cache_dir = None
+    cache_dir = None
     if kind == "mock":
         raw_script = payload.get("script")
         if not raw_script:
@@ -189,7 +188,6 @@ def _load_backend(name: str, payload: Any, base_dir: Path, problems: list[str]) 
     return BackendDef(
         name=name,
         kind=kind,
-        script=script,
         scripts=tuple(scripts),
         cache_dir=cache_dir,
         record=bool(payload.get("record", False)),

@@ -8,7 +8,7 @@ structured payload on the blackboard under ``save_as``. Payloads carry an
 
 from __future__ import annotations
 
-from ..tools import Handler, Param, ParamSchema, ToolContext, ToolResult, ToolSpec
+from ..tools import Handler, Param, ToolContext, ToolResult, ToolSpec
 from .anomalies import (  # detectors are called through globals(), see _anomaly_tool
     anomaly_identity,
     aggressor_anomalies,
@@ -22,10 +22,8 @@ from .report import TimingReport, parse_timing_report
 
 
 def _load_report(context: ToolContext, doc_id: str) -> TimingReport:
-    """Parse a report document once per knowledge base that holds it; a parse
-    failure raises and is not kept."""
-    kb, _ = context.find_document(doc_id)
-    return kb.parse_once(doc_id, parse_timing_report)
+    """The parsed report document; ``parse_timing_report``'s memo keeps the parse."""
+    return parse_timing_report(context.find_document(doc_id).text)
 
 
 def _parse_index_list(text: str | None) -> list[int] | None:
@@ -53,10 +51,6 @@ REPORTS = Param("reports", "string_list", doc="Document ids of the timing report
 STAGES = Param("stages", "string", required=False, doc="Comma-separated stage indices to restrict to.")
 PATHS = Param("paths", "string", required=False, doc="Comma-separated path ids to restrict to.")
 SAVE_AS = Param("save_as", "string", required=False, doc="Blackboard key to store the structured payload under.")
-
-
-def _spec(name: str, description: str, params: tuple[Param, ...]) -> ToolSpec:
-    return ToolSpec(name=name, description=description, params=ParamSchema(params))
 
 
 def _anomaly_tool(
@@ -95,7 +89,7 @@ def _anomaly_tool(
         return _tool_result(payload, lines, context, args.get("save_as"))
 
     spec_params = (*reports, *params, *((STAGES, PATHS) if filtered else ()), SAVE_AS)
-    return _spec(name, description, spec_params), handler
+    return ToolSpec(name, description, spec_params), handler
 
 
 def _h_timing_distribution(args: dict, context: ToolContext) -> ToolResult:
@@ -167,7 +161,7 @@ HANDLER_CATALOG = {
         ),
     ),
     "eda.timing_distribution": (
-        _spec(
+        ToolSpec(
             "timing_distribution",
             "Histogram path slacks per report and pooled, with min/max/mean.",
             (REPORTS, Param("bin_width", "number", doc="Bin width in ns (> 0)."), SAVE_AS),
@@ -175,7 +169,7 @@ HANDLER_CATALOG = {
         _h_timing_distribution,
     ),
     "eda.timing_metric_compare": (
-        _spec(
+        ToolSpec(
             "timing_metric_compare",
             "Tabulate wns/tns/failing-path-count per (corner, mode) and name the worst.",
             (REPORTS, Param("metric", "string", doc="'wns', 'tns', or 'failing_path_count'."), SAVE_AS),

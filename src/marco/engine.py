@@ -252,7 +252,7 @@ def _execute(config: RunConfig, backend_override: str | None, deterministic: boo
     ``run_node`` as the head. A stepped node may start ahead of the head
     when (a) no planner is uncommitted, so the graph is final, (b) no other
     uncommitted node declares one of its input or output keys, and (c) the
-    serial run reaches it within the node budget. Its writes are staged, and
+    node budget covers every node of the graph. Its writes are staged, and
     its outcome held, until it reaches the head. The run returns only after
     every node it started has finished.
     """
@@ -341,16 +341,13 @@ def _execute(config: RunConfig, backend_override: str | None, deterministic: boo
                     trace=_finish(trace, graph, blackboard, "aborted"),
                 )
             head = schedule.heap[0]
-            if waiting_agents and not planners:
-                # only nodes the serial run reaches start: with fewer budget slots
-                # left than nodes, those are the schedule's next pops
-                left = config.max_node_executions - len(done)
-                reached = schedule.upcoming(left) if len(nodes) - len(done) > left else nodes
+            # a budget that covers every node lets the serial run reach every node
+            if waiting_agents and not planners and len(nodes) <= config.max_node_executions:
                 room = MAX_AHEAD - len(ahead)
                 for nid in sorted(schedule.heap)[1:]:
                     if room <= 0:
                         break
-                    if nid not in ahead and nid in reached and may_run_ahead(nodes[nid]):
+                    if nid not in ahead and may_run_ahead(nodes[nid]):
                         start(nodes[nid])
                         room -= 1
             node = nodes[head]

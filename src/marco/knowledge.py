@@ -13,10 +13,10 @@ import math
 import os
 import re
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Iterable, Mapping
 
 from .errors import KnowledgeError
 from .gateway import ChatMessage
@@ -150,20 +150,6 @@ class Document:
         object.__setattr__(self, "tags", tuple(self.tags))
 
 
-class _Index:
-    """What knowledge bases loaded from the same bytes share: the documents,
-    the corpus and its offsets, and the postings searched so far. The
-    documents never change, and the corpus and each token's postings, built
-    once, are the same whichever knowledge base asks first; not thread-safe."""
-
-    def __init__(self) -> None:
-        self.docs: dict[str, Document] = {}
-        self.corpus: bytes | None = None  # built on the first search
-        self.starts: list[int] = []  # corpus offset of each document, in ``ids`` order
-        self.ids: list[str] = []
-        self.postings: dict[str, dict[str, int]] = {}  # queried token -> doc id -> count
-
-
 class KnowledgeBase:
     """Document store searched as one corpus, built on its first query.
 
@@ -175,46 +161,41 @@ class KnowledgeBase:
     offset; they are built on the token's first ask and kept. A token no
     document holds costs one scan, no document is ever tokenized, a knowledge
     base that is never queried builds no corpus, and a string that is not a
-    whole token has empty postings. The documents, the corpus and the
-    postings live in an ``_Index`` that ``load_kb_dir`` hands on to the next
-    knowledge base loaded from the same bytes. ``parsed`` holds what tools
-    derive from a document (doc id -> parsed form), so a tool asks for each
-    document's parse at most once while this knowledge base lives; it is
-    never shared. A parser may keep its own memo beneath it, as
-    ``parse_timing_report`` does, so ``parsed`` then saves the lookup, not
-    the parse. Not thread-safe, nor is the index it shares.
+    whole token has empty postings. The documents never change, so
+    ``load_kb_dir`` hands the same knowledge base, with its corpus and the
+    postings searched so far, to every load of the same bytes. Not
+    thread-safe.
     """
 
     def __init__(self, name: str, documents: Iterable[Document] = ()) -> None:
         self.name = name
-        self.parsed: dict[str, Any] = {}
-        self._index = _Index()
-        docs = self._index.docs
+        self._docs: dict[str, Document] = {}
+        self._corpus: bytes | None = None  # built on the first search
+        self._starts: list[int] = []  # corpus offset of each document, in ``_ids`` order
+        self._ids: list[str] = []
+        self._postings: dict[str, dict[str, int]] = {}  # queried token -> doc id -> count
         for doc in documents:
-            if doc.id in docs:
+            if doc.id in self._docs:
                 raise KnowledgeError("DUPLICATE_DOC", f"document id {doc.id!r} appears twice in {name!r}")
-            docs[doc.id] = doc
+            self._docs[doc.id] = doc
 
-    def _build_corpus(self) -> None:
+    def _build_corpus(self) -> bytes:
         """Join the documents into the corpus."""
-        index = self._index
-        index.ids = list(index.docs)
+        self._ids = list(self._docs)
         # An ASCII text is lowercased by the byte table; lowering any other
         # text may lengthen it (U+0130 lowers to two code points), so it is
         # lowered first and its offsets are taken from the lowered text.
-        texts = [doc.text if doc.text.isascii() else doc.text.lower() for doc in index.docs.values()]
-        index.starts = list(accumulate([len(text) + 1 for text in texts], initial=1))[:-1]
+        texts = [doc.text if doc.text.isascii() else doc.text.lower() for doc in self._docs.values()]
+        self._starts = list(accumulate([len(text) + 1 for text in texts], initial=1))[:-1]
         # "replace" encodes each character outside ASCII as one "?", so the
         # offsets of the texts hold in the bytes.
-        index.corpus = " ".join(["", *texts, ""]).encode("ascii", "replace").translate(_CORPUS_BYTES)
+        self._corpus = " ".join(["", *texts, ""]).encode("ascii", "replace").translate(_CORPUS_BYTES)
+        return self._corpus
 
     def _search(self, token: str) -> dict[str, int]:
         """Doc id -> count of the whole token ``token``."""
-        index = self._index
-        if index.corpus is None:
-            self._build_corpus()
-        assert index.corpus is not None
-        find, starts, ids = index.corpus.find, index.starts, index.ids
+        corpus = self._corpus if self._corpus is not None else self._build_corpus()
+        find, starts, ids = corpus.find, self._starts, self._ids
         prefix = f" {token}".encode("ascii")
         # The open needle scans faster than the framed one, as its last byte
         # is rarely a space, so a token no document holds costs that scan only.
@@ -233,27 +214,19 @@ class KnowledgeBase:
 
     def postings(self, token: str) -> Mapping[str, int]:
         """Doc id -> count of ``token``, for the documents that contain it."""
-        index = self._index
-        posting = index.postings.get(token)
+        posting = self._postings.get(token)
         if posting is None:
-            posting = index.postings[token] = self._search(token) if _TOKEN_RE.fullmatch(token) else {}
+            posting = self._postings[token] = self._search(token) if _TOKEN_RE.fullmatch(token) else {}
         return posting
 
-    def parse_once(self, doc_id: str, parse: Callable[[str], Any]) -> Any:
-        """``parse`` of the document's text, kept in ``parsed``; a parse that
-        raises is not kept."""
-        if doc_id not in self.parsed:
-            self.parsed[doc_id] = parse(self._index.docs[doc_id].text)
-        return self.parsed[doc_id]
-
     def get(self, doc_id: str) -> Document | None:
-        return self._index.docs.get(doc_id)
+        return self._docs.get(doc_id)
 
     def ids(self) -> list[str]:
-        return sorted(self._index.docs)
+        return sorted(self._docs)
 
     def __len__(self) -> int:
-        return len(self._index.docs)
+        return len(self._docs)
 
     def token_count(self, doc_id: str, token: str) -> int:
         return self.postings(token).get(doc_id, 0)
@@ -351,8 +324,8 @@ def _read_kb_files(dir_fd: int, directory: Path, files: list[str], documents: li
     return digest.digest()
 
 
-# Knowledge-base name -> (digest of the files it was last built from, its index).
-_LOADED: dict[str, tuple[bytes, _Index]] = {}
+# Knowledge-base name -> (digest of the files it was last built from, the knowledge base).
+_LOADED: dict[str, tuple[bytes, KnowledgeBase]] = {}
 
 
 def load_kb_dir(name: str, directory: str | Path) -> KnowledgeBase:
@@ -363,13 +336,13 @@ def load_kb_dir(name: str, directory: str | Path) -> KnowledgeBase:
     directory's path during the load does not mix two directories. Every
     call reads every file to its end and trusts no timestamp or size. When
     the files' names, lengths and bytes hash as they did when the last
-    knowledge base under ``name`` was built, the new one shares that one's
-    index: its documents, its corpus and the postings searched so far.
-    Otherwise the files are read again, decoded, and a fresh index is built
-    and kept under ``name`` in its place. Either way the knowledge base has
-    its own, empty ``parsed``. A directory that cannot be opened is
-    ``KB_DIR_MISSING``, which says why unless it is absent; a file that cannot be read as UTF-8
-    ``KB_UNREADABLE``. Needs POSIX ``dir_fd`` support.
+    knowledge base under ``name`` was built, that same knowledge base is
+    returned, with its corpus and the postings searched so far. Otherwise
+    the files are read again, decoded, and a new knowledge base is built and
+    kept under ``name`` in its place. A directory that cannot be opened is
+    ``KB_DIR_MISSING``, which says why unless it is absent; a file that
+    cannot be read as UTF-8 ``KB_UNREADABLE``. Needs POSIX ``dir_fd``
+    support.
     """
     directory = Path(directory)
     try:
@@ -381,15 +354,13 @@ def load_kb_dir(name: str, directory: str | Path) -> KnowledgeBase:
         files = sorted(entry for entry in os.listdir(dir_fd) if entry.endswith(".txt"))
         cached = _LOADED.get(name)
         if cached is not None and _read_kb_files(dir_fd, directory, files) == cached[0]:
-            kb = KnowledgeBase(name)
-            kb._index = cached[1]
-            return kb
+            return cached[1]
         documents: list[Document] = []
         digest = _read_kb_files(dir_fd, directory, files, documents)
     finally:
         os.close(dir_fd)
     kb = KnowledgeBase(name, documents)
-    _LOADED[name] = (digest, kb._index)
+    _LOADED[name] = (digest, kb)
     return kb
 
 

@@ -39,34 +39,24 @@ class Param:
 
 
 @dataclass(frozen=True)
-class ParamSchema:
-    """Ordered, closed parameter list."""
-
-    params: tuple[Param, ...] = ()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "params", tuple(self.params))
-        names = [p.name for p in self.params]
-        if len(names) != len(set(names)):
-            raise ValueError("param names must be unique")
-
-
-@dataclass(frozen=True)
 class ToolSpec:
     name: str
     description: str
-    params: ParamSchema = field(default_factory=ParamSchema)
+    params: tuple[Param, ...] = ()  # ordered and closed
 
     def __post_init__(self) -> None:
         if not _NAME_RE.fullmatch(self.name):
             raise ValueError(f"tool name {self.name!r} must match [a-z0-9_]+")
+        object.__setattr__(self, "params", tuple(self.params))
+        if len({p.name for p in self.params}) != len(self.params):
+            raise ValueError("param names must be unique")
 
     def summary(self) -> dict:
         """The stable textual form rendered into completion requests."""
         return {
             "name": self.name,
             "description": self.description,
-            "params": [p.to_dict() for p in self.params.params],
+            "params": [p.to_dict() for p in self.params],
         }
 
 
@@ -136,14 +126,14 @@ def validate_args(spec: ToolSpec, args: Mapping[str, Any]) -> tuple[dict | None,
     violations are data, never exceptions.
     """
     violations: list[ArgViolation] = []
-    declared = {p.name: p for p in spec.params.params}
+    declared = {p.name: p for p in spec.params}
 
     for name in sorted(args):
         if name not in declared:
             violations.append(ArgViolation("UNKNOWN_FIELD", name, "not in the tool's parameter schema"))
 
     normalized: dict[str, Any] = {}
-    for param in spec.params.params:
+    for param in spec.params:
         if param.name not in args:
             if param.required:
                 violations.append(ArgViolation("MISSING_REQUIRED", param.name, "required parameter absent"))
@@ -177,14 +167,13 @@ class ToolContext:
         self.written.append(key)
         return version
 
-    def find_document(self, doc_id: str) -> tuple["KnowledgeBase", "Document"]:
-        """Resolve a document by id: the first accessible KB in name order
-        that holds it, and the document."""
+    def find_document(self, doc_id: str) -> "Document":
+        """Resolve a document by id, from the first accessible KB in name
+        order that holds it."""
         for name in sorted(self.knowledge_bases):
-            kb = self.knowledge_bases[name]
-            doc = kb.get(doc_id)
+            doc = self.knowledge_bases[name].get(doc_id)
             if doc is not None:
-                return kb, doc
+                return doc
         raise KeyError(f"document {doc_id!r} not found in any accessible knowledge base")
 
 

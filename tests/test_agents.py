@@ -29,7 +29,7 @@ from marco.errors import EngineError
 from marco.gateway import ChatMessage, MockBackend, ScriptMatcher, ToolCallRequest
 from marco.graph import ExpansionRequest, TaskEdge, TaskGraph, TaskNode
 from marco.knowledge import Blackboard, Document, KnowledgeBase, MemoryWindow
-from marco.tools import Param, ParamSchema, ToolRegistry, ToolResult, ToolSpec
+from marco.tools import Param, ToolRegistry, ToolResult, ToolSpec
 from oracles import oracle_conversation
 
 

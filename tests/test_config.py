@@ -566,7 +566,7 @@ class TestPathsAndDigest:
         payload["knowledge_bases"] = {"rtl": "kbs/rtl"}
         config = load_config(write_config(workdir, payload))
         assert config.knowledge_bases["rtl"] == kb_dir.resolve()
-        assert config.backends["mock"].script == (workdir / "script.json").resolve()
+        assert [[r.content for r in responses] for _, responses in config.backends["mock"].scripts] == [["done"]]
 
     def test_digest_ignores_key_order(self, workdir):
         payload = base_payload()

@@ -271,7 +271,6 @@ class TestKnowledgeBase:
         real = KnowledgeBase._build_corpus
         monkeypatch.setattr(KnowledgeBase, "_build_corpus", lambda kb: builds.append(kb.name) or real(kb))
         kb = corpus_kb()
-        assert kb.parse_once("d1", str.upper) == CORPUS["d1"].upper()
         assert kb.get("d2").text == CORPUS["d2"] and kb.ids() == ["d1", "d2", "d3"] and len(kb) == 3
         assert len(kb.postings("SLACK")) == 0  # not a token: nothing to search
         assert builds == []
@@ -470,7 +469,7 @@ class TestLoadKbDirReads:
         kb = load_kb_dir("kb", tmp_path)
         assert kb.get("big").text == body.decode() and kb.get("small").text == "after"
         assert loaded["kb"][0] == reference_digest(tmp_path)
-        assert load_kb_dir("kb", tmp_path)._index is kb._index  # the hash-only pass agrees
+        assert load_kb_dir("kb", tmp_path) is kb  # the hash-only pass agrees
         (tmp_path / "big.txt").write_bytes(body + b"x")
         assert load_kb_dir("kb", tmp_path).get("big").text == body.decode() + "x"
         assert loaded["kb"][0] == reference_digest(tmp_path)
@@ -529,21 +528,29 @@ class TestLoadKbDirReads:
 
 
 class TestLoadKbDirReuse:
-    """A load of byte-identical files shares the last build under its name."""
+    """A load of byte-identical files returns the last build under its name."""
 
-    def test_unchanged_directory_shares_corpus_and_postings_not_parsed(self, tmp_path, loaded, searches):
+    def test_unchanged_directory_returns_the_same_knowledge_base(self, tmp_path, loaded, searches):
         write_kb(tmp_path, {"a": "slack margin", "b": "slack slack clock"})
         first = load_kb_dir("kb", tmp_path)
         assert ranked(first, "slack") == [("b", "slack slack clock", 2.0), ("a", "slack margin", 1.0)]
-        assert first.parse_once("a", str.upper) == "SLACK MARGIN"
         assert searches == ["slack", "build"]
         second = load_kb_dir("kb", tmp_path)
-        assert second is not first and second.parsed == {} and first.parsed == {"a": "SLACK MARGIN"}
+        assert second is first
         assert ranked(second, "slack") == ranked(first, "slack")
         assert ranked(second, "clock") == [("b", "slack slack clock", math.log(3 / 2) + 1.0)]
         assert searches == ["slack", "build", "clock"]  # no second build, no second "slack"
-        assert ranked(first, "clock") == ranked(second, "clock") and searches[-1] == "clock"
         assert len(loaded) == 1
+
+    def test_same_size_rewrite_returns_a_new_knowledge_base(self, tmp_path, loaded):
+        write_kb(tmp_path, {"a": "slack", "b": "clock"})
+        first = load_kb_dir("kb", tmp_path)
+        assert load_kb_dir("kb", tmp_path) is first
+        write_kb(tmp_path, {"a": "stack", "b": "clock"})
+        second = load_kb_dir("kb", tmp_path)
+        assert second is not first and second.get("a").text == "stack"
+        assert first.get("a").text == "slack"  # a knowledge base a run holds never changes
+        assert load_kb_dir("kb", tmp_path) is second
 
     def test_same_size_rewrite_with_mtime_restored_rebuilds(self, tmp_path, loaded, searches):
         write_kb(tmp_path, {"a": "slack one", "b": "clock two"})
@@ -630,9 +637,6 @@ class TestLoadKbDirReuse:
                 assert [kb.get(doc_id) for doc_id in kb.ids()] == [fresh.get(doc_id) for doc_id in fresh.ids()]
                 for query in ("a", "b ab", "ba a", "i ab i"):
                     assert ranked(kb, query) == ranked(fresh, query)
-                assert kb.parsed == {}
-                if len(kb):
-                    kb.parse_once(kb.ids()[0], len)  # kept on this load's knowledge base only
 
 
 def msg(role: str, content: str) -> ChatMessage:

@@ -10,12 +10,12 @@ try:
 except ModuleNotFoundError:  # pragma: no cover
     pytest.skip("hypothesis not installed", allow_module_level=True)
 
+from marco.eda.report import parse_timing_report
 from marco.eda.toolpack import HANDLER_CATALOG
 from marco.errors import ToolError
 from marco.gateway import canonical_json
 from marco.tools import (
     Param,
-    ParamSchema,
     ToolContext,
     ToolRegistry,
     ToolResult,
@@ -26,7 +26,7 @@ from marco.tools import (
 
 
 def spec_with(*params: Param, name: str = "tool_under_test") -> ToolSpec:
-    return ToolSpec(name=name, description="test tool", params=ParamSchema(params))
+    return ToolSpec(name=name, description="test tool", params=params)
 
 
 def ok_handler(args, context):
@@ -40,7 +40,7 @@ class TestSpecs:
 
     def test_duplicate_param_names(self):
         with pytest.raises(ValueError):
-            ParamSchema((Param("a", "string"), Param("a", "integer")))
+            spec_with(Param("a", "string"), Param("a", "integer"))
 
     def test_unknown_param_kind(self):
         with pytest.raises(ValueError):
@@ -318,8 +318,8 @@ class TestContext:
         kb_a = KnowledgeBase("a", [Document("shared", "from a")])
         kb_b = KnowledgeBase("b", [Document("only_b", "from b"), Document("shared", "from b")])
         context = ToolContext(knowledge_bases={"b": kb_b, "a": kb_a})
-        assert context.find_document("only_b") == (kb_b, Document("only_b", "from b"))
-        assert context.find_document("shared") == (kb_a, Document("shared", "from a"))
+        assert context.find_document("only_b") == Document("only_b", "from b")
+        assert context.find_document("shared") == Document("shared", "from a")
         with pytest.raises(KeyError):
             context.find_document("ghost")
 
@@ -332,12 +332,15 @@ REPORT = (
 
 
 class TestReportLoading:
+    """Every load asks ``parse_timing_report``; its memo parses each text once."""
+
     @pytest.fixture
     def parses(self, monkeypatch):
         import marco.eda.toolpack
 
         texts = []
         real = marco.eda.toolpack.parse_timing_report
+        real.cache_clear()
         monkeypatch.setattr(marco.eda.toolpack, "parse_timing_report", lambda text: texts.append(text) or real(text))
         return texts
 
@@ -355,8 +358,8 @@ class TestReportLoading:
         context = ToolContext(knowledge_bases={"b": kb_b, "a": kb_a})
         first, second = self.invoke(context, "r"), self.invoke(context, "r")
         assert first.ok and second == first
-        assert parses == [REPORT]
-        assert set(kb_a.parsed) == {"r"} and kb_b.parsed == {}
+        assert parses == [REPORT] * 2
+        assert parse_timing_report.cache_info().misses == 1
 
     def test_parse_failure_not_kept(self, parses):
         from marco.knowledge import Document, KnowledgeBase
@@ -366,7 +369,7 @@ class TestReportLoading:
         first, second = self.invoke(context, "r"), self.invoke(context, "r")
         assert not first.ok and second == first
         assert parses == ["not a report"] * 2
-        assert kb.parsed == {}
+        assert parse_timing_report.cache_info().misses == 2
 
     def test_missing_document(self, parses):
         from marco.knowledge import KnowledgeBase
