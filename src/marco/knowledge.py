@@ -12,11 +12,14 @@ import hashlib
 import math
 import os
 import re
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from stat import S_ISREG
+from time import time_ns
+from typing import Any, Iterable, Mapping, NamedTuple
 
 from .errors import KnowledgeError
 from .gateway import ChatMessage
@@ -266,26 +269,39 @@ def retrieve(kb: KnowledgeBase, query: str, k: int) -> list[tuple[Document, floa
 _READ_BUFFER = 1 << 16
 
 
-def _read_kb_files(dir_fd: int, directory: Path, files: list[str], documents: list[Document] | None = None) -> bytes:
-    """The sha256 of the files' names, lengths and bytes, hashed file by file;
+def _stat_key(st: os.stat_result) -> tuple[int, int, int, int]:  # st_ino is unsigned: shifted to fit array("q")
+    return st.st_ino - (1 << 63), st.st_size, st.st_mtime_ns, st.st_ctime_ns
+
+
+def _read_kb_files(
+    dir_fd: int, directory: Path, files: list[str], documents: list[Document] | None = None
+) -> tuple[bytes, array]:
+    """The sha256 of the files' names, lengths and bytes, hashed file by file,
+    and each file's stat key, taken on its descriptor before it is read;
     with ``documents``, each file's document is also appended to it.
 
-    Each file is opened relative to ``dir_fd`` and read until EOF into one
-    buffer that every file reuses, so hashing alone keeps no file's bytes;
-    decoding copies only a file larger than the buffer. The file stem is
-    the document id; an optional first line ``tags: a,b`` declares tags and
-    is stripped from the text. Line endings are read as ``\\n``. A file
-    that cannot be read as UTF-8 is ``KB_UNREADABLE``, named by its path
-    under ``directory``.
+    Each file is opened relative to ``dir_fd``, without blocking, and read until
+    EOF into one buffer that every file reuses, so hashing alone keeps no file's
+    bytes; decoding copies only a file larger than the buffer. The file stem is
+    the document id; an optional first line ``tags: a,b`` declares tags and is
+    stripped from the text. Line endings are read as ``\\n``. A file that is not
+    regular (a directory, FIFO or device) or not UTF-8 is ``KB_UNREADABLE``,
+    named by its path under ``directory``.
     """
     digest = hashlib.sha256()
     listing = []
+    keys = array("q")
     buffer = bytearray(_READ_BUFFER)
     view = memoryview(buffer)
     for file_name in files:
         try:
-            fd = os.open(file_name, os.O_RDONLY, dir_fd=dir_fd)
+            # O_NONBLOCK: opening a FIFO would otherwise wait for a writer.
+            fd = os.open(file_name, os.O_RDONLY | os.O_NONBLOCK | os.O_NOCTTY, dir_fd=dir_fd)
             try:
+                st = os.fstat(fd)
+                if not S_ISREG(st.st_mode):
+                    raise OSError("not a regular file")
+                keys.extend(_stat_key(st))
                 chunks: list[bytes] = []
                 size = filled = 0
                 while count := os.readv(fd, (view[filled:],)):
@@ -321,11 +337,24 @@ def _read_kb_files(dir_fd: int, directory: Path, files: list[str], documents: li
     names = os.fsencode("\0".join(listing))
     digest.update(names)
     digest.update(len(names).to_bytes(8, "big"))
-    return digest.digest()
+    return digest.digest(), keys
 
 
-# Knowledge-base name -> (digest of the files it was last built from, the knowledge base).
-_LOADED: dict[str, tuple[bytes, KnowledgeBase]] = {}
+# git's racy-clean rule: a stat snapshot is trusted only if its timestamps are all older than
+# when it was taken by this bound, or by 3 times it if none has a sub-second part (ext3, FAT).
+_RACY_NS = 1_000_000_000
+
+
+class _Loaded(NamedTuple):  # the last build under a name, and the stat snapshot of its last byte check
+    digest: bytes  # of the files' names, lengths and bytes
+    kb: KnowledgeBase
+    directory: tuple[int, int, int, int]  # st_dev, st_ino, st_mtime_ns, st_ctime_ns
+    files: list[str]  # the sorted ``.txt`` names
+    keys: array  # each file's ``_stat_key``, in ``files`` order
+    clean: bool  # every timestamp older than the racy bound when taken
+
+
+_LOADED: dict[str, _Loaded] = {}
 
 
 def load_kb_dir(name: str, directory: str | Path) -> KnowledgeBase:
@@ -333,34 +362,50 @@ def load_kb_dir(name: str, directory: str | Path) -> KnowledgeBase:
 
     The directory is opened once; its listing and every file come from that
     descriptor, each file opened by its name alone, so a rename of the
-    directory's path during the load does not mix two directories. Every
-    call reads every file to its end and trusts no timestamp or size. When
-    the files' names, lengths and bytes hash as they did when the last
+    directory's path during the load does not mix two directories. If the last
+    load under ``name`` left a clean stat snapshot that the directory and every
+    file still match, its knowledge base is returned and no file is listed or
+    opened. Otherwise every file is read to its end and a new snapshot taken:
+    when the files' names, lengths and bytes hash as they did when the last
     knowledge base under ``name`` was built, that same knowledge base is
-    returned, with its corpus and the postings searched so far. Otherwise
-    the files are read again, decoded, and a new knowledge base is built and
-    kept under ``name`` in its place. A directory that cannot be opened is
-    ``KB_DIR_MISSING``, which says why unless it is absent; a file that
-    cannot be read as UTF-8 ``KB_UNREADABLE``. Needs POSIX ``dir_fd``
-    support.
+    returned, with its corpus and the postings searched so far; else the files
+    are read again, decoded, and a new knowledge base is kept under ``name``. A
+    directory that cannot be opened is ``KB_DIR_MISSING``, which says why unless
+    it is absent; a file that is not regular or not UTF-8 ``KB_UNREADABLE``.
+    Needs POSIX ``dir_fd`` support.
     """
     directory = Path(directory)
+    now = time_ns()
     try:
         dir_fd = os.open(directory, os.O_RDONLY | os.O_DIRECTORY)
     except OSError as exc:
         why = "does not exist" if exc.errno in (errno.ENOENT, errno.ENOTDIR) else f"cannot be opened: {exc.strerror}"
         raise KnowledgeError("KB_DIR_MISSING", f"knowledge base directory {str(directory)!r} {why}") from exc
     try:
+        st = os.fstat(dir_fd)
+        dir_key = (st.st_dev, st.st_ino, st.st_mtime_ns, st.st_ctime_ns)
+        last = _LOADED.get(name)
+        if last is not None and last.clean and last.directory == dir_key:
+            # Adding, removing or renaming an entry moves the directory's key.
+            try:
+                keys = array("q", chain.from_iterable(_stat_key(os.stat(f, dir_fd=dir_fd)) for f in last.files))
+            except OSError:
+                keys = None  # the read below says why
+            if keys == last.keys:
+                return last.kb
         files = sorted(entry for entry in os.listdir(dir_fd) if entry.endswith(".txt"))
-        cached = _LOADED.get(name)
-        if cached is not None and _read_kb_files(dir_fd, directory, files) == cached[0]:
-            return cached[1]
-        documents: list[Document] = []
-        digest = _read_kb_files(dir_fd, directory, files, documents)
+        if last is not None and (read := _read_kb_files(dir_fd, directory, files))[0] == last.digest:
+            kb = last.kb
+        else:
+            documents: list[Document] = []
+            read = _read_kb_files(dir_fd, directory, files, documents)
+            kb = KnowledgeBase(name, documents)
     finally:
         os.close(dir_fd)
-    kb = KnowledgeBase(name, documents)
-    _LOADED[name] = (digest, kb)
+    digest, keys = read
+    times = array("q", dir_key[2:]) + keys[2::4] + keys[3::4]
+    bound = _RACY_NS if any(t % 1_000_000_000 for t in times) else 3 * _RACY_NS
+    _LOADED[name] = _Loaded(digest, kb, dir_key, files, keys, max(times) < now - bound)
     return kb
 
 

@@ -9,10 +9,12 @@ against themselves.
 from __future__ import annotations
 
 import math
+import os
 import random
 import re
 import string
 from fractions import Fraction
+from pathlib import PurePath
 
 from marco.eda.anomalies import Anomaly
 from marco.eda.report import Aggressor, Stage, TimingPath, TimingReport
@@ -44,6 +46,23 @@ def tfidf_rank(docs: dict[str, str], query: str, k: int) -> list[tuple[str, floa
             scored.append((doc_id, score))
     scored.sort(key=lambda pair: (-pair[1], pair[0]))
     return scored[:k]
+
+
+def oracle_kb_dir(directory) -> list[tuple[str, str, tuple[str, ...]]]:
+    """Naive knowledge-base reader: every ``*.txt`` entry in name order, read
+    whole through its path and decoded as UTF-8, as ``(id, text, tags)``."""
+    documents = []
+    for name in sorted(os.listdir(directory)):
+        if not name.endswith(".txt"):
+            continue
+        with open(os.path.join(directory, name), "rb") as handle:
+            text = handle.read().decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+        tags: tuple[str, ...] = ()
+        if text.startswith("tags:"):
+            header, _, text = text.partition("\n")
+            tags = tuple(tag.strip() for tag in header[len("tags:"):].split(",") if tag.strip())
+        documents.append((PurePath(name).stem, text, tags))
+    return documents
 
 
 # ---------------------------------------------------------------- graphs

@@ -4,8 +4,14 @@ import errno
 import hashlib
 import math
 import os
+import shutil
+import subprocess
+import sys
 import tempfile
+import time
+from array import array
 from collections import Counter
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -16,7 +22,7 @@ try:
 except ModuleNotFoundError:  # pragma: no cover
     pytest.skip("hypothesis not installed", allow_module_level=True)
 
-from oracles import tfidf_rank
+from oracles import oracle_kb_dir, tfidf_rank
 import marco.knowledge
 from marco.errors import KnowledgeError
 from marco.gateway import ChatMessage, ToolCallRequest
@@ -418,6 +424,40 @@ def loaded(monkeypatch):
     return table
 
 
+HOUR_NS = 3600 * 10**9
+
+
+def settle(probe: Path) -> None:
+    """Wait until a file written from now on gets a later timestamp than
+    every file written so far, as it would an hour later: write ``probe``
+    until its timestamp moves past its first one."""
+    probe.write_bytes(b"x")
+    first = probe.stat().st_ctime_ns
+    while True:
+        probe.write_bytes(b"x")
+        if probe.stat().st_ctime_ns > first:
+            return
+
+
+def clean_clock(monkeypatch, probe: Path) -> None:
+    """Make every load's stat snapshot clean: the knowledge module's clock
+    runs an hour ahead, and each load first settles the file system, so an
+    edit after the load moves a timestamp as an edit an hour later would."""
+    monkeypatch.setattr(marco.knowledge, "time_ns", lambda: settle(probe) or time.time_ns() + HOUR_NS)
+
+
+def racy_clock(monkeypatch) -> None:
+    """Make every load's stat snapshot racy: the knowledge module's clock
+    reads the epoch, so no timestamp is older than the racy bound."""
+    monkeypatch.setattr(marco.knowledge, "time_ns", lambda: 0)
+
+
+@pytest.fixture
+def clean(monkeypatch, tmp_path_factory):
+    """Every load's stat snapshot clean."""
+    clean_clock(monkeypatch, tmp_path_factory.mktemp("clock") / "probe")
+
+
 @pytest.fixture
 def searches(monkeypatch):
     """Every token search and, within the first of a build, "build", in order."""
@@ -528,7 +568,15 @@ class TestLoadKbDirReads:
 
 
 class TestLoadKbDirReuse:
-    """A load of byte-identical files returns the last build under its name."""
+    """A load of byte-identical files returns the last build under its name.
+
+    Every stat snapshot here is racy, so each load is checked by its bytes;
+    ``TestLoadKbDirReuseOnCleanSnapshots`` runs the same tests on clean ones.
+    """
+
+    @pytest.fixture(autouse=True)
+    def snapshots(self, monkeypatch):
+        racy_clock(monkeypatch)
 
     def test_unchanged_directory_returns_the_same_knowledge_base(self, tmp_path, loaded, searches):
         write_kb(tmp_path, {"a": "slack margin", "b": "slack slack clock"})
@@ -637,6 +685,269 @@ class TestLoadKbDirReuse:
                 assert [kb.get(doc_id) for doc_id in kb.ids()] == [fresh.get(doc_id) for doc_id in fresh.ids()]
                 for query in ("a", "b ab", "ba a", "i ab i"):
                     assert ranked(kb, query) == ranked(fresh, query)
+
+
+class TestLoadKbDirReuseOnCleanSnapshots(TestLoadKbDirReuse):
+    """The reuse tests with every stat snapshot clean, so a load after an
+    edit is checked by its bytes only because a stat key moved."""
+
+    @pytest.fixture(autouse=True)
+    def snapshots(self, monkeypatch, tmp_path_factory):
+        clean_clock(monkeypatch, tmp_path_factory.mktemp("clock") / "probe")
+
+    # Hypothesis runs a property from one class only; TestSnapshotMatchesNaiveReader covers clean loads.
+    test_reused_retrieval_equals_a_fresh_build = None
+
+
+class StatView:
+    """A stat result whose timestamps are passed through ``times``."""
+
+    def __init__(self, result, times):
+        self._result, self._times = result, times
+
+    def __getattr__(self, name):
+        value = getattr(self._result, name)
+        return self._times(value) if name in ("st_mtime_ns", "st_ctime_ns") else value
+
+
+class OsView:
+    """The ``os`` module as the knowledge module sees it, with every stat
+    result's timestamps passed through ``times``; nothing else sees them."""
+
+    def __init__(self, times):
+        self._times = times
+
+    def __getattr__(self, name):
+        return getattr(os, name)
+
+    def stat(self, *args, **kwargs):
+        return StatView(os.stat(*args, **kwargs), self._times)
+
+    def fstat(self, fd):
+        return StatView(os.fstat(fd), self._times)
+
+
+def documents(kb: KnowledgeBase) -> list[tuple[str, str, tuple[str, ...]]]:
+    return [(doc.id, doc.text, doc.tags) for doc in map(kb.get, kb.ids())]
+
+
+def spy_opens(monkeypatch) -> list[str]:
+    """The name of every ``.txt`` file opened from now on, in order."""
+    opened: list[str] = []
+    real_open = os.open
+
+    def spied_open(path, *args, **kwargs):
+        if str(path).endswith(".txt"):
+            opened.append(str(path))
+        return real_open(path, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", spied_open)
+    return opened
+
+
+def rewrite_same_size_keeping_mtime(path: Path) -> None:
+    before = os.stat(path)
+    path.write_bytes(path.read_bytes().translate(bytes.maketrans(b"ab", b"ba")))
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+    assert os.stat(path).st_size == before.st_size and os.stat(path).st_mtime_ns == before.st_mtime_ns
+
+
+def replace_directory(directory: Path) -> None:
+    """Move the directory away and put a copy at its path, one note rewritten
+    in the same size with its mtime kept."""
+    moved = directory.with_name(directory.name + "-old")
+    directory.rename(moved)
+    shutil.copytree(moved, directory)  # copies each mtime
+    rewrite_same_size_keeping_mtime(directory / "a.txt")
+
+
+class TestLoadKbDirSnapshot:
+    """An unchanged directory is served from a clean stat snapshot; any
+    change, and any racy snapshot, is checked by the files' bytes."""
+
+    def test_clean_unchanged_load_lists_and_opens_nothing(self, tmp_path, loaded, clean, monkeypatch):
+        write_kb(tmp_path, {"a": "slack one", "b": "clock two"})
+        first = load_kb_dir("kb", tmp_path)
+        assert loaded["kb"].clean
+        opened, listed = spy_opens(monkeypatch), []
+        real_listdir = os.listdir
+        monkeypatch.setattr(os, "listdir", lambda *args: listed.append(args) or real_listdir(*args))
+        assert load_kb_dir("kb", tmp_path) is first
+        assert opened == [] and listed == []
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda d: rewrite_same_size_keeping_mtime(d / "a.txt"),
+            lambda d: (d / "b.txt").rename(d / "c.txt"),
+            lambda d: (d / "c.txt").write_text("slack three", encoding="utf-8"),
+            lambda d: (d / "b.txt").unlink(),
+            replace_directory,
+        ],
+        ids=["same-size-mtime-kept", "renamed", "added", "removed", "directory-replaced"],
+    )
+    def test_clean_snapshot_of_an_edited_directory_is_checked_by_bytes(self, tmp_path, loaded, clean, monkeypatch, edit):
+        directory = tmp_path / "kb"
+        write_kb(directory, {"a": "slack one", "b": "clock two"})
+        first = load_kb_dir("kb", directory)
+        assert loaded["kb"].clean
+        edit(directory)
+        opened = spy_opens(monkeypatch)
+        kb = load_kb_dir("kb", directory)
+        assert kb is not first and documents(kb) == oracle_kb_dir(directory)
+        assert set(opened) == {name for name in os.listdir(directory) if name.endswith(".txt")}  # read them all
+
+    def test_racy_snapshot_is_checked_by_bytes_when_stat_repeats_its_key(self, tmp_path, loaded, monkeypatch):
+        racy_clock(monkeypatch)
+        write_kb(tmp_path, {"a": "slack one", "b": "clock two"})
+        first = load_kb_dir("kb", tmp_path)
+        assert not loaded["kb"].clean
+        recorded = {name: os.stat(tmp_path / name) for name in ("a.txt", "b.txt")}
+        assert loaded["kb"].keys == array("q", chain(*map(marco.knowledge._stat_key, recorded.values())))
+        (tmp_path / "a.txt").write_text("stack one", encoding="utf-8")
+        real_stat = os.stat
+        monkeypatch.setattr(
+            os, "stat", lambda path, *args, **kwargs: recorded.get(path) or real_stat(path, *args, **kwargs)
+        )
+        kb = load_kb_dir("kb", tmp_path)
+        assert kb is not first and kb.get("a").text == "stack one"
+
+    @pytest.mark.parametrize(
+        "fraction, age_ms, clean",
+        [(250, 900, False), (250, 1100, True), (0, 1100, False), (0, 2900, False), (0, 3100, True)],
+    )
+    def test_whole_second_timestamps_use_the_three_second_bound(
+        self, tmp_path, loaded, monkeypatch, fraction, age_ms, clean
+    ):
+        write_kb(tmp_path, {"a": "slack", "b": "clock"})
+
+        def times(ns: int) -> int:
+            return ns - ns % 10**9 + fraction * 10**6
+
+        newest = max(times(t) for path in (tmp_path, tmp_path / "a.txt", tmp_path / "b.txt")
+                     for t in (os.stat(path).st_mtime_ns, os.stat(path).st_ctime_ns))
+        monkeypatch.setattr(marco.knowledge, "os", OsView(times))
+        monkeypatch.setattr(marco.knowledge, "time_ns", lambda: newest + age_ms * 10**6)
+        load_kb_dir("kb", tmp_path)
+        assert loaded["kb"].clean is clean
+
+
+SPECIAL_NOTE = """
+import os, resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))  # a read without end stops at 1 GB
+from marco.errors import KnowledgeError
+from marco.knowledge import load_kb_dir
+directory, kind, cached = sys.argv[1:]
+if cached == "cached":
+    load_kb_dir("kb", directory)
+path = os.path.join(directory, "x.txt")
+os.mkfifo(path) if kind == "fifo" else os.symlink("/dev/zero", path)
+try:
+    load_kb_dir("kb", directory)
+except KnowledgeError as exc:
+    print(exc)
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo") or not os.path.exists("/dev/zero"), reason="needs FIFOs and /dev/zero")
+@pytest.mark.parametrize("cached", ["fresh", "cached"])
+@pytest.mark.parametrize("kind", ["fifo", "device"])
+def test_note_that_is_not_a_regular_file_fails_fast(tmp_path, kind, cached):
+    """A FIFO would block the open and a device would be read without end,
+    so the load runs in a child process that a hang fails instead of stalls."""
+    (tmp_path / "a.txt").write_text("slack", encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": str(Path(marco.knowledge.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", SPECIAL_NOTE, str(tmp_path), kind, cached],
+        capture_output=True, text=True, timeout=10, env=env,
+    )
+    path = os.path.join(tmp_path, "x.txt")
+    assert proc.stdout == f"KB_UNREADABLE: knowledge base file {path!r} is unreadable: not a regular file\n"
+
+
+# The edits the snapshot property draws, each applied to (directory, note, other note, text);
+# it draws "rewrite" twice as often, as a same-size rewrite is the edit a stat can miss.
+NOTES = "abcl"  # "l" is a symbolic link to one of two notes outside the directory
+
+
+def _link(directory: Path, target: str) -> None:
+    staged = directory / "l.staged"
+    staged.symlink_to(directory.parent / "targets" / target)
+    os.replace(staged, directory / "l.txt")
+
+
+def _existing(directory: Path, note: str) -> Path | None:
+    path = directory / f"{note}.txt"
+    return path if os.path.lexists(path) else None
+
+
+SNAPSHOT_EDITS = {
+    "rewrite": lambda d, n, o, t: (p := _existing(d, n)) and rewrite_same_size_keeping_mtime(p),
+    "resize": lambda d, n, o, t: (p := _existing(d, n)) and p.write_bytes(p.read_bytes() + b"a"),
+    "add": lambda d, n, o, t: _existing(d, n) or (_link(d, "t0") if n == "l" else (d / f"{n}.txt").write_text(t, "utf-8")),
+    "remove": lambda d, n, o, t: (p := _existing(d, n)) and p.unlink(),
+    "rename": lambda d, n, o, t: (p := _existing(d, n)) and os.replace(p, d / f"{o}.txt"),
+    "replace": lambda d, n, o, t: (d.rename(m := d.with_name(f"old{time.monotonic_ns()}")),
+                                   shutil.copytree(m, d, symlinks=True)),
+    "retarget": lambda d, n, o, t: _link(d, "t1" if os.path.islink(d / "l.txt") and
+                                         os.readlink(d / "l.txt").endswith("t0") else "t0"),
+}
+TEXTS = ["a", "ab b", "tags: a,b\nba", "b\r\na", "İa", ""]  # each but the last changes when a and b swap
+
+
+class TestSnapshotMatchesNaiveReader:
+    """Loads after edits, on a simulated clock that makes each snapshot
+    clean or racy, with the timestamps of a 250 Hz kernel clock (4 ms ticks)
+    or of a 1 s file system: every load gives the naive reader's documents,
+    and the last load's knowledge base exactly when the bytes are unchanged."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        coarse=st.booleans(),
+        initial=st.dictionaries(st.sampled_from("abc"), st.sampled_from(TEXTS), min_size=1, max_size=3),
+        steps=st.lists(
+            st.tuples(
+                st.lists(st.tuples(st.sampled_from(["rewrite", *SNAPSHOT_EDITS]), st.sampled_from(NOTES),
+                                   st.sampled_from(NOTES), st.sampled_from(TEXTS)), max_size=2),
+                st.booleans(),  # wait before the load
+            ),
+            min_size=1, max_size=6,
+        ),
+    )
+    def test_loads_match_the_naive_reader(self, coarse, initial, steps):
+        granularity = 10**9 if coarse else 4 * 10**6
+        clock = {"now": 1_700_000_000_123_456_789, "edit": 1_700_000_000_123_456_789}
+        seen: dict[int, int] = {}  # real timestamp -> the simulated one, fixed when first seen
+
+        def simulated(ns: int) -> int:
+            # A timestamp first seen came from an edit since the last load, so
+            # it is dated at the last edit; an unchanged one keeps its date.
+            return seen.setdefault(ns, clock["edit"] - clock["edit"] % granularity)
+
+        with tempfile.TemporaryDirectory() as root, pytest.MonkeyPatch.context() as patch:
+            directory, probe = Path(root) / "kb", Path(root) / "probe"
+            (Path(root) / "targets").mkdir()
+            for target, text in (("t0", "ab"), ("t1", "tags: b\nba")):
+                (Path(root) / "targets" / target).write_text(text, encoding="utf-8")
+            write_kb(directory, initial)
+            _link(directory, "t0")
+            patch.setattr(marco.knowledge, "_LOADED", {})
+            patch.setattr(marco.knowledge, "os", OsView(simulated))
+            patch.setattr(marco.knowledge, "time_ns", lambda: clock["now"])
+            previous = previous_bytes = None
+            for edits, wait in steps:
+                for op, note, other, text in edits:
+                    SNAPSHOT_EDITS[op](directory, note, other, text)
+                    clock["now"] += 10**6  # a millisecond an edit: within a second of the last load
+                    clock["edit"] = clock["now"]
+                if wait:
+                    clock["now"] += 10 * 10**9  # older than either racy bound: a clean snapshot
+                kb = load_kb_dir("prop", directory)
+                settle(probe)  # a later edit gets a real timestamp not seen yet
+                assert documents(kb) == oracle_kb_dir(directory)
+                current = [(p.name, p.read_bytes()) for p in sorted(directory.glob("*.txt"))]
+                assert (kb is previous) == (current == previous_bytes)
+                previous, previous_bytes = kb, current
 
 
 def msg(role: str, content: str) -> ChatMessage:
