@@ -20,6 +20,7 @@ from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
+from stat import S_ISREG
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .errors import GatewayError
@@ -170,6 +171,27 @@ def read_json(source: Path | bytes) -> Any:
         raise ValueError(str(exc)) from exc
 
 
+def read_file(name: str | Path, dir_fd: int | None = None) -> tuple[bytes, os.stat_result]:
+    """The bytes of the regular file ``name`` (relative to ``dir_fd`` if
+    given), read to EOF, and its stat, taken on the descriptor before the read.
+
+    The open does not block, as opening a FIFO would wait for a writer, and
+    anything not a regular file (a directory, FIFO or device) is
+    ``OSError("not a regular file")`` before any read. Needs POSIX.
+    """
+    fd = os.open(name, os.O_RDONLY | os.O_NONBLOCK | os.O_NOCTTY, dir_fd=dir_fd)
+    try:
+        st = os.fstat(fd)
+        if not S_ISREG(st.st_mode):
+            raise OSError("not a regular file")
+        chunks = []
+        while chunk := os.read(fd, st.st_size + 1):  # a file still of its fstat size: one read, then EOF
+            chunks.append(chunk)
+        return b"".join(chunks), st
+    finally:
+        os.close(fd)
+
+
 # Parsed files, keyed by the parser and the sha256 of a file's full bytes,
 # least recently used first. Only frozen results are kept, never the bytes.
 # A run reads its cache entries and script files in the same order each time,
@@ -196,22 +218,6 @@ def _parse_once(parse: Callable[[bytes], Any], data: bytes) -> Any:
         if len(_PARSED) > _PARSED_MAX:
             _PARSED.popitem(last=False)
     return value
-
-
-# One read's worth: a recorded cache entry or a script file is a few KB.
-_READ_SIZE = 1 << 16
-
-
-def _read_to_eof(path: Path) -> bytes:
-    """The bytes of the file at ``path``, through one descriptor read to EOF."""
-    fd = os.open(path, os.O_RDONLY)
-    try:
-        chunks = []
-        while chunk := os.read(fd, _READ_SIZE):
-            chunks.append(chunk)
-        return b"".join(chunks)
-    finally:
-        os.close(fd)
 
 
 def canonical_hash(req: CompletionRequest) -> str:
@@ -358,7 +364,7 @@ def read_script_file(path: Path) -> tuple[list[Script], list[str]]:
     the file or one of its entries cannot be used. The file is read whole on
     every call and parsed once per distinct bytes in the process."""
     try:
-        scripts, problems = _parse_once(_parse_scripts, _read_to_eof(path))
+        scripts, problems = _parse_once(_parse_scripts, read_file(path)[0])
     except (OSError, ValueError) as exc:
         return [], [f"script file {str(path)!r} is not readable JSON: {exc}"]
     except TypeError as exc:
@@ -426,7 +432,7 @@ class ReplayBackend(Backend):
         digest = canonical_hash(req)
         path = self._path(digest)
         try:  # an entry is read whole on every hit and parsed once per distinct bytes
-            return _parse_once(_entry_response, _read_to_eof(path))
+            return _parse_once(_entry_response, read_file(path)[0])
         except (FileNotFoundError, NotADirectoryError):  # no entry, or no cache_dir: a miss
             pass
         except (AttributeError, KeyError, OSError, TypeError, ValueError) as exc:
@@ -463,12 +469,12 @@ class ReplayBackend(Backend):
         nearest = None  # (common prefix, digest, stored request, its messages)
         for path in sorted(self.cache_dir.glob("*.json")):
             try:
-                stored = read_json(path)["request"]
+                stored = read_json(read_file(path)[0])["request"]
                 if stored["model_ref"] != req.model_ref:
                     continue
                 messages = list(stored["messages"])
                 theirs = [canonical_json(m).encode("utf-8") for m in messages]
-            except (KeyError, TypeError, ValueError):  # an unreadable entry is no candidate
+            except (KeyError, OSError, TypeError, ValueError):  # an unreadable entry is no candidate
                 continue
             common = next((i for i, (a, b) in enumerate(zip(ours, theirs)) if a != b), min(len(ours), len(theirs)))
             if nearest is None or common > nearest[0]:

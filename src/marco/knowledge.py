@@ -17,12 +17,11 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, chain
 from pathlib import Path
-from stat import S_ISREG
 from time import time_ns
 from typing import Any, Iterable, Mapping, NamedTuple
 
 from .errors import KnowledgeError
-from .gateway import ChatMessage
+from .gateway import ChatMessage, read_file
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 # Byte -> its lowercase if a token can hold that, else a space: one translate
@@ -265,10 +264,6 @@ def retrieve(kb: KnowledgeBase, query: str, k: int) -> list[tuple[Document, floa
     return scored[:k]
 
 
-# One read's worth: a file that fits is hashed and decoded where it was read.
-_READ_BUFFER = 1 << 16
-
-
 def _stat_key(st: os.stat_result) -> tuple[int, int, int, int]:  # st_ino is unsigned: shifted to fit array("q")
     return st.st_ino - (1 << 63), st.st_size, st.st_mtime_ns, st.st_ctime_ns
 
@@ -280,46 +275,27 @@ def _read_kb_files(
     and each file's stat key, taken on its descriptor before it is read;
     with ``documents``, each file's document is also appended to it.
 
-    Each file is opened relative to ``dir_fd``, without blocking, and read until
-    EOF into one buffer that every file reuses, so hashing alone keeps no file's
-    bytes; decoding copies only a file larger than the buffer. The file stem is
-    the document id; an optional first line ``tags: a,b`` declares tags and is
-    stripped from the text. Line endings are read as ``\\n``. A file that is not
-    regular (a directory, FIFO or device) or not UTF-8 is ``KB_UNREADABLE``,
-    named by its path under ``directory``.
+    Each file is read by ``read_file`` relative to ``dir_fd``; hashing alone
+    keeps no file's bytes. The file stem is the document id; an optional first
+    line ``tags: a,b`` declares tags and is stripped from the text. Line endings
+    are read as ``\\n``. A file that is not regular (a directory, FIFO or
+    device) or not UTF-8 is ``KB_UNREADABLE``, named by its path under
+    ``directory``.
     """
     digest = hashlib.sha256()
     listing = []
     keys = array("q")
-    buffer = bytearray(_READ_BUFFER)
-    view = memoryview(buffer)
     for file_name in files:
         try:
-            # O_NONBLOCK: opening a FIFO would otherwise wait for a writer.
-            fd = os.open(file_name, os.O_RDONLY | os.O_NONBLOCK | os.O_NOCTTY, dir_fd=dir_fd)
-            try:
-                st = os.fstat(fd)
-                if not S_ISREG(st.st_mode):
-                    raise OSError("not a regular file")
-                keys.extend(_stat_key(st))
-                chunks: list[bytes] = []
-                size = filled = 0
-                while count := os.readv(fd, (view[filled:],)):
-                    digest.update(view[filled : filled + count])
-                    filled += count
-                    size += count
-                    if filled == _READ_BUFFER:
-                        if documents is not None:
-                            chunks.append(bytes(buffer))
-                        filled = 0
-            finally:
-                os.close(fd)
+            data, st = read_file(file_name, dir_fd)
             if documents is not None:
-                raw = str(b"".join([*chunks, view[:filled]]) if chunks else view[:filled], "utf-8")
+                raw = str(data, "utf-8")
         except (OSError, UnicodeDecodeError) as exc:
             path = os.path.join(directory, file_name)
             raise KnowledgeError("KB_UNREADABLE", f"knowledge base file {path!r} is unreadable: {exc}") from exc
-        listing.append(f"{file_name}\0{size}")
+        digest.update(data)
+        keys.extend(_stat_key(st))
+        listing.append(f"{file_name}\0{len(data)}")
         if documents is None:
             continue
         if "\r" in raw:

@@ -864,14 +864,24 @@ class _ScriptHandler(http.server.BaseHTTPRequestHandler):
 class ScriptServer(http.server.ThreadingHTTPServer):
     """Serves a mock script over HTTP, one request per thread, after ``delay``
     seconds; records when each node's requests were in flight. Requests of
-    ``fail_node`` get a 400 after ``fail_delay`` seconds."""
+    ``fail_node`` get a 400 after ``fail_delay`` seconds. With ``hold`` a pair
+    of node ids, the first's replies also wait until a request of the second
+    has arrived, or 5 s have passed."""
 
     daemon_threads = True
 
-    def __init__(self, script: Path, delay: float, fail_node: str | None = None, fail_delay: float = 0.0) -> None:
+    def __init__(
+        self,
+        script: Path,
+        delay: float,
+        fail_node: str | None = None,
+        fail_delay: float = 0.0,
+        hold: tuple[str, str] | None = None,
+    ) -> None:
         super().__init__(("127.0.0.1", 0), _ScriptHandler)
         self.mock = MockBackend.from_script_file(script)
-        self.delay, self.fail_node, self.fail_delay = delay, fail_node, fail_delay
+        self.delay, self.fail_node, self.fail_delay, self.hold = delay, fail_node, fail_delay, hold
+        self.arrived: collections.defaultdict[str, threading.Event] = collections.defaultdict(threading.Event)
         self.lock = threading.Lock()
         self.inflight = self.max_inflight = 0
         self.spans: list[tuple[str, float, float]] = []  # node id, start, end
@@ -887,11 +897,15 @@ class ScriptServer(http.server.ThreadingHTTPServer):
         with self.lock:
             self.inflight += 1
             self.max_inflight = max(self.max_inflight, self.inflight)
+            self.arrived[node].set()
+            awaited = self.arrived[self.hold[1]] if self.hold and node == self.hold[0] else None
         try:
             if node == self.fail_node:
                 time.sleep(self.fail_delay)
                 return 400, {}
             time.sleep(self.delay)
+            if awaited is not None:
+                awaited.wait(5)
             with self.lock:
                 return 200, _completion_body(self.mock.complete(request))
         finally:
@@ -1021,7 +1035,7 @@ class TestOverlappedRuns:
         (tmp_path / "scripts.json").write_text(
             json.dumps([{"matcher": {"kind": "always"}, "responses": [{"content": "done"}] * 3}]), encoding="utf-8"
         )
-        server = script_server(tmp_path / "scripts.json")
+        server = script_server(tmp_path / "scripts.json", hold=("n1", "n3"))  # n1 is in flight until n3 is
         nodes = [
             {"id": nid, "title": nid, "goal": "report", "agent_ref": "solo", "outputs": [key]}
             for nid, key in (("n1", "shared"), ("n2", "shared"), ("n3", "own"))

@@ -8,10 +8,12 @@ import json
 import os
 import random
 import socket
+import subprocess
 import sys
 import threading
 import time
 import urllib.request
+from pathlib import Path
 
 import pytest
 
@@ -56,6 +58,39 @@ def user(text: str) -> ChatMessage:
 
 def assistant(text: str) -> ChatMessage:
     return ChatMessage(role="assistant", content=text)
+
+
+needs_special_files = pytest.mark.skipif(
+    not hasattr(os, "mkfifo") or not os.path.exists("/dev/zero"), reason="needs FIFOs and /dev/zero"
+)
+
+
+def make_special(path: Path, kind: str) -> None:
+    """A FIFO, which would block an open, or a link to a device, which would be read without end."""
+    os.mkfifo(path) if kind == "fifo" else os.symlink("/dev/zero", path)
+
+
+def output_in_child(code: str, *args) -> str:
+    """What ``code`` prints in a child process with a 1 GB address space, so
+    that a read that blocks or never ends fails the test instead of stalling it."""
+    limit = "import resource; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+    env = {**os.environ, "PYTHONPATH": str(Path(gateway.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", limit + code, *map(str, args)], capture_output=True, text=True, timeout=10, env=env
+    )
+    return proc.stdout
+
+
+# Asks the replay cache in argv[1] for the request sys_msg(), user(argv[2]).
+REPLAY_IN_CHILD = """
+import sys
+from marco.gateway import ChatMessage, CompletionRequest, ReplayBackend
+try:
+    messages = (ChatMessage("system", "be helpful"), ChatMessage("user", sys.argv[2]))
+    ReplayBackend(sys.argv[1]).complete(CompletionRequest("m", messages))
+except Exception as exc:
+    print(exc)
+"""
 
 
 class TestMessageModel:
@@ -507,6 +542,24 @@ class TestReplayBackend:
         message = self.miss(ReplayBackend(cache), r)
         assert message.endswith("no cached request has model_ref 'm'")
 
+    @needs_special_files
+    @pytest.mark.parametrize("kind", ["fifo", "device"])
+    def test_entry_that_is_not_a_regular_file_is_corrupt(self, tmp_path, kind):
+        entry = tmp_path / f"{canonical_hash(req(sys_msg(), user('q')))}.json"
+        make_special(entry, kind)
+        expected = f"CACHE_CORRUPT: cache entry {str(entry)!r} is unreadable: not a regular file\n"
+        assert output_in_child(REPLAY_IN_CHILD, tmp_path, "q") == expected
+
+    @needs_special_files
+    def test_fifo_beside_a_miss_is_no_candidate(self, tmp_path):
+        near, missed = req(sys_msg(), user("q")), req(sys_msg(), user("q!"))
+        self.recorded(tmp_path, near)
+        os.mkfifo(tmp_path / "other.json")
+        message = output_in_child(REPLAY_IN_CHILD, tmp_path, "q!")
+        assert message.startswith(f"CACHE_MISS: no cache entry for digest {canonical_hash(missed)}; ")
+        nearest = f"the nearest cached request for model_ref 'm', {canonical_hash(near)}"
+        assert message.endswith(f"{nearest}, first differs at messages[1].content (role user)\n")
+
     def test_entry_that_is_a_directory_is_corrupt(self, tmp_path):
         r = req(sys_msg(), user("q"))
         entry = tmp_path / f"{canonical_hash(r)}.json"
@@ -516,18 +569,21 @@ class TestReplayBackend:
         assert exc.value.code == "CACHE_CORRUPT"
         assert f"cache entry {str(entry)!r} is unreadable: " in str(exc.value)
 
-    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/fd") or not hasattr(os, "mkfifo"), reason="needs /proc/self/fd and FIFOs"
+    )
     def test_reads_close_every_descriptor(self, tmp_path):
         """Raw descriptors raise no ResourceWarning, so the leak guard in
         conftest cannot see one; the process's open descriptors are counted."""
-        hit, corrupt = req(sys_msg(), user("hit")), req(sys_msg(), user("corrupt"))
+        hit, corrupt, fifo = (req(sys_msg(), user(text)) for text in ("hit", "corrupt", "fifo"))
         (tmp_path / f"{canonical_hash(hit)}.json").write_text(_entry(assistant("a")), encoding="utf-8")
         (tmp_path / f"{canonical_hash(corrupt)}.json").write_text("[", encoding="utf-8")
+        os.mkfifo(tmp_path / f"{canonical_hash(fifo)}.json")  # refused after its open
         replayer = ReplayBackend(tmp_path)
         before = len(os.listdir("/proc/self/fd"))
         for _ in range(100):
             replayer.complete(hit)
-        for r in (req(sys_msg(), user("miss")), corrupt):
+        for r in (req(sys_msg(), user("miss")), corrupt, fifo):
             with pytest.raises(GatewayError):
                 replayer.complete(r)
         assert len(os.listdir("/proc/self/fd")) == before
@@ -543,6 +599,14 @@ class TestScriptFileReads:
         assert scripts == []
         reason = f"[Errno 2] No such file or directory: {str(path)!r}"
         assert problems == [f"script file {str(path)!r} is not readable JSON: {reason}"]
+
+    @needs_special_files
+    def test_fifo_is_one_problem(self, tmp_path):
+        path = tmp_path / "script.json"
+        os.mkfifo(path)
+        code = "import sys\nfrom pathlib import Path\nfrom marco.gateway import read_script_file\n" \
+               "print(*read_script_file(Path(sys.argv[1]))[1], sep='\\n')"
+        assert output_in_child(code, path) == f"script file {str(path)!r} is not readable JSON: not a regular file\n"
 
     def test_entry_problems_are_the_same_for_the_same_bytes(self, tmp_path):
         raw = json.dumps([{"matcher": {"kind": "always"}, "responses": []}])

@@ -1,6 +1,7 @@
 """``src/marco`` imports only the standard library and itself, so a new
 runtime dependency fails here rather than in a user's install; threads live
-only where the engine puts them; and ``import marco`` loads the framework."""
+only where the engine puts them; files are read only through the gateway's
+one reader; and ``import marco`` loads the framework."""
 
 import ast
 import os
@@ -59,6 +60,27 @@ def test_threads_live_only_in_the_engine_pool_and_the_gateway():
         for name in ("concurrent", "threading")
     }
     assert users == {"concurrent": ["engine.py"], "threading": ["gateway.py"]}
+
+
+def descriptor_reads(tree: ast.AST) -> set[str]:
+    """``os.read`` and ``os.readv``, for every use of one of them anywhere in a
+    module, as ``os.<name>`` or imported from ``os``."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "os":
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            names.update(alias.name for alias in node.names)
+    return names & {"read", "readv"}
+
+
+def test_descriptors_are_read_only_in_the_gateway():
+    """``gateway.read_file`` decides how marco opens and reads a file it finds
+    or is handed (regular files only, read to EOF); a second read loop
+    elsewhere fails here."""
+    readers = sorted(str(path.relative_to(SRC)) for path in SRC.rglob("*.py")
+                     if descriptor_reads(ast.parse(path.read_text(encoding="utf-8"))))
+    assert readers == ["gateway.py"]
 
 
 def test_import_marco_loads_the_framework():

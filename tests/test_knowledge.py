@@ -23,6 +23,7 @@ except ModuleNotFoundError:  # pragma: no cover
     pytest.skip("hypothesis not installed", allow_module_level=True)
 
 from oracles import oracle_kb_dir, tfidf_rank
+import marco.gateway
 import marco.knowledge
 from marco.errors import KnowledgeError
 from marco.gateway import ChatMessage, ToolCallRequest
@@ -711,7 +712,7 @@ class StatView:
 
 
 class OsView:
-    """The ``os`` module as the knowledge module sees it, with every stat
+    """The ``os`` module as a module sees it once patched in, with every stat
     result's timestamps passed through ``times``; nothing else sees them."""
 
     def __init__(self, times):
@@ -827,6 +828,7 @@ class TestLoadKbDirSnapshot:
         newest = max(times(t) for path in (tmp_path, tmp_path / "a.txt", tmp_path / "b.txt")
                      for t in (os.stat(path).st_mtime_ns, os.stat(path).st_ctime_ns))
         monkeypatch.setattr(marco.knowledge, "os", OsView(times))
+        monkeypatch.setattr(marco.gateway, "os", OsView(times))  # read_file's fstat of each note
         monkeypatch.setattr(marco.knowledge, "time_ns", lambda: newest + age_ms * 10**6)
         load_kb_dir("kb", tmp_path)
         assert loaded["kb"].clean is clean
@@ -933,6 +935,7 @@ class TestSnapshotMatchesNaiveReader:
             _link(directory, "t0")
             patch.setattr(marco.knowledge, "_LOADED", {})
             patch.setattr(marco.knowledge, "os", OsView(simulated))
+            patch.setattr(marco.gateway, "os", OsView(simulated))  # read_file's fstat of each note
             patch.setattr(marco.knowledge, "time_ns", lambda: clock["now"])
             previous = previous_bytes = None
             for edits, wait in steps:
