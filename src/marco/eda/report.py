@@ -42,9 +42,6 @@ class Aggressor:
     net: str
     coupling_cap: float
 
-    def to_dict(self) -> dict:
-        return {"net": self.net, "coupling_cap": self.coupling_cap}
-
 
 @dataclass(frozen=True)
 class Stage:
@@ -65,19 +62,6 @@ class Stage:
 
     def rc_product(self) -> float:
         return self.resistance * self.capacitance
-
-    def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "net": self.net,
-            "cell": self.cell,
-            "resistance": self.resistance,
-            "capacitance": self.capacitance,
-            "delay": self.delay,
-            "constraint": self.constraint,
-            "xtalk_delta": self.xtalk_delta,
-            "aggressors": [a.to_dict() for a in self.aggressors],
-        }
 
 
 @dataclass(frozen=True)
@@ -100,17 +84,6 @@ class TimingPath:
         """Cumulative arrival at the endpoint: stage delays plus xtalk deltas."""
         return sum(s.delay + s.xtalk_delta for s in self.stages)
 
-    def to_dict(self) -> dict:
-        return {
-            "path_id": self.path_id,
-            "startpoint": self.startpoint,
-            "endpoint": self.endpoint,
-            "clock_net": self.clock_net,
-            "clock_edges": sorted(self.clock_edges),
-            "slack": self.slack,
-            "stages": [s.to_dict() for s in self.stages],
-        }
-
 
 @dataclass(frozen=True)
 class TimingReport:
@@ -126,14 +99,6 @@ class TimingReport:
 
     def path_map(self) -> dict[str, TimingPath]:
         return {p.path_id: p for p in self.paths}
-
-    def to_dict(self) -> dict:
-        return {
-            "corner": self.corner,
-            "mode": self.mode,
-            "check": self.check,
-            "paths": [p.to_dict() for p in self.paths],
-        }
 
 
 def _fail(line_no: int, expected: str, got: str) -> ReportError:

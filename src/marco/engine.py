@@ -28,8 +28,21 @@ from .graph import Schedule, TaskGraph, TaskNode, apply_expansion, execution_ord
 from .knowledge import Blackboard, BlackboardStage, load_kb_dir
 
 TRACE_STATUSES = ("completed", "aborted")
+_TRACE_DEFAULTS = {  # each trace field's value when absent; a present one must have its type
+    "config_digest": "", "graph_initial": {}, "graph_final": {}, "outcomes": [], "expansions": [],
+    "blackboard": {}, "timings": {}, "status": "completed", "meta": {},
+}
 MAX_AHEAD = 8  # nodes started ahead of the head at once
 BASELINE_NODE_ID = "baseline"
+
+
+def _trace_field(item: Any, key: str, kind: type, where: str, default: Any = None) -> Any:
+    """``item[key]``, or ``default`` where it is absent; a value that is no
+    ``kind``, or an ``item`` that is no object, is ``TRACE_ORDER``."""
+    value = item.get(key, default) if isinstance(item, Mapping) else None
+    if not isinstance(value, kind):
+        raise EngineError("TRACE_ORDER", f"{where} has no {kind.__name__} {key!r}")
+    return value
 
 
 @dataclass
@@ -47,26 +60,27 @@ class TraceDocument:
     meta: dict = field(default_factory=dict)
 
     def validate(self) -> None:
-        """Check outcome order is a linear extension of the final graph."""
+        """Check outcome order is a linear extension of the final graph, read
+        from ``graph_final``'s node ids and execution edges; a field of another
+        type there or in an outcome is ``TRACE_ORDER``."""
         if self.status not in TRACE_STATUSES:
             raise EngineError("TRACE_ORDER", f"unknown trace status {self.status!r}")
-        graph = TaskGraph.from_dict(self.graph_final)
-        known = {node.id for node in graph.nodes}
+        nodes = _trace_field(self.graph_final, "nodes", list, "trace graph_final", [])
+        edges = _trace_field(self.graph_final, "edges", list, "trace graph_final", [])
+        known = {_trace_field(node, "id", str, f"trace graph_final node {at}") for at, node in enumerate(nodes)}
         position: dict[str, int] = {}
         for idx, outcome in enumerate(self.outcomes):
-            node_id = outcome.get("node_id")
+            node_id = _trace_field(outcome, "node_id", str, f"trace outcome {idx}")
             if node_id not in known:
                 raise EngineError("TRACE_ORDER", f"outcome for unknown node {node_id!r}")
             if node_id in position:
                 raise EngineError("TRACE_ORDER", f"duplicate outcome for node {node_id!r}")
             position[node_id] = idx
-        for edge in graph.execution_edges():
-            if edge.src in position and edge.dst in position:
-                if position[edge.src] >= position[edge.dst]:
-                    raise EngineError(
-                        "TRACE_ORDER",
-                        f"outcome order violates edge {edge.src} -> {edge.dst}",
-                    )
+        for at, edge in enumerate(edges):
+            if _trace_field(edge, "kind", str, f"trace graph_final edge {at}", "execution") == "execution":
+                src, dst = (_trace_field(edge, end, str, f"trace graph_final edge {at}") for end in ("src", "dst"))
+                if src in position and dst in position and position[src] >= position[dst]:
+                    raise EngineError("TRACE_ORDER", f"outcome order violates edge {src} -> {dst}")
 
     def to_dict(self) -> dict:
         return {
@@ -83,17 +97,13 @@ class TraceDocument:
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "TraceDocument":
-        return cls(
-            config_digest=payload.get("config_digest", ""),
-            graph_initial=dict(payload.get("graph_initial", {})),
-            graph_final=dict(payload.get("graph_final", {})),
-            outcomes=list(payload.get("outcomes", ())),
-            expansions=list(payload.get("expansions", ())),
-            blackboard=dict(payload.get("blackboard", {})),
-            timings=dict(payload.get("timings", {})),
-            status=payload.get("status", "completed"),
-            meta=dict(payload.get("meta", {})),
-        )
+        """A trace as ``to_dict`` wrote it; a field of another type is ``TRACE_ORDER``."""
+        if not isinstance(payload, Mapping):
+            raise EngineError("TRACE_ORDER", f"trace is a {type(payload).__name__}, not an object")
+        return cls(**{
+            name: type(default)(_trace_field(payload, name, type(default), "trace", default))
+            for name, default in _TRACE_DEFAULTS.items()
+        })
 
     def render(self) -> str:
         return _render_json(self.to_dict()) + "\n"

@@ -99,9 +99,6 @@ class Blackboard:
     def has(self, key: str) -> bool:
         return key in self._entries
 
-    def keys(self) -> list[str]:
-        return sorted(self._entries)
-
     def snapshot(self) -> dict[str, dict]:
         """Stable serializable view: key -> {value, producer, version}."""
         return {
@@ -269,51 +266,45 @@ def _stat_key(st: os.stat_result) -> tuple[int, int, int, int]:  # st_ino is uns
 
 
 def _read_kb_files(
-    dir_fd: int, directory: Path, files: list[str], documents: list[Document] | None = None
-) -> tuple[bytes, array]:
-    """The sha256 of the files' names, lengths and bytes, hashed file by file,
-    and each file's stat key, taken on its descriptor before it is read;
-    with ``documents``, each file's document is also appended to it.
+    dir_fd: int, directory: Path, files: list[str], last: _Loaded | None
+) -> tuple[bytes, array, list[Document]]:
+    """Each file's sha256, packed in ``files`` order, its stat key, taken on
+    its descriptor before it is read, and its document.
 
-    Each file is read by ``read_file`` relative to ``dir_fd``; hashing alone
-    keeps no file's bytes. The file stem is the document id; an optional first
-    line ``tags: a,b`` declares tags and is stripped from the text. Line endings
-    are read as ``\\n``. A file that is not regular (a directory, FIFO or
-    device) or not UTF-8 is ``KB_UNREADABLE``, named by its path under
-    ``directory``.
+    Each file is read once, by ``read_file`` relative to ``dir_fd``. If the
+    listing is ``last``'s, a file whose sha256 is unchanged keeps ``last``'s
+    document; any other is decoded. The file stem is the document id; an
+    optional first line ``tags: a,b`` declares tags and is stripped from the
+    text. Line endings are read as ``\\n``. A file that is not regular (a
+    directory, FIFO or device) or not UTF-8 is ``KB_UNREADABLE``, named by its
+    path under ``directory``.
     """
-    digest = hashlib.sha256()
-    listing = []
-    keys = array("q")
-    for file_name in files:
+    same = last is not None and last.files == files
+    digests, keys, documents = bytearray(), array("q"), []
+    for at, file_name in enumerate(files):
+        stem = file_name[:-4] or file_name  # as Path.stem
         try:
             data, st = read_file(file_name, dir_fd)
-            if documents is not None:
-                raw = str(data, "utf-8")
+            digest = hashlib.sha256(data).digest()
+            doc = last.kb.get(stem) if same and last.digest[32 * at:32 * at + 32] == digest else None
+            raw = str(data, "utf-8") if doc is None else ""
         except (OSError, UnicodeDecodeError) as exc:
             path = os.path.join(directory, file_name)
             raise KnowledgeError("KB_UNREADABLE", f"knowledge base file {path!r} is unreadable: {exc}") from exc
-        digest.update(data)
+        digests += digest
         keys.extend(_stat_key(st))
-        listing.append(f"{file_name}\0{len(data)}")
-        if documents is None:
-            continue
-        if "\r" in raw:
-            raw = raw.replace("\r\n", "\n").replace("\r", "\n")
-        tags: tuple[str, ...] = ()
-        text = raw
-        first, _, rest = raw.partition("\n")
-        if first.startswith("tags:"):
-            tags = tuple(t.strip() for t in first[len("tags:"):].split(",") if t.strip())
-            text = rest
-        documents.append(Document(id=file_name[:-4] or file_name, text=text, tags=tags))  # the stem, as in Path.stem
-    # The bytes, then each name and length (a name holds no NUL), then the
-    # listing's length in fixed width: read from its end, the stream splits
-    # back into files one way only.
-    names = os.fsencode("\0".join(listing))
-    digest.update(names)
-    digest.update(len(names).to_bytes(8, "big"))
-    return digest.digest(), keys
+        if doc is None:
+            if "\r" in raw:
+                raw = raw.replace("\r\n", "\n").replace("\r", "\n")
+            tags: tuple[str, ...] = ()
+            text = raw
+            first, _, rest = raw.partition("\n")
+            if first.startswith("tags:"):
+                tags = tuple(t.strip() for t in first[len("tags:"):].split(",") if t.strip())
+                text = rest
+            doc = Document(id=stem, text=text, tags=tags)
+        documents.append(doc)
+    return bytes(digests), keys, documents
 
 
 # git's racy-clean rule: a stat snapshot is trusted only if its timestamps are all older than
@@ -322,7 +313,7 @@ _RACY_NS = 1_000_000_000
 
 
 class _Loaded(NamedTuple):  # the last build under a name, and the stat snapshot of its last byte check
-    digest: bytes  # of the files' names, lengths and bytes
+    digest: bytes  # each file's sha256, in ``files`` order
     kb: KnowledgeBase
     directory: tuple[int, int, int, int]  # st_dev, st_ino, st_mtime_ns, st_ctime_ns
     files: list[str]  # the sorted ``.txt`` names
@@ -341,14 +332,15 @@ def load_kb_dir(name: str, directory: str | Path) -> KnowledgeBase:
     directory's path during the load does not mix two directories. If the last
     load under ``name`` left a clean stat snapshot that the directory and every
     file still match, its knowledge base is returned and no file is listed or
-    opened. Otherwise every file is read to its end and a new snapshot taken:
-    when the files' names, lengths and bytes hash as they did when the last
-    knowledge base under ``name`` was built, that same knowledge base is
-    returned, with its corpus and the postings searched so far; else the files
-    are read again, decoded, and a new knowledge base is kept under ``name``. A
-    directory that cannot be opened is ``KB_DIR_MISSING``, which says why unless
-    it is absent; a file that is not regular or not UTF-8 ``KB_UNREADABLE``.
-    Needs POSIX ``dir_fd`` support.
+    opened. Otherwise every file is read to its end once, its sha256 taken,
+    and a new snapshot made: when the names and every file's sha256 are those
+    of the last knowledge base under ``name``, that same knowledge base is
+    returned, with its corpus and the postings searched so far; else a new one
+    is kept under ``name``, which, if the names are unchanged, holds the last
+    one's documents of the files whose bytes are unchanged. A directory that
+    cannot be opened is ``KB_DIR_MISSING``, which says why unless it is absent;
+    a file that is not regular or not UTF-8 ``KB_UNREADABLE``. Needs POSIX
+    ``dir_fd`` support.
     """
     directory = Path(directory)
     now = time_ns()
@@ -370,15 +362,11 @@ def load_kb_dir(name: str, directory: str | Path) -> KnowledgeBase:
             if keys == last.keys:
                 return last.kb
         files = sorted(entry for entry in os.listdir(dir_fd) if entry.endswith(".txt"))
-        if last is not None and (read := _read_kb_files(dir_fd, directory, files))[0] == last.digest:
-            kb = last.kb
-        else:
-            documents: list[Document] = []
-            read = _read_kb_files(dir_fd, directory, files, documents)
-            kb = KnowledgeBase(name, documents)
+        digest, keys, documents = _read_kb_files(dir_fd, directory, files, last)
     finally:
         os.close(dir_fd)
-    digest, keys = read
+    unchanged = last is not None and last.files == files and last.digest == digest
+    kb = last.kb if unchanged else KnowledgeBase(name, documents)
     times = array("q", dir_key[2:]) + keys[2::4] + keys[3::4]
     bound = _RACY_NS if any(t % 1_000_000_000 for t in times) else 3 * _RACY_NS
     _LOADED[name] = _Loaded(digest, kb, dir_key, files, keys, max(times) < now - bound)

@@ -228,13 +228,6 @@ class TestValueSemantics:
     def test_rc_product(self):
         assert Stage(0, "n", "U", 3.0, 2.0, 0.1, 0.1, 0.0).rc_product() == 6.0
 
-    def test_to_dict_round_trip_values(self):
-        report = parse_timing_report(MINIMAL)
-        payload = report.to_dict()
-        assert payload["corner"] == "ss_0p72v_125c"
-        assert payload["paths"][0]["clock_edges"] == ["rise"]
-        assert payload["paths"][0]["stages"][0]["aggressors"][0] == {"net": "n_far", "coupling_cap": 1.5}
-
     def test_frozen_normalization(self):
         path = TimingPath("p", "a", "b", "c", {"rise"}, 0.1, [make_stage(0)])
         assert isinstance(path.clock_edges, frozenset)

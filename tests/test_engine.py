@@ -227,6 +227,34 @@ class TestTraceDocument:
         again = TraceDocument.from_dict(json.loads(trace.render()))
         assert again.to_dict() == trace.to_dict()
 
+    @pytest.mark.parametrize(
+        "payload, named",
+        [
+            ([], "list"),
+            ({"outcomes": 5}, "'outcomes'"),
+            ({"graph_final": "x"}, "'graph_final'"),
+            ({"status": ["completed"]}, "'status'"),
+            ({"graph_final": {"nodes": {}}}, "'nodes'"),
+            ({"graph_final": {"nodes": [{}]}}, "node 0 has no str 'id'"),
+            ({"graph_final": {"nodes": [{"id": "a"}], "edges": [{"src": "a"}]}}, "edge 0 has no str 'dst'"),
+            ({"graph_final": {"nodes": [{"id": "a"}], "edges": [7]}}, "edge 0 has no str 'kind'"),
+            ({"graph_final": {"nodes": [{"id": "a"}]}, "outcomes": [[1]]}, "outcome 0 has no str 'node_id'"),
+            ({"graph_final": {"nodes": [{"id": "a"}]}, "outcomes": [{"node_id": ["a"]}]}, "outcome 0 has no str"),
+        ],
+    )
+    def test_malformed_trace_names_its_field(self, payload, named):
+        with pytest.raises(EngineError) as exc:
+            TraceDocument.from_dict(payload).validate()
+        assert exc.value.code == "TRACE_ORDER"
+        assert named in str(exc.value)
+
+    def test_edge_kind_defaults_to_execution(self):
+        graph = {"nodes": [{"id": "a"}, {"id": "b"}], "edges": [{"src": "a", "dst": "b"}]}
+        with pytest.raises(EngineError, match="a -> b"):
+            self.make_trace(graph_final=graph, outcomes=[{"node_id": "b"}, {"node_id": "a"}]).validate()
+        graph["edges"] = [{"src": "a", "dst": "b", "kind": "knowledge", "key": "k"}, {"kind": "knowledge"}]
+        self.make_trace(graph_final=graph, outcomes=[{"node_id": "b"}, {"node_id": "a"}]).validate()
+
     def test_write_reads_back(self, tmp_path):
         trace = self.make_trace()
         target = tmp_path / "trace.json"

@@ -75,7 +75,7 @@ class TestBlackboard:
         board.declare_outputs("n1", ["b"])
         board.write("a", 1, producer="n1")
         board.write("b", 2, producer="n1")
-        assert board.keys() == ["a", "b"]
+        assert list(board.snapshot()) == ["a", "b"]
 
     def test_snapshot_sorted_and_stable(self):
         board = Blackboard({"n1": ["b", "a"]})
@@ -483,13 +483,11 @@ def ranked(kb: KnowledgeBase, query: str, k: int = 9) -> list[tuple[str, str, fl
     return [(doc.id, doc.text, score) for doc, score in retrieve(kb, query, k)]
 
 
-def reference_digest(directory: Path) -> bytes:
-    """The documented digest, from whole-file reads: every file's bytes in
-    name order, then each name and length, then the listing's length."""
+def note_digests(directory: Path) -> list[bytes]:
+    """The documented digests, from whole-file reads: the sha256 of every
+    file's bytes, in name order."""
     files = sorted(path for path in directory.iterdir() if path.name.endswith(".txt"))
-    data = [path.read_bytes() for path in files]
-    listing = os.fsencode("\0".join(f"{path.name}\0{len(body)}" for path, body in zip(files, data)))
-    return hashlib.sha256(b"".join(data) + listing + len(listing).to_bytes(8, "big")).digest()
+    return [hashlib.sha256(path.read_bytes()).digest() for path in files]
 
 
 def open_fds() -> int:
@@ -509,11 +507,11 @@ class TestLoadKbDirReads:
         (tmp_path / "small.txt").write_bytes(b"after")
         kb = load_kb_dir("kb", tmp_path)
         assert kb.get("big").text == body.decode() and kb.get("small").text == "after"
-        assert loaded["kb"][0] == reference_digest(tmp_path)
-        assert load_kb_dir("kb", tmp_path) is kb  # the hash-only pass agrees
+        assert loaded["kb"].digest == b"".join(note_digests(tmp_path))
+        assert load_kb_dir("kb", tmp_path) is kb  # a second read gives the same digests
         (tmp_path / "big.txt").write_bytes(body + b"x")
         assert load_kb_dir("kb", tmp_path).get("big").text == body.decode() + "x"
-        assert loaded["kb"][0] == reference_digest(tmp_path)
+        assert loaded["kb"].digest == b"".join(note_digests(tmp_path))
 
     @pytest.mark.parametrize("char", ["\u00e9", "\u20ac", "\U0001f600"])
     @pytest.mark.parametrize("boundary", [BUFFER, 2 * BUFFER])
@@ -521,7 +519,7 @@ class TestLoadKbDirReads:
         text = "a" * (boundary - 1) + char + "tail"
         (tmp_path / "split.txt").write_text(text, encoding="utf-8")
         assert load_kb_dir("kb", tmp_path).get("split").text == text
-        assert loaded["kb"][0] == reference_digest(tmp_path)
+        assert loaded["kb"].digest == b"".join(note_digests(tmp_path))
 
     def test_sub_directory_is_unreadable_in_the_hash_only_pass(self, tmp_path, loaded):
         write_kb(tmp_path, {"a": "slack", "y": "clock"})
@@ -600,6 +598,18 @@ class TestLoadKbDirReuse:
         assert second is not first and second.get("a").text == "stack"
         assert first.get("a").text == "slack"  # a knowledge base a run holds never changes
         assert load_kb_dir("kb", tmp_path) is second
+
+    def test_one_note_rewrite_reads_each_note_once_and_keeps_the_others(self, tmp_path, loaded, monkeypatch):
+        write_kb(tmp_path, {"a": "slack one", "b": "clock two", "c": "tags: x\nskew three"})
+        first = load_kb_dir("kb", tmp_path)
+        assert load_kb_dir("kb", tmp_path) is first
+        rewrite_same_size_keeping_mtime(tmp_path / "a.txt")
+        opened = spy_opens(monkeypatch)
+        kb = load_kb_dir("kb", tmp_path)
+        assert opened == ["a.txt", "b.txt", "c.txt"]
+        assert kb is not first and kb.get("a").text == "slbck one"
+        assert kb.get("b") is first.get("b") and kb.get("c") is first.get("c")
+        assert documents(kb) == oracle_kb_dir(tmp_path)
 
     def test_same_size_rewrite_with_mtime_restored_rebuilds(self, tmp_path, loaded, searches):
         write_kb(tmp_path, {"a": "slack one", "b": "clock two"})
@@ -938,6 +948,7 @@ class TestSnapshotMatchesNaiveReader:
             patch.setattr(marco.gateway, "os", OsView(simulated))  # read_file's fstat of each note
             patch.setattr(marco.knowledge, "time_ns", lambda: clock["now"])
             previous = previous_bytes = None
+            opened = spy_opens(patch)
             for edits, wait in steps:
                 for op, note, other, text in edits:
                     SNAPSHOT_EDITS[op](directory, note, other, text)
@@ -945,7 +956,9 @@ class TestSnapshotMatchesNaiveReader:
                     clock["edit"] = clock["now"]
                 if wait:
                     clock["now"] += 10 * 10**9  # older than either racy bound: a clean snapshot
+                opened.clear()
                 kb = load_kb_dir("prop", directory)
+                assert len(opened) == len(set(opened))  # no note opened twice in one load
                 settle(probe)  # a later edit gets a real timestamp not seen yet
                 assert documents(kb) == oracle_kb_dir(directory)
                 current = [(p.name, p.read_bytes()) for p in sorted(directory.glob("*.txt"))]
