@@ -1,13 +1,12 @@
 """Slack distribution and cross-corner metric comparison.
 
-Binning is exact: bin k covers [k*w, (k+1)*w) and k is computed with
-Fraction arithmetic, so a slack sitting exactly on a boundary always lands
-in the upper bin regardless of float rounding.
+Binning is exact: bin k covers [k*w, (k+1)*w) and k is computed from the
+floats' exact integer ratios, so a slack sitting exactly on a boundary always
+lands in the upper bin regardless of float rounding.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence
 
 from ..errors import ReportError
@@ -17,8 +16,12 @@ METRICS = ("wns", "tns", "failing_path_count")
 
 
 def slack_bin(slack: float, bin_width: float) -> int:
-    """Index k of the half-open bin [k*w, (k+1)*w) containing the slack."""
-    return int(Fraction(slack) // Fraction(bin_width))
+    """Index k of the half-open bin [k*w, (k+1)*w) containing the slack:
+    floor((n1/d1) / (n2/d2)) over the exact ratios, whose denominators are
+    positive. NaN raises ValueError and an infinity OverflowError."""
+    n1, d1 = slack.as_integer_ratio()
+    n2, d2 = bin_width.as_integer_ratio()
+    return (n1 * d2) // (d1 * n2)
 
 
 def timing_distribution(reports: Sequence[TimingReport], bin_width: float) -> dict:

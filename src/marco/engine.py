@@ -15,10 +15,11 @@ import dataclasses
 import json
 import time
 from collections import Counter
+from collections.abc import Mapping
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from contextlib import ExitStack
 from dataclasses import dataclass, field
-from typing import Any, Generator, Mapping, TextIO
+from typing import Any, Generator, TextIO
 
 from .agents import NodeOutcome, converse, run_node
 from .config import RunConfig
@@ -148,11 +149,16 @@ def _render_json(value: Any) -> str:
 
     CPython's C encoder does not take ``indent``, so json.dumps falls back
     to its pure-Python one; this writes the same text into one list of parts.
+    A container met again (a plan sits in an outcome, the expansions and the
+    blackboard) is its first text, re-indented: every newline in that text
+    is a line break, as the escaper writes one inside a string as ``\\n``.
     """
     parts: list[str] = []
     emit = parts.append
     path: set[int] = set()  # ids of the containers being written, for the cycle check
     names: dict[str, str] = {}  # each key's escaped text and ": ", as keys repeat across dicts
+    # id -> (container, its nl, its first and end part); holding the container pins its id
+    written: dict[int, tuple[Any, str, int, int]] = {}
 
     def write(o: Any, nl: str) -> None:
         t = type(o)
@@ -164,7 +170,14 @@ def _render_json(value: Any) -> str:
             marker = id(o)
             if marker in path:
                 raise ValueError("Circular reference detected")
+            seen = written.get(marker)
+            if seen is not None:
+                _, first_nl, first, end = seen
+                text = "".join(parts[first:end])
+                emit(text if nl == first_nl else text.replace(first_nl, nl))
+                return
             path.add(marker)
+            first = len(parts)
             inner = nl + "  "
             sep = "," + inner
             if is_dict:
@@ -193,6 +206,7 @@ def _render_json(value: Any) -> str:
                     lead = sep
                 emit(nl + "]")
             path.remove(marker)
+            written[marker] = (o, nl, first, len(parts))
         elif isinstance(o, str):
             emit(_escape(o))
         else:
@@ -202,6 +216,7 @@ def _render_json(value: Any) -> str:
             emit(text)
 
     write(value, "\n")
+    del write  # a closure on itself: unlinked, parts and memo are freed on return, not at a later gc pass
     return "".join(parts)
 
 

@@ -2,13 +2,16 @@
 
 Execution edges order work and must form a DAG; knowledge edges carry a
 blackboard key from a producer to a consumer and never affect scheduling.
-Graph values are immutable; growth happens by building a new graph.
+Graph values are immutable; growth happens by building a new graph. A node's,
+edge's or plan's ``to_dict()`` is one dict, built on the first call and shared
+by every caller (blackboard, outcome, trace), so callers treat it as read-only.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Container, Iterable
 
 from .errors import GraphError
@@ -35,6 +38,10 @@ class TaskNode:
         object.__setattr__(self, "outputs", tuple(self.outputs))
 
     def to_dict(self) -> dict:
+        return self._dict
+
+    @cached_property
+    def _dict(self) -> dict:
         return {
             "id": self.id,
             "title": self.title,
@@ -68,6 +75,10 @@ class TaskEdge:
     key: str | None = None
 
     def to_dict(self) -> dict:
+        return self._dict
+
+    @cached_property
+    def _dict(self) -> dict:
         payload: dict = {"src": self.src, "dst": self.dst, "kind": self.kind}
         if self.key is not None:
             payload["key"] = self.key
@@ -138,6 +149,10 @@ class ExpansionRequest:
         object.__setattr__(self, "new_edges", tuple(self.new_edges))
 
     def to_dict(self) -> dict:
+        return self._dict
+
+    @cached_property
+    def _dict(self) -> dict:
         return {
             "planner_id": self.planner_id,
             "new_nodes": [n.to_dict() for n in self.new_nodes],

@@ -55,6 +55,16 @@ class TestSlackBin:
         s, w = Fraction(slack), Fraction(width)
         assert Fraction(k) * w <= s < Fraction(k + 1) * w
 
+    @pytest.mark.parametrize("slack, width", [(float("nan"), 0.1), (float("inf"), 0.1), (float("-inf"), 0.1),
+                                              (0.1, float("inf")), (0.1, float("-inf")), (0.1, 0.0)])
+    def test_nan_infinity_and_zero_width_raise_as_fractions_do(self, slack, width):
+        from fractions import Fraction
+
+        with pytest.raises(ArithmeticError if width == 0.0 else (ValueError, OverflowError)) as expected:
+            Fraction(slack) // Fraction(width)
+        with pytest.raises(expected.type):
+            slack_bin(slack, width)
+
 
 class TestDistribution:
     def test_three_slack_example(self):

@@ -3,6 +3,7 @@
 import collections
 import dataclasses
 import enum
+import gc
 import hashlib
 import http.server
 import json
@@ -331,6 +332,39 @@ class TestRenderJson:
         assert _render_json(value) == dumps(value)
         assert _render_json(value).count('"k": "v"') == 3
 
+    def test_shared_container_reindented_only_at_line_breaks(self):
+        """A container met again deeper or shallower than where it was first
+        written is re-indented; a newline, quote or non-ASCII text inside its
+        strings and keys keeps its escaped form."""
+        shared = {"line\nbreak": ['a "quoted"\n  word', "naïve ✓", {"  \n": "  \\n"}], "x": ["\n"]}
+        for value in (
+            {"a": shared, "b": {"c": [shared]}, "z": shared},
+            [[[shared]], shared, {"k": [[shared]]}],
+            {"deep": {"deeper": {"deepest": shared}}, "top": shared},
+        ):
+            assert _render_json(value) == dumps(value)
+        assert _render_json([shared, shared]).count("\\u00efve \\u2713") == 2
+
+    def test_shared_container_inside_a_cycle_still_rejected(self):
+        shared: list = [1]
+        loop: dict = {"s": shared}
+        shared.append(loop)
+        with pytest.raises(ValueError, match="Circular reference detected"):
+            _render_json({"a": shared, "b": loop})
+
+    def test_render_leaves_no_garbage_cycle(self):
+        """The parts and the memo are freed on return, not held until the
+        collector runs, so a worker's peak memory does not carry one trace's
+        render into the next run."""
+        shared = {"k": ["v"]}
+        gc.collect()
+        gc.disable()
+        try:
+            _render_json([shared, {"again": shared}])
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
 
 if st is not None:
     _FLOATS = st.floats() | st.sampled_from([-0.0, 1e16, float("nan"), float("inf"), float("-inf")])
@@ -346,10 +380,48 @@ if st is not None:
             max_leaves=25,
         )
 
+    _HOLE = object()
+
+    @st.composite
+    def _shared_values(draw, leaves, keys):
+        """A value in which one non-empty container is reachable by several
+        paths, directly under the top level and one level deeper at least,
+        beside a second value that may hold the first and is placed as freely."""
+        kids = _json_values(leaves, keys)
+        shared = [draw(st.lists(kids, min_size=1, max_size=3) | st.dictionaries(keys, kids, min_size=1, max_size=3))]
+        holes = _json_values(leaves | st.just(_HOLE), keys)
+
+        def fill(template):
+            if template is _HOLE:
+                return draw(st.sampled_from(shared))
+            if isinstance(template, dict):
+                return {key: fill(item) for key, item in template.items()}
+            if isinstance(template, (list, tuple)):
+                return type(template)(fill(item) for item in template)
+            return template
+
+        shared.append(fill(draw(holes)))
+        top = draw(st.lists(holes, max_size=3))
+        if draw(st.booleans()):
+            return fill([_HOLE, *top, [_HOLE]])
+        first, second = draw(st.lists(keys, min_size=2, max_size=2, unique=True))
+        return fill({**dict(zip(draw(st.lists(keys, max_size=3)), top)), first: _HOLE, second: {"in": [_HOLE]}})
+
     class TestRenderJsonMatchesDumps:
         @settings(max_examples=400, deadline=None)
         @given(value=_json_values(_LEAVES, st.text()) | _json_values(_LEAVES, _KEYS))
         def test_same_text_or_same_error(self, value):
+            try:
+                expected = dumps(value)
+            except TypeError:  # a str key beside a number key cannot be sorted
+                with pytest.raises(TypeError):
+                    _render_json(value)
+            else:
+                assert _render_json(value) == expected
+
+        @settings(max_examples=300, deadline=None)
+        @given(value=_shared_values(_LEAVES, st.text()) | _shared_values(_LEAVES, _KEYS))
+        def test_shared_containers_same_text_or_same_error(self, value):
             try:
                 expected = dumps(value)
             except TypeError:  # a str key beside a number key cannot be sorted
@@ -817,6 +889,20 @@ class TestBundledRuns:
         new_nodes = trace.expansions[0]["new_nodes"]
         assert len(new_nodes) == 4
         assert "mcmm_takeaways" in trace.blackboard
+
+    def test_mcmm_plan_is_one_object_in_every_trace_part(self):
+        """The accepted plan is one dict in the planner's outcome, the
+        expansions and the blackboard, and its new nodes' dicts are those in
+        ``graph_final``: the render writes each of them out once."""
+        trace = run(load_config(BUNDLED / "mcmm.json"), deterministic=True)
+        plan = trace.expansions[0]
+        assert plan["new_nodes"] and plan["new_edges"]
+        planner = next(o for o in trace.outcomes if o["expansion"] is not None)
+        assert planner["expansion"] is plan
+        assert trace.blackboard["mcmm_plan"]["value"] is plan
+        final = {node["id"]: node for node in trace.graph_final["nodes"]}
+        assert all(final[node["id"]] is node for node in plan["new_nodes"])
+        assert all(any(edge is new for edge in trace.graph_final["edges"]) for new in plan["new_edges"])
 
     def test_replay_miss_names_the_edited_system_prompt(self, tmp_path):
         """Record mcmm through replay over its mock scripts, edit the

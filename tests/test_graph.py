@@ -514,3 +514,25 @@ class TestSerialization:
     def test_graph_round_trip(self):
         graph = diamond()
         assert TaskGraph.from_dict(graph.to_dict()) == graph
+
+    def test_records_build_one_dict_each(self):
+        """A node's, edge's or plan's dict is built once and the same object
+        afterwards, so the blackboard, the outcome and the trace share it; a
+        graph's dict lists those very dicts."""
+        a = node("A", outputs=("o",), expansion="planner")
+        b = node("B", inputs=("o",))
+        edge = TaskEdge("A", "B")
+        plan = ExpansionRequest("A", new_nodes=(b,), new_edges=(edge,))
+        for record in (a, edge, plan):
+            assert record.to_dict() is record.to_dict()
+        assert plan.to_dict()["new_nodes"][0] is b.to_dict()
+        assert plan.to_dict()["new_edges"][0] is edge.to_dict()
+        graph = TaskGraph(nodes=(a, b), edges=(edge,))
+        nodes = graph.to_dict()["nodes"]
+        assert nodes[0] is a.to_dict() and nodes[1] is b.to_dict()
+        assert graph.to_dict()["edges"][0] is edge.to_dict()
+
+    def test_kept_dict_is_not_part_of_equality(self):
+        built, fresh = node("A"), node("A")
+        built.to_dict()
+        assert built == fresh and hash(built) == hash(fresh)

@@ -89,3 +89,4 @@ def test_import_marco_loads_the_framework():
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     loaded = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert {"marco.engine", "marco.config", "marco.agents"} <= set(loaded.stdout.split())
+    assert "fractions" not in loaded.stdout.split()  # slack_bin floors over integer ratios
