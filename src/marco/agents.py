@@ -16,7 +16,6 @@ emit a fenced PLAN block that becomes a graph expansion request.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Collection, Container, Generator, Mapping
 
@@ -24,6 +23,7 @@ from .errors import EngineError, GatewayError, GraphError
 from .gateway import Backend, ChatMessage, CompletionRequest, canonical_json
 from .graph import ExpansionRequest, TaskEdge, TaskGraph, TaskNode, apply_expansion
 from .knowledge import Blackboard, KnowledgeBase, MemoryWindow, apply_window, retrieve
+from .record import Record
 from .tools import Param, ToolContext, ToolRegistry, ToolResult, ToolSpec, error_result
 
 TOPOLOGIES = ("single", "multi_round_robin", "multi_hierarchical")
@@ -36,8 +36,7 @@ _NEXT_RE = re.compile(r"^NEXT:\s*(\S+)\s*$")
 _PLAN_RE = re.compile(r"```PLAN\n(.*?)```", re.DOTALL)
 
 
-@dataclass(frozen=True)
-class RoleSpec:
+class RoleSpec(Record):
     """One speaking role: prompt, model binding, and tool/KB access."""
 
     name: str
@@ -59,8 +58,7 @@ class RoleSpec:
         return ChatMessage(role="system", content=self.system_prompt)
 
 
-@dataclass(frozen=True)
-class Termination:
+class Termination(Record):
     """When a node counts as solved, and how many model calls it may spend."""
 
     max_turns: int = 8
@@ -72,12 +70,11 @@ class Termination:
             raise ValueError("max_turns must be >= 1")
 
 
-@dataclass(frozen=True)
-class AgentConfig:
+class AgentConfig(Record):
     name: str
     topology: str = "single"
     roles: tuple[RoleSpec, ...] = ()
-    termination: Termination = field(default_factory=Termination)
+    termination: Termination = Termination()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "roles", tuple(self.roles))
@@ -92,13 +89,12 @@ class AgentConfig:
             raise ValueError("role names must be unique within an agent")
 
 
-@dataclass(frozen=True)
-class TranscriptEntry:
+class TranscriptEntry(Record):
     """One transcript event: who spoke (or which tool answered) and what."""
 
     speaker: str
     message: ChatMessage
-    meta: Mapping[str, Any] = field(default_factory=dict)
+    meta: Mapping[str, Any] = {}  # copied by __post_init__
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "meta", dict(self.meta))
@@ -110,8 +106,7 @@ class TranscriptEntry:
         return payload
 
 
-@dataclass(frozen=True)
-class NodeOutcome:
+class NodeOutcome(Record):
     node_id: str
     status: str
     turns_used: int

@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import hashlib
 import os
-from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Mapping, NamedTuple
 
 from .agents import AgentConfig, RoleSpec, Termination, register_builtin_tools
 from .eda.toolpack import HANDLER_CATALOG
@@ -24,8 +23,7 @@ from .tools import ToolRegistry
 BACKEND_KINDS = ("mock", "http", "replay")
 
 
-@dataclass(frozen=True)
-class BackendDef:
+class BackendDef(NamedTuple):
     name: str
     kind: str
     scripts: tuple[Script, ...] = ()  # mock: the scripts load_config read from the ``script`` file
@@ -36,8 +34,7 @@ class BackendDef:
     timeout: float = 60.0
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     path: Path
     base_dir: Path
     raw: Mapping[str, Any]
@@ -256,7 +253,7 @@ def load_config(path: str | Path) -> RunConfig:
             continue
         spec, handler = HANDLER_CATALOG[handler_ref]
         try:
-            tools.register_tool(replace(spec, name=tool_name), handler)
+            tools.register_tool(spec._replace(name=tool_name), handler)
         except (ToolError, ValueError) as exc:
             problems.append(f"tool_bindings.{tool_name}: {exc}")
 

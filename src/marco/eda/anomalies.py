@@ -16,10 +16,10 @@ as a mismatch and the positive magnitude stands in for the ratio measure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from ..errors import ReportError
+from ..record import Record
 from .report import TimingReport
 
 ANOMALY_KINDS = (
@@ -34,8 +34,7 @@ ANOMALY_KINDS = (
 TABLE_TOLERANCE = 1e-6
 
 
-@dataclass(frozen=True)
-class Anomaly:
+class Anomaly(Record):
     """One flagged finding; identity is (kind[.facet], path, stage key)."""
 
     kind: str

@@ -24,9 +24,8 @@ The focus-window task restricts to paths p5, p6 and stages 1, 2.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .report import Aggressor, Stage, TimingPath, TimingReport, render_timing_report
 
@@ -47,8 +46,7 @@ DEFAULT_SEED = 2024
 DEFAULT_PATHS = 8
 
 
-@dataclass(frozen=True)
-class ManifestEntry:
+class ManifestEntry(NamedTuple):
     """One planted anomaly: task, path, stage key, dotted kind."""
 
     task_id: str
@@ -80,8 +78,7 @@ def render_manifest(entries: Iterable[ManifestEntry]) -> str:
     return "".join(entry.line() + "\n" for entry in entries)
 
 
-@dataclass(frozen=True)
-class FixtureSet:
+class FixtureSet(NamedTuple):
     """Generated reports plus their ground truth."""
 
     seed: int
@@ -149,13 +146,13 @@ def _clean_path(rng: random.Random, path_idx: int) -> TimingPath:
 
 def _replace_stage(path: TimingPath, index: int, **changes) -> TimingPath:
     stages = list(path.stages)
-    stages[index] = replace(stages[index], **changes)
-    return replace(path, stages=tuple(stages))
+    stages[index] = stages[index]._replace(**changes)
+    return path._replace(stages=tuple(stages))
 
 
 def _plant(paths: list[TimingPath]) -> list[TimingPath]:
     paths = list(paths)
-    paths[0] = replace(paths[0], clock_edges=frozenset())
+    paths[0] = paths[0]._replace(clock_edges=frozenset())
     for target, (lo_stage, hi_stage) in ((1, (3, 5)), (5, (1, 2))):
         paths[target] = _replace_stage(paths[target], lo_stage, resistance=60.0)
         paths[target] = _replace_stage(paths[target], hi_stage, resistance=320.0)
@@ -179,7 +176,7 @@ def _settle_slacks(
     for path, target in zip(paths, targets):
         required = target + path.arrival()
         required_times[(corner, path.path_id)] = required
-        settled.append(replace(path, slack=required - path.arrival()))
+        settled.append(path._replace(slack=required - path.arrival()))
     return settled
 
 
@@ -234,10 +231,10 @@ def generate_fixture_set(seed: int, corners: int = 3, paths: int = DEFAULT_PATHS
             path = _replace_stage(path, 3, delay=path.stages[3].delay + 0.01)
         elif path.path_id == "p3":
             extra = _clean_stage(rng, 3, len(path.stages))
-            path = replace(path, stages=path.stages + (extra,))
+            path = path._replace(stages=path.stages + (extra,))
         required = required_times[(primary.corner, path.path_id)]
         required_times[(companion_corner, path.path_id)] = required
-        companion_paths.append(replace(path, slack=required - path.arrival()))
+        companion_paths.append(path._replace(slack=required - path.arrival()))
     companion = TimingReport(corner=companion_corner, mode=MODE, check=CHECK, paths=tuple(companion_paths))
 
     return FixtureSet(
@@ -268,16 +265,14 @@ def write_fixture_set(fixture_set: FixtureSet, out_dir: str | Path) -> list[Path
     return written
 
 
-@dataclass(frozen=True)
-class TaskScore:
+class TaskScore(NamedTuple):
     task_id: str
     passed: bool
     recovered: frozenset[str]
     planted: frozenset[str]
 
 
-@dataclass(frozen=True)
-class ScoreResult:
+class ScoreResult(NamedTuple):
     tasks: tuple[TaskScore, ...]
 
     def passed_count(self) -> int:

@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..errors import ReportError
+from ..record import Record
 
 CHECKS = ("max", "min")
 CLOCK_EDGES = ("rise", "fall")
@@ -35,16 +36,14 @@ _STAGE_RE = re.compile(
 _AGGR_ITEM_RE = re.compile(rf"^([^:;\s]+):({_NUM})$")
 
 
-@dataclass(frozen=True)
-class Aggressor:
+class Aggressor(NamedTuple):
     """A coupled neighbor net and its coupling capacitance (fF)."""
 
     net: str
     coupling_cap: float
 
 
-@dataclass(frozen=True)
-class Stage:
+class Stage(Record):
     """One path stage: net/cell with RC, delay, check constraint, crosstalk."""
 
     index: int
@@ -64,8 +63,7 @@ class Stage:
         return self.resistance * self.capacitance
 
 
-@dataclass(frozen=True)
-class TimingPath:
+class TimingPath(Record):
     """A launch-to-capture path; empty clock_edges means missing annotation."""
 
     path_id: str
@@ -85,8 +83,7 @@ class TimingPath:
         return sum(s.delay + s.xtalk_delta for s in self.stages)
 
 
-@dataclass(frozen=True)
-class TimingReport:
+class TimingReport(Record):
     """All reported paths for one (corner, mode, check) combination."""
 
     corner: str

@@ -11,15 +11,12 @@ config and scripts serialize identically.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import time
 from collections import Counter
 from collections.abc import Mapping
-from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from contextlib import ExitStack
-from dataclasses import dataclass, field
-from typing import Any, Generator, TextIO
+from typing import TYPE_CHECKING, Any, Generator, TextIO
 
 from .agents import NodeOutcome, converse, run_node
 from .config import RunConfig
@@ -27,6 +24,9 @@ from .errors import EngineError
 from .gateway import Backend, HttpBackend, MockBackend, ReplayBackend
 from .graph import Schedule, TaskGraph, TaskNode, apply_expansion, execution_order, ready_frontier
 from .knowledge import Blackboard, BlackboardStage, load_kb_dir
+
+if TYPE_CHECKING:  # pragma: no cover
+    from concurrent.futures import Future
 
 TRACE_STATUSES = ("completed", "aborted")
 _TRACE_DEFAULTS = {  # each trace field's value when absent; a present one must have its type
@@ -46,19 +46,15 @@ def _trace_field(item: Any, key: str, kind: type, where: str, default: Any = Non
     return value
 
 
-@dataclass
 class TraceDocument:
-    """Serialized record of one full run, diffable and replayable."""
+    """Serialized record of one full run, diffable and replayable. Its fields are
+    ``_TRACE_DEFAULTS``' keys; one not given starts as a new copy of its default."""
 
-    config_digest: str
-    graph_initial: dict
-    graph_final: dict = field(default_factory=dict)
-    outcomes: list[dict] = field(default_factory=list)
-    expansions: list[dict] = field(default_factory=list)
-    blackboard: dict = field(default_factory=dict)
-    timings: dict = field(default_factory=dict)
-    status: str = "completed"
-    meta: dict = field(default_factory=dict)
+    def __init__(self, **fields: Any) -> None:
+        if not fields.keys() <= _TRACE_DEFAULTS.keys():
+            raise TypeError(f"unknown trace fields {sorted(fields.keys() - _TRACE_DEFAULTS.keys())}")
+        for name, default in _TRACE_DEFAULTS.items():
+            setattr(self, name, fields[name] if name in fields else type(default)(default))
 
     def validate(self) -> None:
         """Check outcome order is a linear extension of the final graph, read
@@ -354,8 +350,11 @@ def _execute(config: RunConfig, backend_override: str | None, deterministic: boo
             return False
         return all(producers[key] == (key in node.outputs) for key in {*node.inputs, *node.outputs})
 
-    # a worker for each node that may wait at once, so the head never queues behind nodes run ahead
-    with ThreadPoolExecutor(max_workers=MAX_AHEAD + 1, thread_name_prefix="marco-call") as pool, ExitStack() as leaving:
+    with ExitStack() as leaving:
+        if waiting_agents:  # only a run with a backend that waits loads concurrent.futures and starts threads
+            from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+            # a worker for each node that may wait at once, so the head never queues behind nodes run ahead
+            pool = leaving.enter_context(ThreadPoolExecutor(max_workers=MAX_AHEAD + 1, thread_name_prefix="marco-call"))
         leaving.callback(advance, None)  # nodes started ahead of a failed head run to their end, then are dropped
         while schedule.heap:
             if len(done) >= config.max_node_executions:
@@ -471,7 +470,7 @@ def run_baseline(
     graph, meta = collapse_graph(config)
     name = graph.nodes[0].agent_ref
     agent = config.agents[name]
-    termination = dataclasses.replace(agent.termination, max_turns=meta["baseline"]["max_turns"])
-    agents = {**config.agents, name: dataclasses.replace(agent, termination=termination)}
+    termination = agent.termination._replace(max_turns=meta["baseline"]["max_turns"])
+    agents = {**config.agents, name: agent._replace(termination=termination)}
     # the collapsed config keeps ``raw``, so its trace carries the original config digest
-    return _execute(dataclasses.replace(config, graph=graph, agents=agents), backend_override, deterministic, meta)
+    return _execute(config._replace(graph=graph, agents=agents), backend_override, deterministic, meta)

@@ -10,22 +10,19 @@ from __future__ import annotations
 
 import hashlib
 import json
-import logging
 import os
 import re
 import threading
 import time
 from collections import OrderedDict
 from contextlib import suppress
-from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 from stat import S_ISREG
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .errors import GatewayError
-
-log = logging.getLogger(__name__)
+from .record import Record
 
 ROLES = ("system", "user", "assistant", "tool")
 
@@ -34,13 +31,12 @@ BASE_URL_ENV = "MARCO_BASE_URL"
 HTTP_SCHEMES = ("http://", "https://")
 
 
-@dataclass(frozen=True)
-class ToolCallRequest:
+class ToolCallRequest(Record):
     """One tool invocation requested by an assistant message."""
 
     id: str
     tool_name: str
-    arguments: Mapping[str, Any] = field(default_factory=dict)
+    arguments: Mapping[str, Any] = {}  # copied by __post_init__
 
     def __post_init__(self) -> None:
         if not (isinstance(self.id, str) and isinstance(self.tool_name, str) and isinstance(self.arguments, Mapping)):
@@ -59,8 +55,7 @@ class ToolCallRequest:
         )
 
 
-@dataclass(frozen=True)
-class ChatMessage:
+class ChatMessage(Record):
     """One conversation message; tool calls ride on assistant messages only."""
 
     role: str
@@ -119,8 +114,7 @@ class ToolSpecs(tuple):
         return ",".join(canonical_json(s) for s in self).encode("utf-8")
 
 
-@dataclass(frozen=True)
-class CompletionRequest:
+class CompletionRequest(Record):
     """Everything a backend needs to produce the next assistant message."""
 
     model_ref: str
@@ -287,8 +281,7 @@ class Backend:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
-class ScriptMatcher:
+class ScriptMatcher(Record):
     """Predicate over a request: substring of last message, turn index, or always."""
 
     kind: str
@@ -604,7 +597,8 @@ class HttpBackend(Backend):
                 exc.close()
             except (OSError, ValueError, http.client.HTTPException) as exc:  # refused, timed out, cut off, bad URL
                 last_error = exc
-                log.debug("http attempt %d failed: %s", attempt, exc)
+                import logging  # loaded by the first failed attempt, not by every run
+                logging.getLogger(__name__).debug("http attempt %d failed: %s", attempt, exc)
                 continue
             if status >= 500:
                 last_error = GatewayError("HTTP_ERROR", f"server error {status}", status=status)

@@ -10,19 +10,18 @@ by every caller (blackboard, outcome, trace), so callers treat it as read-only.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Container, Iterable
+from typing import Container, Iterable, NamedTuple
 
 from .errors import GraphError
+from .record import Record
 
 EXPANSION_KINDS = ("none", "planner")
 EDGE_KINDS = ("execution", "knowledge")
 GRAPH_MODES = ("static", "dynamic")
 
 
-@dataclass(frozen=True)
-class TaskNode:
+class TaskNode(Record):
     """One sub-task: a goal handed to a named agent, with declared I/O keys."""
 
     id: str
@@ -65,8 +64,7 @@ class TaskNode:
         )
 
 
-@dataclass(frozen=True)
-class TaskEdge:
+class TaskEdge(Record):
     """Directed edge; knowledge edges carry the blackboard key they transport."""
 
     src: str
@@ -94,8 +92,7 @@ class TaskEdge:
         )
 
 
-@dataclass(frozen=True)
-class TaskGraph:
+class TaskGraph(Record):
     """An immutable set of task nodes plus typed edges."""
 
     nodes: tuple[TaskNode, ...] = ()
@@ -136,8 +133,7 @@ class TaskGraph:
         )
 
 
-@dataclass(frozen=True)
-class ExpansionRequest:
+class ExpansionRequest(Record):
     """Growth emitted by a planner node: new sub-tasks plus wiring."""
 
     planner_id: str
@@ -160,8 +156,7 @@ class ExpansionRequest:
         }
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One invariant failure, identified by a stable code and its subject."""
 
     code: str
@@ -169,8 +164,7 @@ class Violation:
     detail: str
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     ok: bool
     violations: tuple[Violation, ...] = ()
 
@@ -385,7 +379,7 @@ def apply_expansion(graph: TaskGraph, req: ExpansionRequest, seeded: Container[s
     if planner is None or planner.expansion != "planner":
         raise GraphError("UNKNOWN_PLANNER", f"{req.planner_id!r} does not name a planner node")
 
-    candidate = replace(graph, nodes=graph.nodes + req.new_nodes, edges=graph.edges + req.new_edges)
+    candidate = graph._replace(nodes=graph.nodes + req.new_nodes, edges=graph.edges + req.new_edges)
 
     report, position, lineage = _checked(candidate)
     if not report.ok:

@@ -14,7 +14,6 @@ import os
 import re
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import accumulate, chain
 from pathlib import Path
 from time import time_ns
@@ -22,6 +21,7 @@ from typing import Any, Iterable, Mapping, NamedTuple
 
 from .errors import KnowledgeError
 from .gateway import ChatMessage, read_file
+from .record import Record
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 # Byte -> its lowercase if a token can hold that, else a space: one translate
@@ -34,8 +34,7 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
-@dataclass(frozen=True)
-class Artifact:
+class Artifact(NamedTuple):
     value: Any
     producer: str
     version: int
@@ -139,8 +138,7 @@ class BlackboardStage:
         self._writes = {}
 
 
-@dataclass(frozen=True)
-class Document:
+class Document(Record):
     id: str
     text: str
     tags: tuple[str, ...] = ()
@@ -373,8 +371,7 @@ def load_kb_dir(name: str, directory: str | Path) -> KnowledgeBase:
     return kb
 
 
-@dataclass(frozen=True)
-class MemoryWindow:
+class MemoryWindow(Record):
     """Bounded conversation memory; the system message is never evicted."""
 
     max_messages: int

@@ -9,11 +9,11 @@ recorded in the trace.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Mapping, TYPE_CHECKING
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, TYPE_CHECKING
 
 from .errors import ToolError
 from .gateway import ToolSpecs
+from .record import Record
 
 if TYPE_CHECKING:  # pragma: no cover
     from .knowledge import Blackboard, Document, KnowledgeBase
@@ -23,8 +23,7 @@ PARAM_KINDS = ("string", "integer", "number", "boolean", "string_list")
 _NAME_RE = re.compile(r"[a-z0-9_]+")
 
 
-@dataclass(frozen=True)
-class Param:
+class Param(Record):
     name: str
     kind: str
     required: bool = True
@@ -38,8 +37,7 @@ class Param:
         return {"name": self.name, "kind": self.kind, "required": self.required, "doc": self.doc}
 
 
-@dataclass(frozen=True)
-class ToolSpec:
+class ToolSpec(Record):
     name: str
     description: str
     params: tuple[Param, ...] = ()  # ordered and closed
@@ -60,8 +58,7 @@ class ToolSpec:
         }
 
 
-@dataclass(frozen=True)
-class ToolResult:
+class ToolResult(Record):
     ok: bool
     content: str
     data: Any = None
@@ -75,8 +72,7 @@ def error_result(message: str) -> ToolResult:
     return ToolResult(ok=False, content=f"ERROR: {message}")
 
 
-@dataclass(frozen=True)
-class ArgViolation:
+class ArgViolation(NamedTuple):
     code: str
     param: str
     detail: str
@@ -151,14 +147,15 @@ def validate_args(spec: ToolSpec, args: Mapping[str, Any]) -> tuple[dict | None,
     return normalized, []
 
 
-@dataclass
 class ToolContext:
     """What a handler may touch: the blackboard and the knowledge bases its role lists."""
 
-    node_id: str | None = None
-    blackboard: "Blackboard | None" = None
-    knowledge_bases: Mapping[str, "KnowledgeBase"] = field(default_factory=dict)
-    written: list[str] = field(default_factory=list)
+    def __init__(self, node_id: str | None = None, blackboard: Blackboard | None = None,
+                 knowledge_bases: Mapping[str, KnowledgeBase] | None = None, written: list[str] | None = None) -> None:
+        self.node_id = node_id
+        self.blackboard = blackboard
+        self.knowledge_bases = {} if knowledge_bases is None else knowledge_bases
+        self.written = [] if written is None else written
 
     def write(self, key: str, value: Any) -> int:
         if self.blackboard is None:

@@ -1,7 +1,6 @@
 """Run engine: trace documents, backend assembly, scheduling, baseline."""
 
 import collections
-import dataclasses
 import enum
 import gc
 import hashlib
@@ -520,7 +519,7 @@ class TestRunStaticChain:
 
     def test_budget_boundary(self, tmp_path):
         config = load_payload(tmp_path, chain_payload(), ALWAYS_TWO)
-        tight = dataclasses.replace(config, max_node_executions=1)
+        tight = config._replace(max_node_executions=1)
         with pytest.raises(EngineError) as exc:
             run(tight, deterministic=True)
         assert exc.value.code == "BUDGET_EXCEEDED"
@@ -528,7 +527,7 @@ class TestRunStaticChain:
         partial = exc.value.trace
         assert partial.status == "aborted"
         assert outcome_ids(partial) == ["n1"]
-        exact = dataclasses.replace(config, max_node_executions=2)
+        exact = config._replace(max_node_executions=2)
         assert run(exact, deterministic=True).status == "completed"
 
     def test_missing_input_aborts_with_partial_trace(self, tmp_path):
@@ -586,7 +585,7 @@ class TestRunDynamic:
             raise GraphError("CYCLE", "expansion would close a cycle")
 
         def without_grown_graph(*args, **kwargs):
-            return dataclasses.replace(run_node(*args, **kwargs), grown=None)
+            return run_node(*args, **kwargs)._replace(grown=None)
 
         run_node = marco.engine.run_node
         monkeypatch.setattr(marco.engine, "run_node", without_grown_graph)
@@ -641,7 +640,7 @@ class TestRunDynamic:
         config = load_payload(tmp_path, planner_payload(), scripts)
         # P, t1 and t2 need three executions; the budget allows two.
         with pytest.raises(EngineError) as exc:
-            run(dataclasses.replace(config, max_node_executions=2), deterministic=True)
+            run(config._replace(max_node_executions=2), deterministic=True)
         assert exc.value.code == "BUDGET_EXCEEDED"
         partial = exc.value.trace
         assert partial.status == "aborted"
@@ -755,8 +754,8 @@ class TestBaseline:
     def test_aborted_baseline_trace_keeps_baseline_meta(self):
         config = load_config(BUNDLED / "timing_debug.json")
         # every role is served by "mock"; with no scripts its first completion fails
-        dry = dataclasses.replace(config.backends["mock"], scripts=())
-        config = dataclasses.replace(config, backends={**config.backends, "mock": dry})
+        dry = config.backends["mock"]._replace(scripts=())
+        config = config._replace(backends={**config.backends, "mock": dry})
         graph, meta = collapse_graph(config)
         with pytest.raises(EngineError) as exc:
             run_baseline(config, deterministic=True)
@@ -1082,7 +1081,7 @@ class TestOverlappedRuns:
         payload = {"graph": {"mode": "static", "nodes": nodes, "edges": [{"src": "A", "dst": "C", "kind": "execution"}]},
                    "agents": agents, "backends": backends, "limits": {"max_node_executions": 4}}
         config = load_payload(tmp_path, payload, [{"matcher": {"kind": "always"}, "responses": [{"content": "DONE"}]}])
-        config = dataclasses.replace(config, max_node_executions=3)  # load_config wants one per static node
+        config = config._replace(max_node_executions=3)  # load_config wants one per static node
         with pytest.raises(EngineError) as serial:
             run(config, deterministic=True)
 
@@ -1206,7 +1205,7 @@ class TestOverlappedRuns:
 
     def test_budget_bounds_nodes_run_ahead(self, tmp_path, script_server):
         server = script_server(BUNDLED / "mcmm_scripts.json")
-        config = dataclasses.replace(mcmm_over_http(tmp_path, server.url), max_node_executions=3)
+        config = mcmm_over_http(tmp_path, server.url)._replace(max_node_executions=3)
         with pytest.raises(EngineError) as exc:
             run(config, deterministic=True)
         assert exc.value.code == "BUDGET_EXCEEDED"
@@ -1397,7 +1396,7 @@ if st is not None:
                 Path(tmp, "run.json").write_text(json.dumps(payload), encoding="utf-8")
                 config = load_config(Path(tmp, "run.json"))
             if budget is not None:
-                config = dataclasses.replace(config, max_node_executions=budget)
+                config = config._replace(max_node_executions=budget)
             serial = _outcome(config)
 
             def waiting_backends(config, override=None):
@@ -1405,7 +1404,7 @@ if st is not None:
 
             replies = ChosenReplies(data)
             with mock.patch.object(marco.engine, "build_backends", waiting_backends), \
-                    mock.patch.object(marco.engine, "ThreadPoolExecutor", replies.executor), \
-                    mock.patch.object(marco.engine, "wait", replies.wait):
+                    mock.patch("concurrent.futures.ThreadPoolExecutor", replies.executor), \
+                    mock.patch("concurrent.futures.wait", replies.wait):
                 overlapped = _outcome(config)
             assert overlapped == serial

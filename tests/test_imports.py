@@ -90,3 +90,7 @@ def test_import_marco_loads_the_framework():
     loaded = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert {"marco.engine", "marco.config", "marco.agents"} <= set(loaded.stdout.split())
     assert "fractions" not in loaded.stdout.split()  # slack_bin floors over integer ratios
+    # a run with a backend that waits loads the pool, and a failed HTTP attempt logs
+    assert not {"concurrent.futures", "logging"} & set(loaded.stdout.split())
+    # records generate no code per class, so nothing needs dataclasses
+    assert "dataclasses" not in loaded.stdout.split()

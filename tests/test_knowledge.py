@@ -501,7 +501,7 @@ class TestLoadKbDirReads:
     """Every file is read to its end through one reused buffer."""
 
     @pytest.mark.parametrize("size", [0, 1, BUFFER - 1, BUFFER, BUFFER + 1, 200_003])
-    def test_sizes_around_the_buffer_read_whole_in_both_passes(self, tmp_path, loaded, size):
+    def test_sizes_around_the_buffer_read_whole_each_load(self, tmp_path, loaded, size):
         body = bytes(b"abcdefghij \n"[i % 12] for i in range(size))
         (tmp_path / "big.txt").write_bytes(body)
         (tmp_path / "small.txt").write_bytes(b"after")
@@ -521,7 +521,7 @@ class TestLoadKbDirReads:
         assert load_kb_dir("kb", tmp_path).get("split").text == text
         assert loaded["kb"].digest == b"".join(note_digests(tmp_path))
 
-    def test_sub_directory_is_unreadable_in_the_hash_only_pass(self, tmp_path, loaded):
+    def test_sub_directory_is_unreadable_on_a_reload(self, tmp_path, loaded):
         write_kb(tmp_path, {"a": "slack", "y": "clock"})
         load_kb_dir("kb", tmp_path)
         (tmp_path / "x.txt").mkdir()
@@ -531,7 +531,7 @@ class TestLoadKbDirReads:
         assert str(tmp_path / "x.txt") in str(exc.value)
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
-    @pytest.mark.parametrize("cached", [False, True], ids=["decoding", "hash-only"])
+    @pytest.mark.parametrize("cached", [False, True], ids=["decoding", "reload"])
     def test_no_descriptor_left_open_after_an_unreadable_file(self, tmp_path, loaded, cached):
         write_kb(tmp_path, {"a": "slack", "z": "clock"})
         if cached:
