@@ -254,13 +254,9 @@ def _retrieve_knowledge_handler(args: dict, context: ToolContext) -> ToolResult:
     return ToolResult(ok=True, content="\n\n".join(blocks), data=data)
 
 
-def register_builtin_tools(registry: ToolRegistry) -> None:
-    """Install the implicit tools every run exposes into a fresh registry.
-
-    ``write_artifact`` is available to all roles; ``retrieve_knowledge`` only
-    to roles with bound knowledge bases.
-    """
-    registry.register_tool(
+# built once at import: every registry holds these same specs
+_BUILTIN_TOOLS = (
+    (
         ToolSpec(
             name=WRITE_TOOL,
             description="Store a text artifact on the shared blackboard under a declared output key.",
@@ -270,8 +266,8 @@ def register_builtin_tools(registry: ToolRegistry) -> None:
             ),
         ),
         _write_artifact_handler,
-    )
-    registry.register_tool(
+    ),
+    (
         ToolSpec(
             name=RETRIEVE_TOOL,
             description="Search a bound knowledge base; returns the top matching documents.",
@@ -282,7 +278,18 @@ def register_builtin_tools(registry: ToolRegistry) -> None:
             ),
         ),
         _retrieve_knowledge_handler,
-    )
+    ),
+)
+
+
+def register_builtin_tools(registry: ToolRegistry) -> None:
+    """Install the implicit tools every run exposes into a fresh registry.
+
+    ``write_artifact`` is available to all roles; ``retrieve_knowledge`` only
+    to roles with bound knowledge bases.
+    """
+    for spec, handler in _BUILTIN_TOOLS:
+        registry.register_tool(spec, handler)
 
 
 def _allowed_tools(role: RoleSpec) -> list[str]:
@@ -453,26 +460,24 @@ def converse(
 
 
 def run_node(
-    node: TaskNode,
-    graph: TaskGraph,
-    agent: AgentConfig,
+    conversation: Generator[tuple[str, CompletionRequest], ChatMessage, NodeOutcome],
     backends: Mapping[str, Backend],
-    registry: ToolRegistry,
-    blackboard: Blackboard,
-    knowledge_bases: Mapping[str, KnowledgeBase] | None = None,
-    agent_names: Collection[str] | None = None,
-    seeds: Container[str] = (),
-) -> NodeOutcome:
-    """``converse``, with each model call made directly on ``backends``, which
-    must hold every role's ``model_ref``."""
-    conversation = converse(node, graph, agent, registry, blackboard, knowledge_bases, agent_names, seeds)
-    reply = None
+    reply: ChatMessage | Exception | None = None,
+) -> NodeOutcome | tuple[str, CompletionRequest]:
+    """Drive a ``converse`` conversation: send it ``reply``, the reply to its
+    last call (``None`` to start it, or an error to throw in), make each
+    call to a backend that does not wait directly and send its reply at
+    once. Returns the node's outcome, or the first ``(model_ref, request)``
+    for a backend that waits. ``backends`` must hold every role's ``model_ref``."""
     while True:
-        try:
-            model_ref, request = conversation.send(reply)
+        try:  # a GatewayError thrown in raises the node's BACKEND_ERROR
+            model_ref, request = conversation.throw(reply) if isinstance(reply, BaseException) else conversation.send(reply)
         except StopIteration as stop:
             return stop.value
+        backend = backends[model_ref]
+        if backend.waits:
+            return model_ref, request
         try:
-            reply = backends[model_ref].complete(request)
+            reply = backend.complete(request)
         except GatewayError as exc:
-            conversation.throw(exc)  # raises the node's BACKEND_ERROR
+            reply = exc

@@ -1,12 +1,13 @@
 """End-to-end run engine: schedule ready nodes, run each through its
 agent, apply planner expansions, and persist a replayable trace.
 
-One loop on the calling thread runs every node; only calls to backends that
-wait run on worker threads, side by side. Nodes commit strictly in
-sorted-frontier order, one at a time: a node's outcome, blackboard writes and
-expansion land exactly as if the nodes had run one after another.
-Deterministic mode also zeroes wall-clock timings, so two runs of the same
-config and scripts serialize identically.
+One loop on the calling thread starts every node as a conversation and runs
+it through ``agents.run_node``, which calls a backend that does not wait
+itself; only calls to backends that wait run on worker threads, side by
+side. Nodes commit strictly in sorted-frontier order, one at a time: a
+node's outcome, blackboard writes and expansion land exactly as if the
+nodes had run one after another. Deterministic mode also zeroes wall-clock
+timings, so two runs of the same config and scripts serialize identically.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import TYPE_CHECKING, Any, Generator, TextIO
 from .agents import NodeOutcome, converse, run_node
 from .config import RunConfig
 from .errors import EngineError
-from .gateway import Backend, HttpBackend, MockBackend, ReplayBackend
+from .gateway import Backend, ChatMessage, HttpBackend, MockBackend, ReplayBackend
 from .graph import Schedule, TaskGraph, TaskNode, apply_expansion, execution_order, ready_frontier
 from .knowledge import Blackboard, BlackboardStage, load_kb_dir
 
@@ -267,15 +268,15 @@ def _execute(config: RunConfig, backend_override: str | None, deterministic: boo
     trace, then schedule in one loop on the calling thread.
 
     Nodes commit one at a time in Kahn order: outcome, blackboard writes and
-    expansion of the least ready id. A node whose agent's roles all use
-    backends that wait is a conversation this loop steps, with only its
-    backend calls on worker threads; any other node runs through
-    ``run_node`` as the head. A stepped node may start ahead of the head
-    when (a) no planner is uncommitted, so the graph is final, (b) no other
-    uncommitted node declares one of its input or output keys, and (c) the
-    node budget covers every node of the graph. Its writes are staged, and
-    its outcome held, until it reaches the head. The run returns only after
-    every node it started has finished.
+    expansion of the least ready id. Every node is a conversation that
+    ``step``, through ``run_node``, runs up to its next call to a backend
+    that waits; only that call goes to a worker thread. A node whose agent's
+    roles all wait may start ahead of the head when (a) no planner is
+    uncommitted, so the graph is final, (b) no other uncommitted node
+    declares one of its input or output keys, and (c) the node budget covers
+    every node of the graph. Its writes are staged, and its outcome held,
+    until it reaches the head. The run returns only after every node it
+    started has finished.
     """
     backends = build_backends(config, backend_override)
     graph = config.graph
@@ -304,37 +305,25 @@ def _execute(config: RunConfig, backend_override: str | None, deterministic: boo
     elapsed: dict[str, float] = {}
 
     def start(node: TaskNode) -> None:
-        """Start a node: step its conversation to its first backend call if
-        its agent waits, or else run it through ``run_node`` to its end."""
+        """Start a node's conversation and step it to its first call that
+        waits, or to its end."""
         ahead[node.id] = stage = blackboard.stage(node.id)
         elapsed[node.id] = -time.perf_counter()  # the clock is added when the node ends
         agent = config.agents[node.agent_ref]
-        if node.agent_ref in waiting_agents:
-            conversation = converse(node, graph, agent, config.tools, stage, knowledge_bases, agent_names, config.seeds)
-            step(node.id, conversation, None)
-            return
-        try:
-            ended[node.id] = run_node(
-                node, graph, agent, backends, config.tools, stage, knowledge_bases, agent_names, config.seeds
-            )
-        except Exception as exc:
-            ended[node.id] = exc
-        elapsed[node.id] += time.perf_counter()
+        step(node.id, converse(node, graph, agent, config.tools, stage, knowledge_bases, agent_names, config.seeds))
 
-    def step(nid: str, conversation: Generator, reply: Future | None) -> None:
-        """Send a conversation the reply to its last call, or start it; then
-        submit its next call, or keep how it ended."""
+    def step(nid: str, conversation: Generator, reply: ChatMessage | Exception | None = None) -> None:
+        """Run a conversation through ``run_node`` from the reply to its last
+        call; then submit its next call, or keep how it ended."""
         try:
-            if reply is not None and reply.exception() is not None:
-                conversation.throw(reply.exception())  # raises the node's error
-            model_ref, request = conversation.send(None if reply is None else reply.result())
-        except StopIteration as stop:
-            ended[nid] = stop.value
+            result = run_node(conversation, backends, reply)
         except Exception as exc:
-            ended[nid] = exc
-        else:
+            result = exc
+        if isinstance(result, tuple):
+            model_ref, request = result
             calls[pool.submit(backends[model_ref].complete, request)] = (nid, conversation)
             return
+        ended[nid] = result
         elapsed[nid] += time.perf_counter()
 
     def advance(until: str | None) -> None:
@@ -343,7 +332,7 @@ def _execute(config: RunConfig, backend_override: str | None, deterministic: boo
         while calls and (until is None or until not in ended):
             arrived, _ = wait(calls, return_when=FIRST_COMPLETED)
             for call in arrived:
-                step(*calls.pop(call), call)
+                step(*calls.pop(call), call.exception() or call.result())
 
     def may_run_ahead(node: TaskNode) -> bool:
         if node.agent_ref not in waiting_agents:
@@ -351,7 +340,8 @@ def _execute(config: RunConfig, backend_override: str | None, deterministic: boo
         return all(producers[key] == (key in node.outputs) for key in {*node.inputs, *node.outputs})
 
     with ExitStack() as leaving:
-        if waiting_agents:  # only a run with a backend that waits loads concurrent.futures and starts threads
+        if any(backends[role.model_ref].waits for agent in config.agents.values() for role in agent.roles):
+            # only a run with a role whose backend waits loads concurrent.futures and starts threads
             from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
             # a worker for each node that may wait at once, so the head never queues behind nodes run ahead
             pool = leaving.enter_context(ThreadPoolExecutor(max_workers=MAX_AHEAD + 1, thread_name_prefix="marco-call"))

@@ -270,9 +270,10 @@ class Backend:
     """Interface every backend implements.
 
     ``waits`` is true when a call spends its time waiting on another process
-    rather than computing; the engine runs such calls on worker threads, so
-    nodes served only by such backends overlap, and ``complete`` must then
-    be safe to call from several threads at once.
+    rather than computing. The engine makes every other call on its own
+    thread and such calls on worker threads, so nodes served only by such
+    backends overlap, and ``complete`` must then be safe to call from
+    several threads at once.
     """
 
     waits = False

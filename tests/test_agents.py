@@ -12,6 +12,7 @@ try:
 except ImportError:  # pragma: no cover - hypothesis is a dev dependency
     st = None
 
+import marco.agents
 from marco.agents import (
     TOPOLOGIES,
     AgentConfig,
@@ -19,11 +20,11 @@ from marco.agents import (
     RoleSpec,
     Termination,
     _allowed_tools,
+    converse,
     parse_next_directive,
     parse_plan_block,
     register_builtin_tools,
     render_task_message,
-    run_node,
 )
 from marco.errors import EngineError
 from marco.gateway import ChatMessage, MockBackend, ScriptMatcher, ToolCallRequest
@@ -60,6 +61,11 @@ def scripted(*responses) -> MockBackend:
     messages = [r if isinstance(r, ChatMessage) else assistant(r) for r in responses]
     backend.register_script(ScriptMatcher(kind="always"), messages)
     return backend
+
+
+def run_node(node, graph, agent, backends, registry, blackboard, *context, **named) -> NodeOutcome:
+    """The node's conversation, run to its end on ``backends``, none of which waits."""
+    return marco.agents.run_node(converse(node, graph, agent, registry, blackboard, *context, **named), backends)
 
 
 def builtin_registry() -> ToolRegistry:

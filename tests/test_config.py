@@ -82,6 +82,12 @@ class TestBundledConfigs:
         second = load_config(BUNDLED / "timing_debug.json")
         assert first.digest() == second.digest()
 
+    def test_builtin_tool_specs_are_built_once(self, workdir):
+        first = load_config(BUNDLED / "timing_debug.json")
+        second = load_config(write_config(workdir, base_payload()))
+        for name in ("write_artifact", "retrieve_knowledge"):
+            assert first.tools.lookup(name) is second.tools.lookup(name)
+
 
 class TestImmediateFailures:
     def test_missing_file(self, tmp_path):

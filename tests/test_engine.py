@@ -28,6 +28,7 @@ import marco.eda.toolpack
 import marco.engine
 import marco.graph
 import marco.knowledge
+from marco.agents import NodeOutcome
 from marco.config import load_config
 from marco.eda.report import parse_timing_report
 from marco.engine import (
@@ -585,7 +586,8 @@ class TestRunDynamic:
             raise GraphError("CYCLE", "expansion would close a cycle")
 
         def without_grown_graph(*args, **kwargs):
-            return run_node(*args, **kwargs)._replace(grown=None)
+            result = run_node(*args, **kwargs)
+            return result._replace(grown=None) if isinstance(result, NodeOutcome) else result
 
         run_node = marco.engine.run_node
         monkeypatch.setattr(marco.engine, "run_node", without_grown_graph)
@@ -1283,6 +1285,80 @@ class WaitingBackend(ClaimsToWait):
             reply = self.inner.complete(req)
         time.sleep(pause)
         return reply
+
+
+def mixed_roles_config(tmp_path: Path) -> "marco.config.RunConfig":
+    """n1-n3 share agent ``mixed``: role a on backend ``live``, role b on the
+    mock ``local``; a writes its node's output, then b closes it. n4's agent
+    has one role, on ``far``."""
+    writes = []
+    for nid in ("n1", "n2", "n3"):
+        call = {"id": f"w_{nid}", "tool_name": "write_artifact", "arguments": {"key": f"{nid}_out", "value": nid}}
+        writes += [{"content": f"a writes {nid}", "tool_calls": [call]}, {"content": f"a wrote {nid}"}]
+    scripts = {"live": writes, "local": [{"content": "b closes DONE"}] * 3, "far": [{"content": "far DONE"}]}
+    for name, responses in scripts.items():
+        (tmp_path / f"{name}.json").write_text(
+            json.dumps([{"matcher": {"kind": "always"}, "responses": responses}]), encoding="utf-8"
+        )
+    done = {"max_turns": 4, "stop_phrase": "DONE"}
+    payload = {
+        "graph": {
+            "mode": "static",
+            "nodes": [
+                *({"id": nid, "title": nid, "goal": "write", "agent_ref": "mixed", "outputs": [f"{nid}_out"]}
+                  for nid in ("n1", "n2", "n3")),
+                {"id": "n4", "title": "n4", "goal": "answer", "agent_ref": "remote"},
+            ],
+            "edges": [],
+        },
+        "agents": {
+            "mixed": {"topology": "multi_round_robin", "termination": done,
+                      "roles": [{"name": "a", "model_ref": "live"}, {"name": "b", "model_ref": "local"}]},
+            "remote": {"topology": "single", "termination": done, "roles": [{"name": "w", "model_ref": "far"}]},
+        },
+        "backends": {name: {"kind": "mock", "script": f"{name}.json"} for name in scripts},
+        "limits": {"max_node_executions": 4},
+    }
+    config_path = tmp_path / "run.json"
+    config_path.write_text(json.dumps(payload), encoding="utf-8")
+    return load_config(config_path)
+
+
+class TestMixedRoles:
+    def test_waiting_calls_go_to_the_pool_and_the_node_never_runs_ahead(self, tmp_path, monkeypatch):
+        config = mixed_roles_config(tmp_path)
+        seen = []  # (backend, node, thread) of every call to a backend of agent mixed
+
+        class Seen(ClaimsToWait):
+            def __init__(self, name: str, inner: Backend) -> None:
+                super().__init__(inner)
+                self.name = name
+
+            def complete(self, req: CompletionRequest) -> ChatMessage:
+                node = req.messages[1].content.split("\n")[0].removeprefix("Task node: ")
+                seen.append((self.name, node, threading.current_thread().name))
+                return super().complete(req)
+
+        class SeenInline(Seen):
+            waits = False
+
+        def wrapped(config, override=None):
+            built = build_backends(config, override)
+            return {name: (SeenInline if name == "local" else Seen)(name, b) for name, b in built.items()}
+
+        monkeypatch.setattr(marco.engine, "build_backends", wrapped)
+        overlapped = run(config, deterministic=True)
+        mixed = [(name, node, thread) for name, node, thread in seen if name != "far"]
+        assert [node for _, node, _ in mixed] == ["n1"] * 3 + ["n2"] * 3 + ["n3"] * 3  # one node at a time, in order
+        assert all(thread.startswith("marco-call") for name, _, thread in mixed if name == "live")
+        assert all(thread == threading.main_thread().name for name, _, thread in mixed if name == "local")
+
+        seen.clear()
+        monkeypatch.setattr(ClaimsToWait, "waits", False)
+        serial = run(config, deterministic=True)
+        assert {thread for _, _, thread in seen} == {threading.main_thread().name}
+        assert outcome_ids(serial) == ["n1", "n2", "n3", "n4"]
+        assert overlapped.render() == serial.render()
 
 
 if st is not None:

@@ -94,3 +94,29 @@ def test_import_marco_loads_the_framework():
     assert not {"concurrent.futures", "logging"} & set(loaded.stdout.split())
     # records generate no code per class, so nothing needs dataclasses
     assert "dataclasses" not in loaded.stdout.split()
+
+
+def test_runs_with_no_backend_that_waits_load_no_pool():
+    """The bundled runs serve every role from a mock, so the engine calls
+    each backend on its own thread: no pool, no worker thread."""
+    probe = """if True:
+        import sys, threading
+        from pathlib import Path
+        import marco
+        from marco.config import load_config
+        from marco.engine import run, run_baseline
+
+        started = []
+        real_start = threading.Thread.start
+        threading.Thread.start = lambda thread: started.append(thread.name) or real_start(thread)
+        configs = Path(marco.__file__).parent / "data" / "configs"
+        timing_debug = load_config(configs / "timing_debug.json")
+        for trace in (run(timing_debug), run_baseline(timing_debug), run(load_config(configs / "mcmm.json"))):
+            assert trace.status == "completed"
+        print("concurrent.futures" in sys.modules, *started)
+    """
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    loaded = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    pooled, *started = loaded.stdout.split()
+    assert pooled == "False"
+    assert not [name for name in started if name.startswith("marco-call")]

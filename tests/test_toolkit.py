@@ -286,7 +286,7 @@ class TestContext:
     def test_kb_scoping(self):
         """A tool call sees only the knowledge bases its role lists in
         ``knowledge_base_refs``; a role that lists none sees none."""
-        from marco.agents import AgentConfig, RoleSpec, register_builtin_tools, run_node
+        from marco.agents import AgentConfig, RoleSpec, converse, register_builtin_tools, run_node
         from marco.gateway import ChatMessage, MockBackend, ScriptMatcher, ToolCallRequest
         from marco.graph import TaskGraph, TaskNode
         from marco.knowledge import Blackboard, Document, KnowledgeBase
@@ -303,10 +303,11 @@ class TestContext:
             backend = MockBackend()
             backend.register_script(ScriptMatcher(kind="always"), [ChatMessage(role="assistant", content="", tool_calls=(call,))])
             role = RoleSpec(name="solo_role", model_ref="m", tool_names=(spec.name,), knowledge_base_refs=refs)
-            outcome = run_node(
+            conversation = converse(
                 node, TaskGraph(nodes=(node,), edges=()), AgentConfig(name="solo", roles=(role,)),
-                {"m": backend}, registry, Blackboard(), kbs,
+                registry, Blackboard(), kbs,
             )
+            outcome = run_node(conversation, {"m": backend})
             results[refs] = outcome.transcript[2].meta["ok"], outcome.transcript[2].message.content
         not_found = (False, "ERROR: find_missing_clock_edges failed: \"document 'r' not found in any accessible knowledge base\"")
         assert results[()] == results[("notes",)] == not_found
