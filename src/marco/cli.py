@@ -24,7 +24,7 @@ from .eda.fixtures import (
 )
 from .engine import TraceDocument, run, run_baseline
 from .errors import ConfigError, EngineError, KnowledgeError, MarcoError
-from .gateway import read_json
+from .gateway import read_file, read_json
 from .graph import export_dot
 from .knowledge import load_kb_dir
 
@@ -149,8 +149,8 @@ def _cmd_fixtures_gen(args: argparse.Namespace) -> int:
 
 def _cmd_score(args: argparse.Namespace) -> int:
     try:
-        trace = read_json(Path(args.trace))
-        manifest = parse_manifest(Path(args.manifest).read_text(encoding="utf-8"))
+        trace = read_json(read_file(args.trace)[0])
+        manifest = parse_manifest(read_file(args.manifest)[0].decode("utf-8"))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

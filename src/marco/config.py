@@ -7,6 +7,7 @@ once, not just the first. Relative paths resolve against the config file.
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import os
 from pathlib import Path
@@ -15,7 +16,7 @@ from typing import Any, Mapping, NamedTuple
 from .agents import AgentConfig, RoleSpec, Termination, register_builtin_tools
 from .eda.toolpack import HANDLER_CATALOG
 from .errors import ConfigError, ToolError
-from .gateway import HTTP_SCHEMES, Script, canonical_json, read_json, read_script_file
+from .gateway import HTTP_SCHEMES, Script, canonical_json, read_file, read_json, read_script_file
 from .graph import TaskGraph, unproduced_inputs, validate_graph
 from .knowledge import MemoryWindow
 from .tools import ToolRegistry
@@ -198,10 +199,11 @@ def load_config(path: str | Path) -> RunConfig:
     """Parse and fully validate a run configuration file."""
     path = Path(path)
     problems: list[str] = []
-    if not path.is_file():
-        raise ConfigError([f"{path}: no such config file"])
     try:
-        raw = read_json(path)
+        raw = read_json(read_file(path)[0])
+    except OSError as exc:  # not regular: no errno; absent: ENOENT, or ENOTDIR under a file
+        missing = exc.errno in (None, errno.ENOENT, errno.ENOTDIR)
+        raise ConfigError([f"{path}: no such config file" if missing else f"{path}: {exc.strerror}"]) from exc
     except ValueError as exc:
         raise ConfigError([f"{path}: invalid JSON: {exc}"]) from exc
     if not isinstance(raw, dict):

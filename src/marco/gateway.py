@@ -14,12 +14,11 @@ import os
 import re
 import threading
 import time
-from collections import OrderedDict
 from contextlib import suppress
-from functools import cached_property
+from functools import cached_property, lru_cache
 from pathlib import Path
 from stat import S_ISREG
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 from .errors import GatewayError
 from .record import Record
@@ -152,16 +151,16 @@ def canonical_json(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
 
 
-def read_json(source: Path | bytes) -> Any:
-    """The JSON value in a file or in bytes, decoded as UTF-8 (RFC 8259).
+def read_json(data: bytes) -> Any:
+    """The JSON value in ``data``, decoded as UTF-8 (RFC 8259); a file is read
+    by ``read_file`` first.
 
-    A failure to read, decode, parse or nest (``RecursionError``) becomes one
+    A failure to decode, parse or nest (``RecursionError``) becomes one
     ``ValueError`` whose text is the reason.
     """
     try:
-        data = source.read_bytes() if isinstance(source, Path) else source
         return json.loads(data.decode("utf-8"))
-    except (OSError, RecursionError, ValueError) as exc:  # ValueError: bad UTF-8 or bad JSON
+    except (RecursionError, ValueError) as exc:  # ValueError: bad UTF-8 or bad JSON
         raise ValueError(str(exc)) from exc
 
 
@@ -184,34 +183,6 @@ def read_file(name: str | Path, dir_fd: int | None = None) -> tuple[bytes, os.st
         return b"".join(chunks), st
     finally:
         os.close(fd)
-
-
-# Parsed files, keyed by the parser and the sha256 of a file's full bytes,
-# least recently used first. Only frozen results are kept, never the bytes.
-# A run reads its cache entries and script files in the same order each time,
-# and an LRU smaller than one run's distinct files evicts each before its next
-# use and never hits, so the bound must exceed that count (35 cache entries in
-# the reports_replay bench workload, 3 script files in bundled); 256 leaves
-# room for larger caches at about a response message or one file's scripts each.
-_PARSED: OrderedDict[tuple[Callable[[bytes], Any], bytes], Any] = OrderedDict()
-_PARSED_MAX = 256
-_parsed_lock = threading.Lock()
-
-
-def _parse_once(parse: Callable[[bytes], Any], data: bytes) -> Any:
-    """``parse(data)``, computed once per distinct bytes in the process. A
-    parse that raises is not kept, so each call with those bytes raises."""
-    key = (parse, hashlib.sha256(data).digest())
-    with _parsed_lock:
-        if key in _PARSED:
-            _PARSED.move_to_end(key)
-            return _PARSED[key]
-    value = parse(data)
-    with _parsed_lock:
-        _PARSED[key] = value
-        if len(_PARSED) > _PARSED_MAX:
-            _PARSED.popitem(last=False)
-    return value
 
 
 def canonical_hash(req: CompletionRequest) -> str:
@@ -358,7 +329,7 @@ def read_script_file(path: Path) -> tuple[list[Script], list[str]]:
     the file or one of its entries cannot be used. The file is read whole on
     every call and parsed once per distinct bytes in the process."""
     try:
-        scripts, problems = _parse_once(_parse_scripts, read_file(path)[0])
+        scripts, problems = _parse_scripts(read_file(path)[0])
     except (OSError, ValueError) as exc:
         return [], [f"script file {str(path)!r} is not readable JSON: {exc}"]
     except TypeError as exc:
@@ -366,6 +337,12 @@ def read_script_file(path: Path) -> tuple[list[Script], list[str]]:
     return list(scripts), list(problems)
 
 
+# This memo and _entry_response's are keyed by a file's bytes, which they
+# hold. A run reads its files in the same order each time, so a bound below
+# one run's distinct files evicts each before its next use and never hits:
+# reports_replay reads 35 replay entries (137 KB at seed 1), bundled 3
+# script files of at most 7.5 KB, and wide_graph one 32 KB script.
+@lru_cache(maxsize=256)
 def _parse_scripts(data: bytes) -> tuple[tuple[Script, ...], tuple[str, ...]]:
     """The checked scripts of a script file's bytes and its entries' problems,
     which do not name the file; ``TypeError`` if the bytes hold no JSON list."""
@@ -389,6 +366,7 @@ def _parse_scripts(data: bytes) -> tuple[tuple[Script, ...], tuple[str, ...]]:
     return tuple(scripts), tuple(problems)
 
 
+@lru_cache(maxsize=256)
 def _entry_response(data: bytes) -> ChatMessage:
     """The response of a replay cache entry's bytes, an assistant message."""
     response = ChatMessage.from_dict(read_json(data)["response"])
@@ -426,7 +404,7 @@ class ReplayBackend(Backend):
         digest = canonical_hash(req)
         path = self._path(digest)
         try:  # an entry is read whole on every hit and parsed once per distinct bytes
-            return _parse_once(_entry_response, read_file(path)[0])
+            return _entry_response(read_file(path)[0])
         except (FileNotFoundError, NotADirectoryError):  # no entry, or no cache_dir: a miss
             pass
         except (AttributeError, KeyError, OSError, TypeError, ValueError) as exc:

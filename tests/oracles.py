@@ -221,19 +221,37 @@ def oracle_termination(
     return "budget_exhausted" if turns >= max_turns else None
 
 
+def oracle_window(transcript: list[tuple], max_messages: int | None) -> tuple[int, ...]:
+    """The transcript positions a request carries after its system message:
+    with a window, only the newest ``max_messages - 1`` entries, and of them a
+    tool reply only if the call it answers is one too, so a tool round is
+    evicted whole or not at all."""
+    first = 0 if max_messages is None else len(transcript) - (max_messages - 1)
+    calls = [i for i, entry in enumerate(transcript) if entry[1] == "tool_call"]
+    return tuple(
+        i for i, entry in enumerate(transcript)
+        if i >= first and (entry[1] != "tool" or max(c for c in calls if c < i) >= first)
+    )
+
+
 def oracle_conversation(
     topology: str, roles: tuple[str, ...], scripts: dict[str, list[tuple[str, tuple[str, ...]]]],
     outputs: tuple[str, ...], stop_phrase: str | None, require_outputs: bool, max_turns: int,
-) -> tuple[str, int, str, list[str]]:
+    memory: dict[str, int | None],
+) -> tuple[str, int, str, list[str], list[tuple[str, tuple[int, ...]]]]:
     """Status, turns used, detail and transcript speakers of a node whose roles
-    reply from ``scripts`` in order; no role may run out of replies."""
+    reply from ``scripts`` in order, and each request's speaker and transcript
+    positions under that role's ``memory`` window (``None``: no window); no
+    role may run out of replies."""
     transcript: list[tuple] = [("task", "task", "")]
+    requests: list[tuple[str, tuple[int, ...]]] = []
     board: set[str] = set()
     served = dict.fromkeys(roles, 0)
     turns = strikes = 0
     detail = ""
     while True:
         speaker = oracle_next_speaker(topology, roles, transcript)
+        requests.append((speaker, oracle_window(transcript, memory[speaker])))
         content, keys = scripts[speaker][served[speaker]]
         served[speaker] += 1
         turns += 1
@@ -258,7 +276,7 @@ def oracle_conversation(
         if status == "budget_exhausted":
             detail = f"turn budget {max_turns} exhausted"
             break
-    return status, turns, detail, [e[0] for e in transcript]
+    return status, turns, detail, [e[0] for e in transcript], requests
 
 
 # ---------------------------------------------------------------- reports

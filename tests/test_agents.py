@@ -63,6 +63,19 @@ def scripted(*responses) -> MockBackend:
     return backend
 
 
+class LoggedScript(MockBackend):
+    """A scripted backend that logs ``(name, request)`` of every call to ``log``."""
+
+    def __init__(self, name: str, log: list, *responses: ChatMessage) -> None:
+        super().__init__()
+        self.register_script(ScriptMatcher(kind="always"), list(responses))
+        self.name, self.log = name, log
+
+    def complete(self, req):
+        self.log.append((self.name, req))
+        return super().complete(req)
+
+
 def run_node(node, graph, agent, backends, registry, blackboard, *context, **named) -> NodeOutcome:
     """The node's conversation, run to its end on ``backends``, none of which waits."""
     return marco.agents.run_node(converse(node, graph, agent, registry, blackboard, *context, **named), backends)
@@ -280,25 +293,32 @@ if st is not None:
         roles = ("solo",) if topology == "single" else ("lead", "tracer", "checker")[: draw(st.integers(2, 3))]
         max_turns = draw(st.integers(1, 8))
         scripts = {name: draw(st.lists(_REPLY, min_size=max_turns, max_size=max_turns)) for name in roles}
-        return topology, roles, scripts, draw(st.sampled_from(["DONE", "DONE", None])), draw(st.booleans()), max_turns
+        memory = {name: draw(st.none() | st.integers(1, 8)) for name in roles}
+        stop_phrase, require_outputs = draw(st.sampled_from(["DONE", "DONE", None])), draw(st.booleans())
+        return topology, roles, scripts, stop_phrase, require_outputs, max_turns, memory
 
     class TestConversationMatchesModel:
-        """``run_node`` against the speaker, strike and termination rules
-        applied to the whole transcript (``oracles.oracle_conversation``)."""
+        """``run_node`` against the speaker, strike, termination and memory
+        window rules applied to the whole transcript
+        (``oracles.oracle_conversation``)."""
 
         @settings(max_examples=300, deadline=None)
         @given(conversation=_conversations())
         def test_outcome_matches_reference_model(self, conversation):
-            topology, roles, scripts, stop_phrase, require_outputs, max_turns = conversation
+            topology, roles, scripts, stop_phrase, require_outputs, max_turns, memory = conversation
             outputs = ("report", "notes")
             agent = AgentConfig(
                 name="crew",
                 topology=topology,
-                roles=tuple(role(name, model_ref=f"m_{name}") for name in roles),
+                roles=tuple(
+                    role(name, model_ref=f"m_{name}", memory=None if memory[name] is None else MemoryWindow(memory[name]))
+                    for name in roles
+                ),
                 termination=Termination(max_turns=max_turns, stop_phrase=stop_phrase, require_outputs=require_outputs),
             )
+            requests = []  # (role, request) of every call, in order
             backends = {
-                f"m_{name}": scripted(*(
+                f"m_{name}": LoggedScript(name, requests, *(
                     assistant(content, tool_calls=tuple(write_call(key, f"c{i}") for i, key in enumerate(keys)))
                     for content, keys in scripts[name]
                 ))
@@ -306,8 +326,12 @@ if st is not None:
             }
             node = task_node(agent_ref="crew", outputs=outputs)
             outcome = run_node(node, graph_of(node), agent, backends, builtin_registry(), Blackboard({"n1": list(outputs)}))
-            got = (outcome.status, outcome.turns_used, outcome.detail, [e.speaker for e in outcome.transcript])
-            assert got == oracle_conversation(topology, roles, scripts, outputs, stop_phrase, require_outputs, max_turns)
+            at = {id(entry.message): i for i, entry in enumerate(outcome.transcript)}
+            sent = [(name, tuple(at[id(m)] for m in req.messages[1:])) for name, req in requests]
+            got = (outcome.status, outcome.turns_used, outcome.detail, [e.speaker for e in outcome.transcript], sent)
+            assert got == oracle_conversation(
+                topology, roles, scripts, outputs, stop_phrase, require_outputs, max_turns, memory
+            )
 
 
 class TestTaskMessage:

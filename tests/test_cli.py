@@ -24,6 +24,7 @@ from marco.cli import main
 from marco.config import load_config
 from marco.errors import ConfigError
 from marco.gateway import read_script_file
+from test_gateway import needs_special_files
 
 BUNDLED = Path(marco.__file__).resolve().parent / "data" / "configs"
 TIMING_DEBUG = str(BUNDLED / "timing_debug.json")
@@ -587,6 +588,22 @@ class TestConsoleScript:
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith(f"invalid: {deep}: invalid JSON: ")
         assert len(proc.stderr.splitlines()) == 1
+
+    @needs_special_files
+    def test_score_refuses_a_fifo_without_waiting_for_a_writer(self, tmp_path):
+        script, env = declared_script_command(tmp_path)
+        fifo, trace = tmp_path / "fifo", tmp_path / "trace.json"
+        os.mkfifo(fifo)
+        trace.write_text("{}", encoding="utf-8")
+        for argv in ([fifo, MANIFEST], [trace, fifo]):
+            proc = subprocess.run(
+                [*script, "score", *map(str, argv)], capture_output=True, text=True, timeout=10, env=env
+            )
+            assert proc.returncode == 1
+            assert proc.stderr == "error: not a regular file\n"
+        with pytest.raises(ConfigError) as exc:
+            load_config(fifo)
+        assert exc.value.problems == [f"{fifo}: no such config file"]
 
     @pytest.mark.parametrize("command", ["run", "score"])
     def test_run_and_score_too_deep_file_print_no_traceback(self, tmp_path, command):

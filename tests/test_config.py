@@ -135,6 +135,11 @@ class TestValidationProblems:
         problems = problems_of(workdir, payload)
         assert any(p.startswith("graph: UNKNOWN_ENDPOINT") for p in problems)
 
+    def test_unknown_expansion_rejected(self, workdir):
+        payload = base_payload()
+        payload["graph"]["nodes"][0]["expansion"] = "bogus"
+        assert problems_of(workdir, payload) == ["graph: BAD_EXPANSION on n1: unknown expansion 'bogus'"]
+
     def test_planner_in_static_rejected(self, workdir):
         payload = base_payload()
         payload["graph"]["nodes"][0]["expansion"] = "planner"
@@ -468,11 +473,13 @@ class TestMalformedSections:
         payload["agents"]["a1"]["termination"] = {"max_turns": "8"}
         payload["tool_bindings"] = ["eda.find_rc_mismatch_pairs"]
         payload["seeds"] = "none"
+        payload["knowledge_bases"] = {"rtl": ["kbs/rtl"]}
         problems = problems_of(workdir, payload)
         assert "agents.a1.roles[0].model_ref: must be a string, got list" in problems
         assert "agents.a1.termination.max_turns: must be an integer, got str" in problems
         assert "tool_bindings: must be a JSON object, got list" in problems
         assert "seeds: must be a JSON object, got str" in problems
+        assert "knowledge_bases.rtl: must be a directory path string, got list" in problems
 
 
 class TestAgentFields:

@@ -1361,6 +1361,67 @@ class TestMixedRoles:
         assert overlapped.render() == serial.render()
 
 
+class HeldReplies:
+    """Stands in for ``marco.engine``'s worker pool and its ``wait``, with no
+    thread: a submitted backend call is held, and ``wait`` releases the
+    oldest held call it is asked about. Counts the most calls held at once."""
+
+    def __init__(self) -> None:
+        self.held: list[tuple[Future, object, tuple]] = []  # in submit order
+        self.most = 0
+
+    def executor(self, **_options) -> "HeldReplies":
+        return self
+
+    def __enter__(self) -> "HeldReplies":
+        return self
+
+    def __exit__(self, *_exc) -> None:
+        assert not self.held, "the run ended with backend calls still held"
+
+    def submit(self, fn, *args) -> Future:
+        future = Future()
+        self.held.append((future, fn, args))
+        self.most = max(self.most, len(self.held))
+        return future
+
+    def wait(self, futures, return_when):
+        assert return_when == FIRST_COMPLETED
+        call = next(call for call in self.held if call[0] in futures)
+        self.held.remove(call)
+        future, fn, args = call
+        future.set_result(fn(*args))
+        return {future}, set(futures) - {future}
+
+
+class TestRunAheadCap:
+    def test_at_most_max_ahead_nodes_run_beside_the_head(self, tmp_path, monkeypatch):
+        ids = [f"n{i:02d}" for i in range(12)]
+        script = [{"matcher": {"kind": "substring", "value": f"Task node: {nid}\n"},
+                   "responses": [{"content": f"{nid} DONE"}]} for nid in ids]
+        (tmp_path / "scripts.json").write_text(json.dumps(script), encoding="utf-8")
+        payload = {
+            "graph": {"mode": "static", "nodes": [{"id": nid, "title": nid, "goal": "answer", "agent_ref": "solo"}
+                                                  for nid in ids]},
+            "agents": {"solo": {"topology": "single", "termination": {"max_turns": 2, "stop_phrase": "DONE"},
+                                "roles": [{"name": "w", "model_ref": "mock"}]}},
+            "backends": {"mock": {"kind": "mock", "script": "scripts.json"}},
+            "limits": {"max_node_executions": len(ids)},
+        }
+        (tmp_path / "run.json").write_text(json.dumps(payload), encoding="utf-8")
+        config = load_config(tmp_path / "run.json")
+        monkeypatch.setattr(marco.engine, "build_backends", lambda config, override=None: {
+            name: ClaimsToWait(b) for name, b in build_backends(config, override).items()})
+        replies = HeldReplies()
+        with mock.patch("concurrent.futures.ThreadPoolExecutor", replies.executor), \
+                mock.patch("concurrent.futures.wait", replies.wait):
+            overlapped = run(config, deterministic=True)
+        assert replies.most == marco.engine.MAX_AHEAD + 1 < len(ids)
+        monkeypatch.setattr(ClaimsToWait, "waits", False)
+        serial = run(config, deterministic=True)
+        assert outcome_ids(serial) == ids
+        assert overlapped.render() == serial.render()
+
 if st is not None:
 
     @st.composite

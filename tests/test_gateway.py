@@ -1,6 +1,5 @@
 """Message model, canonical hashing, and the three backends."""
 
-import collections
 import contextlib
 import hashlib
 import http.server
@@ -38,6 +37,7 @@ from marco.gateway import (
     canonical_json,
     canonical_request,
     parse_tool_arguments,
+    read_file,
     read_json,
     read_script_file,
     spec_to_openai,
@@ -245,7 +245,7 @@ class TestReadJson:
     def test_bytes_and_file(self, tmp_path):
         path = tmp_path / "v.json"
         path.write_bytes('{"k": ["\u00e9", 1]}'.encode("utf-8"))
-        assert read_json(path) == read_json(path.read_bytes()) == {"k": ["\u00e9", 1]}
+        assert read_json(read_file(path)[0]) == {"k": ["\u00e9", 1]}
 
     @pytest.mark.parametrize(
         "raw, reason",
@@ -261,12 +261,6 @@ class TestReadJson:
             read_json(raw)
         assert type(exc.value) is ValueError
         assert str(exc.value).startswith(reason)
-
-    def test_unreadable_file(self, tmp_path):
-        with pytest.raises(ValueError) as exc:
-            read_json(tmp_path / "ghost.json")
-        assert type(exc.value) is ValueError
-        assert "No such file or directory" in str(exc.value)
 
     @pytest.mark.parametrize("raw", [b"\xff\xfe{}", b"[" * 100_000], ids=["utf16_bom", "too_deep"])
     def test_script_file_gives_one_problem(self, tmp_path, raw):
@@ -526,12 +520,18 @@ class TestReplayBackend:
         assert ReplayBackend(tmp_path).complete(r) is first
         assert parses == []
 
-    def test_memo_keeps_its_bound(self, monkeypatch):
-        monkeypatch.setattr(gateway, "_PARSED", collections.OrderedDict())
-        monkeypatch.setattr(gateway, "_PARSED_MAX", 2)
-        for data in (b"1", b"2", b"1", b"3"):
-            gateway._parse_once(gateway.read_json, data)
-        assert [gateway._PARSED[key] for key in gateway._PARSED] == [1, 3]  # 2 was least recently used
+    def test_memo_keeps_its_bound(self, tmp_path):
+        """Both parse memos hold 256 files, more than one bench run's 35
+        replay entries, and a hit on known bytes counts as one."""
+        for memo in (gateway._entry_response, gateway._parse_scripts):
+            assert memo.cache_parameters() == {"maxsize": 256, "typed": False}
+        r = req(sys_msg(), user("counted"))
+        (tmp_path / f"{canonical_hash(r)}.json").write_text(_entry(assistant("kept")), encoding="utf-8")
+        ReplayBackend(tmp_path).complete(r)
+        before = gateway._entry_response.cache_info()
+        ReplayBackend(tmp_path).complete(r)
+        after = gateway._entry_response.cache_info()
+        assert (after.hits, after.misses, after.currsize) == (before.hits + 1, before.misses, before.currsize)
 
     @pytest.mark.parametrize("make", ["absent", "a_file"])
     def test_missing_cache_dir_is_a_miss(self, tmp_path, make):

@@ -808,6 +808,26 @@ class TestLoadKbDirSnapshot:
         assert kb is not first and documents(kb) == oracle_kb_dir(directory)
         assert set(opened) == {name for name in os.listdir(directory) if name.endswith(".txt")}  # read them all
 
+    def test_clean_snapshot_follows_a_note_linked_into_another_directory(self, tmp_path, loaded, clean):
+        """Editing or removing a linked note's target leaves the knowledge
+        base's directory as it was; the next load sees the edit, and a removed
+        target is the note's ``KB_UNREADABLE``, not the last knowledge base."""
+        directory, elsewhere = tmp_path / "kb", tmp_path / "elsewhere"
+        write_kb(directory, {"a": "slack one"})
+        write_kb(elsewhere, {"target": "clock two"})
+        (directory / "b.txt").symlink_to(elsewhere / "target.txt")
+        first = load_kb_dir("kb", directory)
+        (elsewhere / "target.txt").write_text("clock three", encoding="utf-8")
+        assert loaded["kb"].clean
+        edited = load_kb_dir("kb", directory)
+        assert edited is not first and edited.get("b").text == "clock three"
+        (elsewhere / "target.txt").unlink()
+        assert loaded["kb"].clean
+        with pytest.raises(KnowledgeError) as exc:
+            load_kb_dir("kb", directory)
+        assert exc.value.code == "KB_UNREADABLE"
+        assert f"knowledge base file {str(directory / 'b.txt')!r} is unreadable: " in str(exc.value)
+
     def test_racy_snapshot_is_checked_by_bytes_when_stat_repeats_its_key(self, tmp_path, loaded, monkeypatch):
         racy_clock(monkeypatch)
         write_kb(tmp_path, {"a": "slack one", "b": "clock two"})
