@@ -147,10 +147,20 @@ def _cmd_fixtures_gen(args: argparse.Namespace) -> int:
     return 0
 
 
+def _read_input(path: str) -> bytes:
+    """An input file's bytes; a refusal that names no path is given this one."""
+    try:
+        return read_file(path)[0]
+    except OSError as exc:
+        if exc.filename is not None:  # an error of the open names its path
+            raise
+        raise OSError(f"{path}: {exc}") from exc
+
+
 def _cmd_score(args: argparse.Namespace) -> int:
     try:
-        trace = read_json(read_file(args.trace)[0])
-        manifest = parse_manifest(read_file(args.manifest)[0].decode("utf-8"))
+        trace = read_json(_read_input(args.trace))
+        manifest = parse_manifest(_read_input(args.manifest).decode("utf-8"))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -166,7 +166,7 @@ def _load_backend(name: str, payload: Any, base_dir: Path, problems: list[str]) 
             problems.append(f"backends.{name}: mock backend needs a 'script' path")
             return None
         script = (base_dir / raw_script).resolve()
-        if not script.is_file():
+        if not script.exists():
             problems.append(f"backends.{name}: script file {str(script)!r} does not exist")
         else:
             scripts, script_problems = read_script_file(script)

@@ -8,13 +8,13 @@ tf-idf: deterministic, dependency-free, and checkable against a naive oracle.
 from __future__ import annotations
 
 import errno
-import hashlib
 import math
 import os
 import re
 from array import array
 from bisect import bisect_right
 from itertools import accumulate, chain
+from operator import is_
 from pathlib import Path
 from time import time_ns
 from typing import Any, Iterable, Mapping, NamedTuple
@@ -147,18 +147,58 @@ class Document(Record):
         object.__setattr__(self, "tags", tuple(self.tags))
 
 
+class _Note:
+    """A note's bytes as read (``None`` for a document given whole) and its
+    ``Document`` once asked for. Knowledge bases loaded from the same bytes
+    share the note, so its document is built once for all."""
+
+    __slots__ = ("data", "doc")
+
+    def __init__(self, data: bytes | None, doc: Document | None = None) -> None:
+        self.data, self.doc = data, doc
+
+
+def _document(doc_id: str, data: bytes) -> Document:
+    """A note's document: its bytes decoded as UTF-8, line endings read as
+    ``\\n``, and an optional first line ``tags: a,b`` taken as the tags and
+    stripped from the text. Raises ``UnicodeDecodeError``."""
+    raw = str(data, "utf-8")
+    if "\r" in raw:
+        raw = raw.replace("\r\n", "\n").replace("\r", "\n")
+    first, _, rest = raw.partition("\n")
+    if not first.startswith("tags:"):
+        return Document(id=doc_id, text=raw)
+    return Document(id=doc_id, text=rest, tags=tuple(t.strip() for t in first[len("tags:"):].split(",") if t.strip()))
+
+
+def _corpus_text(note: _Note) -> bytes:
+    """The note's text as the corpus holds it, before the byte table."""
+    data = note.data
+    if data is not None and data.isascii():
+        # An ASCII note's own bytes, from the line break that ends a tags
+        # line: a break, "\r\n" or not, is a separator, so it may stay.
+        return data[len(data.partition(b"\n")[0].partition(b"\r")[0]):] if data.startswith(b"tags:") else data
+    # Lowering a text outside ASCII may lengthen it (U+0130 lowers to two
+    # code points), so it is lowered before its length is taken; "replace"
+    # encodes each character outside ASCII as one "?", so the length holds.
+    text = note.doc.text
+    return (text if text.isascii() else text.lower()).encode("ascii", "replace")
+
+
 class KnowledgeBase:
     """Document store searched as one corpus, built on its first query.
 
-    The corpus is the documents' lowercased texts joined with single spaces,
+    The corpus is the notes' lowercased texts joined with single spaces,
     with every character a token cannot hold turned into a space, so each
     token of ``tokenize(text)`` stands between two spaces and a token never
-    spans two documents. A token's postings come from C-level ``find`` calls
-    for the token framed by spaces, each hit mapped to its document by start
-    offset; they are built on the token's first ask and kept. A token no
-    document holds costs one scan, no document is ever tokenized, a knowledge
-    base that is never queried builds no corpus, and a string that is not a
-    whole token has empty postings. The documents never change, so
+    spans two documents. An ASCII note loaded from a file enters it as its
+    own bytes, so it is neither decoded nor made a ``Document`` until
+    ``get`` asks for it. A token's postings come from C-level ``find``
+    calls for the token framed by spaces, each hit mapped to its document by
+    start offset; they are built on the token's first ask and kept. A token
+    no document holds costs one scan, no document is ever tokenized, a
+    knowledge base that is never queried builds no corpus, and a string that
+    is not a whole token has empty postings. The documents never change, so
     ``load_kb_dir`` hands the same knowledge base, with its corpus and the
     postings searched so far, to every load of the same bytes. Not
     thread-safe.
@@ -166,27 +206,25 @@ class KnowledgeBase:
 
     def __init__(self, name: str, documents: Iterable[Document] = ()) -> None:
         self.name = name
-        self._docs: dict[str, Document] = {}
+        self._notes: dict[str, _Note] = {}
         self._corpus: bytes | None = None  # built on the first search
         self._starts: list[int] = []  # corpus offset of each document, in ``_ids`` order
         self._ids: list[str] = []
         self._postings: dict[str, dict[str, int]] = {}  # queried token -> doc id -> count
         for doc in documents:
-            if doc.id in self._docs:
-                raise KnowledgeError("DUPLICATE_DOC", f"document id {doc.id!r} appears twice in {name!r}")
-            self._docs[doc.id] = doc
+            self._add(doc.id, _Note(None, doc))
+
+    def _add(self, doc_id: str, note: _Note) -> None:
+        if doc_id in self._notes:
+            raise KnowledgeError("DUPLICATE_DOC", f"document id {doc_id!r} appears twice in {self.name!r}")
+        self._notes[doc_id] = note
 
     def _build_corpus(self) -> bytes:
-        """Join the documents into the corpus."""
-        self._ids = list(self._docs)
-        # An ASCII text is lowercased by the byte table; lowering any other
-        # text may lengthen it (U+0130 lowers to two code points), so it is
-        # lowered first and its offsets are taken from the lowered text.
-        texts = [doc.text if doc.text.isascii() else doc.text.lower() for doc in self._docs.values()]
+        """Join the notes into the corpus."""
+        self._ids = list(self._notes)
+        texts = [_corpus_text(note) for note in self._notes.values()]
         self._starts = list(accumulate([len(text) + 1 for text in texts], initial=1))[:-1]
-        # "replace" encodes each character outside ASCII as one "?", so the
-        # offsets of the texts hold in the bytes.
-        self._corpus = " ".join(["", *texts, ""]).encode("ascii", "replace").translate(_CORPUS_BYTES)
+        self._corpus = b" ".join([b"", *texts, b""]).translate(_CORPUS_BYTES)
         return self._corpus
 
     def _search(self, token: str) -> dict[str, int]:
@@ -217,13 +255,18 @@ class KnowledgeBase:
         return posting
 
     def get(self, doc_id: str) -> Document | None:
-        return self._docs.get(doc_id)
+        note = self._notes.get(doc_id)
+        if note is None:
+            return None
+        if note.doc is None:
+            note.doc = _document(doc_id, note.data)
+        return note.doc
 
     def ids(self) -> list[str]:
-        return sorted(self._docs)
+        return sorted(self._notes)
 
     def __len__(self) -> int:
-        return len(self._docs)
+        return len(self._notes)
 
     def token_count(self, doc_id: str, token: str) -> int:
         return self.postings(token).get(doc_id, 0)
@@ -236,8 +279,9 @@ def retrieve(kb: KnowledgeBase, query: str, k: int) -> list[tuple[Document, floa
     Ranked by score descending then id ascending. Only documents holding a
     query token are scored (every idf is at least 1, so all others score 0
     and are dropped); each score sums its terms in query-token order, so
-    scores match a naive pass over every document bit for bit. Raises
-    EMPTY_QUERY when the query normalizes to no tokens.
+    scores match a naive pass over every document bit for bit. Only the top
+    k are looked up as documents. Raises EMPTY_QUERY when the query
+    normalizes to no tokens.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -248,61 +292,45 @@ def retrieve(kb: KnowledgeBase, query: str, k: int) -> list[tuple[Document, floa
     n_docs = len(kb)
     postings = {token: kb.postings(token) for token in set(tokens)}
     idf = {token: math.log((n_docs + 1) / (len(posting) + 1)) + 1.0 for token, posting in postings.items()}
-
-    scored: list[tuple[Document, float]] = []
-    for doc_id in sorted(set().union(*postings.values())):
-        score = sum(postings[token].get(doc_id, 0) * idf[token] for token in tokens)
-        doc = kb.get(doc_id)
-        assert doc is not None
-        scored.append((doc, score))
-    scored.sort(key=lambda pair: (-pair[1], pair[0].id))
-    return scored[:k]
+    ranked = sorted(
+        (-sum(postings[token].get(doc_id, 0) * idf[token] for token in tokens), doc_id)
+        for doc_id in set().union(*postings.values())
+    )
+    return [(kb.get(doc_id), -negated) for negated, doc_id in ranked[:k]]
 
 
 def _stat_key(st: os.stat_result) -> tuple[int, int, int, int]:  # st_ino is unsigned: shifted to fit array("q")
     return st.st_ino - (1 << 63), st.st_size, st.st_mtime_ns, st.st_ctime_ns
 
 
-def _read_kb_files(
-    dir_fd: int, directory: Path, files: list[str], last: _Loaded | None
-) -> tuple[bytes, array, list[Document]]:
-    """Each file's sha256, packed in ``files`` order, its stat key, taken on
-    its descriptor before it is read, and its document.
+def _read_notes(
+    dir_fd: int, directory: Path, files: list[str], last: Mapping[str, _Note]
+) -> tuple[list[tuple[str, _Note]], array]:
+    """Each file's stem and note, in ``files`` order, and its stat key,
+    taken on its descriptor before it is read.
 
-    Each file is read once, by ``read_file`` relative to ``dir_fd``. If the
-    listing is ``last``'s, a file whose sha256 is unchanged keeps ``last``'s
-    document; any other is decoded. The file stem is the document id; an
-    optional first line ``tags: a,b`` declares tags and is stripped from the
-    text. Line endings are read as ``\\n``. A file that is not regular (a
-    directory, FIFO or device) or not UTF-8 is ``KB_UNREADABLE``, named by its
-    path under ``directory``.
+    Each file is read once, by ``read_file`` relative to ``dir_fd``. A file
+    whose bytes equal those of ``last``'s note under its stem keeps that
+    note, and its document if one was built. Any other ASCII file is kept as
+    its bytes; a file outside ASCII is decoded now, so that one not UTF-8
+    fails the load. The file stem is the document id. A file that is not
+    regular (a directory, FIFO or device) or not UTF-8 is ``KB_UNREADABLE``,
+    named by its path under ``directory``.
     """
-    same = last is not None and last.files == files
-    digests, keys, documents = bytearray(), array("q"), []
-    for at, file_name in enumerate(files):
+    notes, keys = [], array("q")
+    for file_name in files:
         stem = file_name[:-4] or file_name  # as Path.stem
         try:
             data, st = read_file(file_name, dir_fd)
-            digest = hashlib.sha256(data).digest()
-            doc = last.kb.get(stem) if same and last.digest[32 * at:32 * at + 32] == digest else None
-            raw = str(data, "utf-8") if doc is None else ""
+            note = last.get(stem)
+            if note is None or note.data != data:
+                note = _Note(data, None if data.isascii() else _document(stem, data))
         except (OSError, UnicodeDecodeError) as exc:
             path = os.path.join(directory, file_name)
             raise KnowledgeError("KB_UNREADABLE", f"knowledge base file {path!r} is unreadable: {exc}") from exc
-        digests += digest
         keys.extend(_stat_key(st))
-        if doc is None:
-            if "\r" in raw:
-                raw = raw.replace("\r\n", "\n").replace("\r", "\n")
-            tags: tuple[str, ...] = ()
-            text = raw
-            first, _, rest = raw.partition("\n")
-            if first.startswith("tags:"):
-                tags = tuple(t.strip() for t in first[len("tags:"):].split(",") if t.strip())
-                text = rest
-            doc = Document(id=stem, text=text, tags=tags)
-        documents.append(doc)
-    return bytes(digests), keys, documents
+        notes.append((stem, note))
+    return notes, keys
 
 
 # git's racy-clean rule: a stat snapshot is trusted only if its timestamps are all older than
@@ -311,7 +339,6 @@ _RACY_NS = 1_000_000_000
 
 
 class _Loaded(NamedTuple):  # the last build under a name, and the stat snapshot of its last byte check
-    digest: bytes  # each file's sha256, in ``files`` order
     kb: KnowledgeBase
     directory: tuple[int, int, int, int]  # st_dev, st_ino, st_mtime_ns, st_ctime_ns
     files: list[str]  # the sorted ``.txt`` names
@@ -330,12 +357,12 @@ def load_kb_dir(name: str, directory: str | Path) -> KnowledgeBase:
     directory's path during the load does not mix two directories. If the last
     load under ``name`` left a clean stat snapshot that the directory and every
     file still match, its knowledge base is returned and no file is listed or
-    opened. Otherwise every file is read to its end once, its sha256 taken,
-    and a new snapshot made: when the names and every file's sha256 are those
-    of the last knowledge base under ``name``, that same knowledge base is
-    returned, with its corpus and the postings searched so far; else a new one
-    is kept under ``name``, which, if the names are unchanged, holds the last
-    one's documents of the files whose bytes are unchanged. A directory that
+    opened. Otherwise every file is read to its end once and compared with the
+    bytes the last knowledge base under ``name`` keeps for it, and a new
+    snapshot is made: when the names and every file's bytes are unchanged,
+    that same knowledge base is returned, with its corpus and the postings
+    searched so far; else a new one is kept under ``name``, which shares the
+    last one's notes of the files whose bytes are unchanged. A directory that
     cannot be opened is ``KB_DIR_MISSING``, which says why unless it is absent;
     a file that is not regular or not UTF-8 ``KB_UNREADABLE``. Needs POSIX
     ``dir_fd`` support.
@@ -360,14 +387,18 @@ def load_kb_dir(name: str, directory: str | Path) -> KnowledgeBase:
             if keys == last.keys:
                 return last.kb
         files = sorted(entry for entry in os.listdir(dir_fd) if entry.endswith(".txt"))
-        digest, keys, documents = _read_kb_files(dir_fd, directory, files, last)
+        notes, keys = _read_notes(dir_fd, directory, files, {} if last is None else last.kb._notes)
     finally:
         os.close(dir_fd)
-    unchanged = last is not None and last.files == files and last.digest == digest
-    kb = last.kb if unchanged else KnowledgeBase(name, documents)
+    if last is not None and last.files == files and all(map(is_, (note for _, note in notes), last.kb._notes.values())):
+        kb = last.kb
+    else:
+        kb = KnowledgeBase(name)
+        for stem, note in notes:
+            kb._add(stem, note)
     times = array("q", dir_key[2:]) + keys[2::4] + keys[3::4]
     bound = _RACY_NS if any(t % 1_000_000_000 for t in times) else 3 * _RACY_NS
-    _LOADED[name] = _Loaded(digest, kb, dir_key, files, keys, max(times) < now - bound)
+    _LOADED[name] = _Loaded(kb, dir_key, files, keys, max(times) < now - bound)
     return kb
 
 

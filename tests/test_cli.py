@@ -114,6 +114,16 @@ class TestValidate:
         assert "is not readable JSON: maximum recursion depth exceeded" in err
         assert len(err.splitlines()) == 1
 
+    def test_mock_script_that_names_a_directory_is_not_a_regular_file(self, capsys, tmp_path):
+        config_path = write_one_node_config(tmp_path)
+        script = (tmp_path / "scripts.json").resolve()
+        script.unlink()
+        script.mkdir()
+        code, out, err = run_cli(capsys, "validate", str(config_path))
+        assert code == 1
+        assert out == ""
+        assert err == f"invalid: backends.mock: script file {str(script)!r} is not readable JSON: not a regular file\n"
+
     def test_malformed_sections_listed_without_traceback(self, capsys, tmp_path):
         config_path = write_one_node_config(tmp_path, live={"kind": "http", "timeout": "fast"})
         payload = json.loads(config_path.read_text(encoding="utf-8"))
@@ -600,7 +610,7 @@ class TestConsoleScript:
                 [*script, "score", *map(str, argv)], capture_output=True, text=True, timeout=10, env=env
             )
             assert proc.returncode == 1
-            assert proc.stderr == "error: not a regular file\n"
+            assert proc.stderr == f"error: {fifo}: not a regular file\n"
         with pytest.raises(ConfigError) as exc:
             load_config(fifo)
         assert exc.value.problems == [f"{fifo}: no such config file"]

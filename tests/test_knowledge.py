@@ -470,6 +470,15 @@ def searches(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def built(monkeypatch):
+    """The id of every ``Document`` the knowledge module builds, in order."""
+    ids = []
+    real = Document
+    monkeypatch.setattr(marco.knowledge, "Document", lambda id, **fields: ids.append(id) or real(id, **fields))
+    return ids
+
+
 def write_kb(directory, files: dict[str, str]) -> None:
     directory.mkdir(exist_ok=True)
     for path in directory.glob("*.txt"):
@@ -483,11 +492,15 @@ def ranked(kb: KnowledgeBase, query: str, k: int = 9) -> list[tuple[str, str, fl
     return [(doc.id, doc.text, score) for doc, score in retrieve(kb, query, k)]
 
 
-def note_digests(directory: Path) -> list[bytes]:
-    """The documented digests, from whole-file reads: the sha256 of every
-    file's bytes, in name order."""
+def note_bytes(directory: Path) -> list[bytes]:
+    """Every ``.txt`` file's bytes, from whole-file reads, in name order."""
     files = sorted(path for path in directory.iterdir() if path.name.endswith(".txt"))
-    return [hashlib.sha256(path.read_bytes()).digest() for path in files]
+    return [path.read_bytes() for path in files]
+
+
+def kept_bytes(kb: KnowledgeBase) -> list[bytes]:
+    """The bytes a loaded knowledge base keeps of each note, in name order."""
+    return [note.data for note in kb._notes.values()]
 
 
 def open_fds() -> int:
@@ -507,11 +520,11 @@ class TestLoadKbDirReads:
         (tmp_path / "small.txt").write_bytes(b"after")
         kb = load_kb_dir("kb", tmp_path)
         assert kb.get("big").text == body.decode() and kb.get("small").text == "after"
-        assert loaded["kb"].digest == b"".join(note_digests(tmp_path))
-        assert load_kb_dir("kb", tmp_path) is kb  # a second read gives the same digests
+        assert kept_bytes(loaded["kb"].kb) == note_bytes(tmp_path)
+        assert load_kb_dir("kb", tmp_path) is kb  # a second read gives the same bytes
         (tmp_path / "big.txt").write_bytes(body + b"x")
         assert load_kb_dir("kb", tmp_path).get("big").text == body.decode() + "x"
-        assert loaded["kb"].digest == b"".join(note_digests(tmp_path))
+        assert kept_bytes(loaded["kb"].kb) == note_bytes(tmp_path)
 
     @pytest.mark.parametrize("char", ["\u00e9", "\u20ac", "\U0001f600"])
     @pytest.mark.parametrize("boundary", [BUFFER, 2 * BUFFER])
@@ -519,7 +532,7 @@ class TestLoadKbDirReads:
         text = "a" * (boundary - 1) + char + "tail"
         (tmp_path / "split.txt").write_text(text, encoding="utf-8")
         assert load_kb_dir("kb", tmp_path).get("split").text == text
-        assert loaded["kb"].digest == b"".join(note_digests(tmp_path))
+        assert kept_bytes(loaded["kb"].kb) == note_bytes(tmp_path)
 
     def test_sub_directory_is_unreadable_on_a_reload(self, tmp_path, loaded):
         write_kb(tmp_path, {"a": "slack", "y": "clock"})
@@ -676,26 +689,68 @@ class TestLoadKbDirReuse:
         assert ranked(load_kb_dir("kb", dirs[-1]), "slack")[0][0] == "a"  # the last build is the one kept
         assert searches == ["slack", "build"] * 3
 
+    def test_cold_load_of_ascii_notes_decodes_none_and_hashes_nothing(self, tmp_path, loaded, built, monkeypatch):
+        write_kb(tmp_path, {"a": "slack one", "b": "tags: x\nclock two", "c": "skew\r\nthree", "d": "\u0130 four"})
+        hashed = []
+        real_sha256 = hashlib.sha256
+        monkeypatch.setattr(hashlib, "sha256", lambda *args: hashed.append(args) or real_sha256(*args))
+        kb = load_kb_dir("kb", tmp_path)
+        assert len(kb) == 4 and kb.ids() == ["a", "b", "c", "d"]
+        assert built == ["d"]  # decoded at the load, so a note that is not UTF-8 fails it
+        assert kb.token_count("b", "clock") == 1 and kb.token_count("b", "x") == 0 and kb.token_count("c", "three") == 1
+        assert built == ["d"] and hashed == []
+        assert documents(kb) == oracle_kb_dir(tmp_path)
+        assert built == ["d", "a", "b", "c"]
+        assert all(kb.get(doc_id) is kb.get(doc_id) for doc_id in kb.ids())
+        assert built == ["d", "a", "b", "c"]  # each built once
+
+    def test_retrieve_builds_the_top_k_documents_only(self, tmp_path, loaded, built):
+        write_kb(tmp_path, {f"n{i}": "slack " * (i % 3 + 1) + "clock" for i in range(9)})
+        kb = load_kb_dir("kb", tmp_path)
+        assert [doc.id for doc, _ in retrieve(kb, "slack clock", 2)] == ["n2", "n5"]
+        assert built == ["n2", "n5"]
+        assert [doc.id for doc, _ in retrieve(kb, "clock", 9)] == [f"n{i}" for i in range(9)]
+        assert sorted(built) == [f"n{i}" for i in range(9)]
+
+    def test_reload_after_an_edit_builds_no_document_for_the_unchanged_notes(self, tmp_path, loaded, built):
+        write_kb(tmp_path, {"a": "slack one", "b": "clock two", "c": "tags: x\nskew three"})
+        first = load_kb_dir("kb", tmp_path)
+        first_b = first.get("b")
+        (tmp_path / "a.txt").write_text("slack one more", encoding="utf-8")
+        kb = load_kb_dir("kb", tmp_path)
+        assert kb is not first and built == ["b"]
+        assert kb.get("b") is first_b and kb.get("c") is first.get("c")
+        assert built == ["b", "c"]  # one build of "c", shared by both knowledge bases
+        assert kb.get("a").text == "slack one more" and first.get("a").text == "slack one"
+
     @settings(max_examples=200, deadline=None)
     @given(
         states=st.lists(
-            st.dictionaries(st.sampled_from("abcd"), st.text(alphabet="ab \n\u0130", max_size=6), max_size=4),
+            st.dictionaries(
+                st.sampled_from("abcd"),
+                st.tuples(
+                    st.sampled_from(["", "", "tags: a\n", "tags: b, ab\r\n", "tags:\r", "tags: a"]),
+                    st.text(alphabet="ab \n\r\u0130", max_size=6),
+                ).map("".join),
+                max_size=4,
+            ),
             min_size=1, max_size=3,
         ),
         order=st.lists(st.integers(min_value=0, max_value=2), min_size=1, max_size=6),
     )
     def test_reused_retrieval_equals_a_fresh_build(self, states, order):
+        """Loaded notes enter the corpus as their bytes, documents given whole
+        as their texts; both give the same documents and the same ranking."""
         marco.knowledge._LOADED.pop("reuse", None)
         with tempfile.TemporaryDirectory() as root:
             directory = Path(root) / "kb"
             for step in order:
-                files = states[step % len(states)]
-                write_kb(directory, files)
+                write_kb(directory, states[step % len(states)])
                 kb = load_kb_dir("reuse", directory)
-                fresh = KnowledgeBase("reuse", [Document(stem, files[stem]) for stem in sorted(files)])
-                assert [kb.get(doc_id) for doc_id in kb.ids()] == [fresh.get(doc_id) for doc_id in fresh.ids()]
-                for query in ("a", "b ab", "ba a", "i ab i"):
+                fresh = KnowledgeBase("reuse", [Document(*doc) for doc in oracle_kb_dir(directory)])
+                for query in ("a", "b ab", "ba a", "i ab i", "tags"):
                     assert ranked(kb, query) == ranked(fresh, query)
+                assert [kb.get(doc_id) for doc_id in kb.ids()] == [fresh.get(doc_id) for doc_id in fresh.ids()]
 
 
 class TestLoadKbDirReuseOnCleanSnapshots(TestLoadKbDirReuse):
