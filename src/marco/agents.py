@@ -33,7 +33,7 @@ WRITE_TOOL = "write_artifact"
 RETRIEVE_TOOL = "retrieve_knowledge"
 
 _NEXT_RE = re.compile(r"^NEXT:\s*(\S+)\s*$")
-_PLAN_RE = re.compile(r"```PLAN\n(.*?)```", re.DOTALL)
+_PLAN_FENCE = "```PLAN\n"
 
 
 class RoleSpec(Record):
@@ -160,15 +160,17 @@ def parse_plan_block(
     Line grammar: ``id | title | goal`` plus optional ``agent=``, ``in=``,
     ``out=``, ``after=`` fields in any order.
     """
-    match = _PLAN_RE.search(content)
-    if match is None:
+    # the first opening and the first ``` after it: an opening cannot overlap itself, so none later could close
+    start = content.find(_PLAN_FENCE)
+    end = content.find("```", start + len(_PLAN_FENCE)) if start >= 0 else -1
+    if end < 0:
         return None, None
 
     existing = graph.node_map()
     new_nodes: list[TaskNode] = []
     after_map: dict[str, list[str]] = {}  # new node id -> its ``after=`` ids; the new ids so far
 
-    for raw_line in match.group(1).splitlines():
+    for raw_line in content[start + len(_PLAN_FENCE) : end].splitlines():
         line = raw_line.strip()
         if not line:
             continue
@@ -210,22 +212,22 @@ def parse_plan_block(
         return None, "plan block contains no node lines"
 
     node_outputs = {n.id: n.outputs for n in (*existing.values(), *new_nodes)}
-    edges: list[TaskEdge] = []
+    # ``after=<planner>`` or a repeated dependency gives an edge twice; keep its first place
+    edges: dict[tuple[str, str, str, str | None], None] = {}  # (src, dst, kind, key)
     for node in new_nodes:
         after = after_map[node.id]
         if not any(dep in after_map for dep in after):
-            edges.append(TaskEdge(src=planner.id, dst=node.id, kind="execution"))
+            edges[planner.id, node.id, "execution", None] = None
         for dep in after:
-            edges.append(TaskEdge(src=dep, dst=node.id, kind="execution"))
+            edges[dep, node.id, "execution", None] = None
         for key in node.inputs:
             if key in planner.outputs:
-                edges.append(TaskEdge(src=planner.id, dst=node.id, kind="knowledge", key=key))
+                edges[planner.id, node.id, "knowledge", key] = None
             for dep in after:
                 if key in node_outputs[dep]:
-                    edges.append(TaskEdge(src=dep, dst=node.id, kind="knowledge", key=key))
+                    edges[dep, node.id, "knowledge", key] = None
 
-    # ``after=<planner>`` or a repeated dependency gives an edge twice; keep its first place
-    new_edges = tuple(dict.fromkeys(edges))
+    new_edges = tuple(TaskEdge(*edge) for edge in edges)
     return ExpansionRequest(planner_id=planner.id, new_nodes=tuple(new_nodes), new_edges=new_edges), None
 
 
@@ -421,8 +423,7 @@ def converse(
                 else:
                     pending_expansion = request_or_none
                     blackboard.write(node.outputs[0], pending_expansion.to_dict(), producer=node.id)
-                    if node.outputs[0] not in written:
-                        written.append(node.outputs[0])
+                    written.append(node.outputs[0])  # ``finish`` keeps each key once
             if problem is not None:
                 transcript.append(_moderator(f"PLAN rejected: {problem}. Re-emit a corrected PLAN block."))
 

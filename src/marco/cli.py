@@ -116,10 +116,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _replace_contents(out: TextIO, trace: TraceDocument) -> None:
-    if out.seekable():  # a pipe or a terminal has nothing to replace
-        out.seek(0)
-        out.truncate()
-    trace.write(out)
+    try:
+        if out.seekable():  # a pipe or a terminal has nothing to replace
+            out.seek(0)
+            out.truncate()
+        trace.write(out)
+        out.close()  # flushed here, so that a full device's error is named too
+    except OSError as exc:  # an error of a write names no path: give it the output's, as _read_input does
+        raise OSError(f"{out.name}: {exc}") from exc
 
 
 def _cmd_graph_export(args: argparse.Namespace) -> int:

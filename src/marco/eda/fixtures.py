@@ -44,6 +44,7 @@ FOCUS_STAGES = (1, 2)
 
 DEFAULT_SEED = 2024
 DEFAULT_PATHS = 8
+MAX_CORNERS, MAX_PATHS = 32, 10_000  # so that a typo such as --paths 100000000 fails at once, not after hours
 
 
 class ManifestEntry(NamedTuple):
@@ -203,10 +204,10 @@ def _build_manifest() -> tuple[ManifestEntry, ...]:
 
 def generate_fixture_set(seed: int, corners: int = 3, paths: int = DEFAULT_PATHS) -> FixtureSet:
     """Build the full fixture set for one seed; pure function of its inputs."""
-    if corners < 1:
-        raise ValueError("corners must be >= 1")
-    if paths < 8:
-        raise ValueError("paths must be >= 8 so every planted anomaly has a home")
+    if not 1 <= corners <= MAX_CORNERS:
+        raise ValueError(f"corners must be from 1 to {MAX_CORNERS}")
+    if not 8 <= paths <= MAX_PATHS:
+        raise ValueError(f"paths must be from 8, so every planted anomaly has a home, to {MAX_PATHS}")
 
     rng = random.Random(seed)
     required_times: dict[tuple[str, str], float] = {}

@@ -38,12 +38,13 @@ MAX_AHEAD = 8  # nodes started ahead of the head at once
 BASELINE_NODE_ID = "baseline"
 
 
-def _trace_field(item: Any, key: str, kind: type, where: str, default: Any = None) -> Any:
+def _trace_field(item: Any, key: str, kind: type, where: str, at: int | str = "", default: Any = None) -> Any:
     """``item[key]``, or ``default`` where it is absent; a value that is no
-    ``kind``, or an ``item`` that is no object, is ``TRACE_ORDER``."""
-    value = item.get(key, default) if isinstance(item, Mapping) else None
+    ``kind``, or an ``item`` that is no object, is ``TRACE_ORDER`` naming
+    ``where`` and the index ``at``, joined only when it raises."""
+    value = item.get(key, default) if type(item) is dict or isinstance(item, Mapping) else None
     if not isinstance(value, kind):
-        raise EngineError("TRACE_ORDER", f"{where} has no {kind.__name__} {key!r}")
+        raise EngineError("TRACE_ORDER", f"{where}{at} has no {kind.__name__} {key!r}")
     return value
 
 
@@ -63,20 +64,21 @@ class TraceDocument:
         type there or in an outcome is ``TRACE_ORDER``."""
         if self.status not in TRACE_STATUSES:
             raise EngineError("TRACE_ORDER", f"unknown trace status {self.status!r}")
-        nodes = _trace_field(self.graph_final, "nodes", list, "trace graph_final", [])
-        edges = _trace_field(self.graph_final, "edges", list, "trace graph_final", [])
-        known = {_trace_field(node, "id", str, f"trace graph_final node {at}") for at, node in enumerate(nodes)}
+        nodes = _trace_field(self.graph_final, "nodes", list, "trace graph_final", default=[])
+        edges = _trace_field(self.graph_final, "edges", list, "trace graph_final", default=[])
+        known = {_trace_field(node, "id", str, "trace graph_final node ", at) for at, node in enumerate(nodes)}
         position: dict[str, int] = {}
         for idx, outcome in enumerate(self.outcomes):
-            node_id = _trace_field(outcome, "node_id", str, f"trace outcome {idx}")
+            node_id = _trace_field(outcome, "node_id", str, "trace outcome ", idx)
             if node_id not in known:
                 raise EngineError("TRACE_ORDER", f"outcome for unknown node {node_id!r}")
             if node_id in position:
                 raise EngineError("TRACE_ORDER", f"duplicate outcome for node {node_id!r}")
             position[node_id] = idx
         for at, edge in enumerate(edges):
-            if _trace_field(edge, "kind", str, f"trace graph_final edge {at}", "execution") == "execution":
-                src, dst = (_trace_field(edge, end, str, f"trace graph_final edge {at}") for end in ("src", "dst"))
+            if _trace_field(edge, "kind", str, "trace graph_final edge ", at, "execution") == "execution":
+                src = _trace_field(edge, "src", str, "trace graph_final edge ", at)
+                dst = _trace_field(edge, "dst", str, "trace graph_final edge ", at)
                 if src in position and dst in position and position[src] >= position[dst]:
                     raise EngineError("TRACE_ORDER", f"outcome order violates edge {src} -> {dst}")
 
@@ -99,7 +101,7 @@ class TraceDocument:
         if not isinstance(payload, Mapping):
             raise EngineError("TRACE_ORDER", f"trace is a {type(payload).__name__}, not an object")
         return cls(**{
-            name: type(default)(_trace_field(payload, name, type(default), "trace", default))
+            name: type(default)(_trace_field(payload, name, type(default), "trace", default=default))
             for name, default in _TRACE_DEFAULTS.items()
         })
 

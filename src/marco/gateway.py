@@ -166,7 +166,8 @@ def read_json(data: bytes) -> Any:
 
 def read_file(name: str | Path, dir_fd: int | None = None) -> tuple[bytes, os.stat_result]:
     """The bytes of the regular file ``name`` (relative to ``dir_fd`` if
-    given), read to EOF, and its stat, taken on the descriptor before the read.
+    given) and its stat, taken on the descriptor before the read. A first read
+    of just the stat's size is the whole file; after any other it reads to EOF.
 
     The open does not block, as opening a FIFO would wait for a writer, and
     anything not a regular file (a directory, FIFO or device) is
@@ -177,9 +178,9 @@ def read_file(name: str | Path, dir_fd: int | None = None) -> tuple[bytes, os.st
         st = os.fstat(fd)
         if not S_ISREG(st.st_mode):
             raise OSError("not a regular file")
-        chunks = []
-        while chunk := os.read(fd, st.st_size + 1):  # a file still of its fstat size: one read, then EOF
-            chunks.append(chunk)
+        chunks = [os.read(fd, st.st_size + 1)]
+        while len(chunks[0]) != st.st_size and chunks[-1]:
+            chunks.append(os.read(fd, st.st_size + 1))
         return b"".join(chunks), st
     finally:
         os.close(fd)

@@ -106,14 +106,11 @@ class TaskGraph(Record):
     def node_map(self) -> dict[str, TaskNode]:
         return {n.id: n for n in self.nodes}
 
-    def execution_edges(self) -> tuple[TaskEdge, ...]:
-        return tuple(e for e in self.edges if e.kind == "execution")
-
     def execution_predecessors(self) -> dict[str, set[str]]:
         """Map node id -> ids of its direct execution predecessors."""
         preds: dict[str, set[str]] = {n.id: set() for n in self.nodes}
-        for e in self.execution_edges():
-            if e.dst in preds and e.src in preds:
+        for e in self.edges:
+            if e.kind == "execution" and e.dst in preds and e.src in preds:
                 preds[e.dst].add(e.src)
         return preds
 
@@ -196,79 +193,88 @@ class Schedule:
     def pop(self) -> str:
         """Commit the least ready id and return it; successors it frees become ready."""
         nid = heapq.heappop(self.heap)
-        for succ in self.successors.get(nid, ()):
+        for succ in self.successors.pop(nid, ()):  # each id commits once, so its list is let go
             self.waiting[succ] -= 1
             if not self.waiting[succ]:
                 heapq.heappush(self.heap, succ)
         return nid
 
 
-def _kahn(graph: TaskGraph) -> tuple[dict[str, int], dict[str, int], list[str]]:
+def _kahn(graph: TaskGraph) -> tuple[dict[str, set[str]], list[str], list[str]]:
     """The one ordering pass: a :class:`Schedule` popped to empty, in the
     order the engine commits nodes.
 
-    Returns every ordered id's position, every ordered id's lineage (a bit
-    set over positions of the id itself and all its execution ancestors),
-    and one execution cycle as ``[a, ..., a]``, empty when every id is
-    ordered. Ids on or after a cycle stay unordered.
+    Returns the execution predecessor map, the ordered ids in that order, and
+    one execution cycle as ``[a, ..., a]``, empty when every id is ordered.
+    Ids on or after a cycle stay unordered: still waiting on a predecessor.
     """
     schedule = Schedule(graph, set(), ready_frontier(graph, ()))
-    preds = schedule.preds
-    position: dict[str, int] = {}
-    lineage: dict[str, int] = {}
+    order: list[str] = []
     while schedule.heap:
-        nid = schedule.pop()
-        bits = 1 << len(position)
-        for src in preds[nid]:
-            bits |= lineage[src]
-        position[nid] = len(position)
-        lineage[nid] = bits
+        order.append(schedule.pop())
     cycle: list[str] = []
-    if len(position) < len(preds):
+    if len(order) < len(schedule.preds):
         # every unordered id has an unordered predecessor: walk back from the
         # least one, each time to the least such predecessor, until an id repeats
+        unordered = {nid for nid, count in schedule.waiting.items() if count}
         walk: dict[str, int] = {}  # id -> its step on the walk
-        nid = min(nid for nid in preds if nid not in position)
+        nid = min(unordered)
         while nid not in walk:
             walk[nid] = len(walk)
-            nid = min(src for src in preds[nid] if src not in position)
+            nid = min(src for src in schedule.preds[nid] if src in unordered)
         cycle = [nid, *reversed(list(walk)[walk[nid]:])]
-    return position, lineage, cycle
+    return schedule.preds, order, cycle
+
+
+def _reached(
+    preds: dict[str, set[str]], order: list[str], position: dict[str, int], sources: Iterable[str], targets: Iterable[str]
+) -> set[str]:
+    """The ``targets`` that a path of one or more execution edges leads to from
+    one of ``sources``; all are ordered ids, placed in ``order`` at ``position``.
+    Only the ids placed after the first source and before the last target are
+    visited, so a question about near nodes costs little in a large graph."""
+    reach = set(sources)
+    targets = set(targets)
+    if reach and targets:
+        for nid in order[min(map(position.__getitem__, reach)) + 1 : max(map(position.__getitem__, targets))]:
+            if not reach.isdisjoint(preds[nid]):
+                reach.add(nid)
+    return {nid for nid in targets if not reach.isdisjoint(preds[nid])}
 
 
 def execution_order(graph: TaskGraph) -> list[str]:
     """Node ids in the order the engine commits them: least ready id first.
     Ids on or after an execution cycle are left out."""
-    return list(_kahn(graph)[0])
+    return _kahn(graph)[1]
 
 
 def unproduced_inputs(graph: TaskGraph, seeded: Container[str]) -> list[tuple[str, str]]:
     """``(node id, key)`` for every node input that is neither in ``seeded``
     nor an output of one of the node's execution ancestors, in node and input
     order. Nodes on or after an execution cycle are not checked."""
-    position, lineage, _ = _kahn(graph)
-    return _unproduced(graph, position, lineage, seeded, graph.nodes)
+    preds, order, _ = _kahn(graph)
+    return _unproduced(graph, preds, order, seeded, graph.nodes)
 
 
 def _unproduced(
-    graph: TaskGraph,
-    position: dict[str, int],
-    lineage: dict[str, int],
-    seeded: Container[str],
-    checked: Iterable[TaskNode],
+    graph: TaskGraph, preds: dict[str, set[str]], order: list[str], seeded: Container[str], checked: Iterable[TaskNode]
 ) -> list[tuple[str, str]]:
     """:func:`unproduced_inputs` over the ``checked`` nodes, from a Kahn pass already made."""
-    producers: dict[str, int] = {}  # key -> bit set over positions of ordered nodes declaring it
+    position = {nid: at for at, nid in enumerate(order)}
+    checked = [node for node in checked if node.id in position]
+    asked: dict[str, list[str]] = {}  # key -> ids of checked nodes needing it
+    for node in checked:
+        for key in node.inputs:
+            if key not in seeded:
+                asked.setdefault(key, []).append(node.id)
+    producers: dict[str, list[str]] = {}  # key -> ordered ids declaring it
     for node in graph.nodes:
         if node.id in position:
             for key in node.outputs:
-                producers[key] = producers.get(key, 0) | 1 << position[node.id]
+                producers.setdefault(key, []).append(node.id)
+    fed = {key: _reached(preds, order, position, producers.get(key, ()), ids) for key, ids in asked.items()}
     return [
-        (node.id, key)
-        for node in checked
-        if node.id in position
-        for key in node.inputs
-        if key not in seeded and not (lineage[node.id] ^ 1 << position[node.id]) & producers.get(key, 0)
+        (node.id, key) for node in checked for key in node.inputs if key not in seeded and node.id not in fed[key]
     ]
 
 
@@ -277,21 +283,22 @@ def validate_graph(graph: TaskGraph) -> ValidationReport:
     return _checked(graph)[0]
 
 
-def _checked(graph: TaskGraph) -> tuple[ValidationReport, dict[str, int], dict[str, int]]:
-    """:func:`validate_graph`'s report, with the position and lineage of its Kahn pass."""
+def _checked(graph: TaskGraph) -> tuple[ValidationReport, dict[str, set[str]], list[str]]:
+    """:func:`validate_graph`'s report, with the predecessor map and order of its Kahn pass."""
     violations: list[Violation] = []
 
     if graph.mode not in GRAPH_MODES:
         violations.append(Violation("BAD_MODE", graph.mode, "mode must be static or dynamic"))
 
-    seen: set[str] = set()
+    node_map: dict[str, TaskNode] = {}  # the last node of each id
     for node in graph.nodes:
+        repeated = node.id in node_map
+        node_map[node.id] = node
         if not node.id:
             violations.append(Violation("EMPTY_NODE_ID", "<node>", "node id must be non-empty"))
             continue
-        if node.id in seen:
+        if repeated:
             violations.append(Violation("DUPLICATE_NODE_ID", node.id, "node id repeats within graph"))
-        seen.add(node.id)
         if node.expansion not in EXPANSION_KINDS:
             violations.append(Violation("BAD_EXPANSION", node.id, f"unknown expansion {node.expansion!r}"))
         for key in list(node.inputs) + list(node.outputs):
@@ -302,46 +309,43 @@ def _checked(graph: TaskGraph) -> tuple[ValidationReport, dict[str, int], dict[s
                 Violation("PLANNER_NO_OUTPUT", node.id, "planner node must declare an output key for its plan")
             )
 
-    node_map = {n.id: n for n in graph.nodes}
     knowledge_edges: list[TaskEdge] = []
     for edge in graph.edges:
-        subject = _edge_label(edge)
         if edge.kind not in EDGE_KINDS:
-            violations.append(Violation("BAD_EDGE_KIND", subject, f"unknown kind {edge.kind!r}"))
+            violations.append(Violation("BAD_EDGE_KIND", _edge_label(edge), f"unknown kind {edge.kind!r}"))
             continue
         if edge.src == edge.dst:
-            violations.append(Violation("SELF_LOOP", subject, "edge endpoints must differ"))
+            violations.append(Violation("SELF_LOOP", _edge_label(edge), "edge endpoints must differ"))
         missing = [nid for nid in (edge.src, edge.dst) if nid not in node_map]
         if missing:
-            violations.append(Violation("UNKNOWN_ENDPOINT", subject, f"undefined node(s): {', '.join(missing)}"))
+            violations.append(Violation("UNKNOWN_ENDPOINT", _edge_label(edge), f"undefined node(s): {', '.join(missing)}"))
             continue
         if edge.kind == "knowledge":
             knowledge_edges.append(edge)
             if not edge.key:
-                violations.append(Violation("MISSING_EDGE_KEY", subject, "knowledge edge requires a key"))
+                violations.append(Violation("MISSING_EDGE_KEY", _edge_label(edge), "knowledge edge requires a key"))
             else:
                 if edge.key not in node_map[edge.src].outputs:
-                    violations.append(
-                        Violation("DANGLING_KEY", subject, f"key {edge.key!r} not in {edge.src!r}.outputs")
-                    )
+                    detail = f"key {edge.key!r} not in {edge.src!r}.outputs"
+                    violations.append(Violation("DANGLING_KEY", _edge_label(edge), detail))
                 if edge.key not in node_map[edge.dst].inputs:
-                    violations.append(
-                        Violation("DANGLING_KEY", subject, f"key {edge.key!r} not in {edge.dst!r}.inputs")
-                    )
+                    detail = f"key {edge.key!r} not in {edge.dst!r}.inputs"
+                    violations.append(Violation("DANGLING_KEY", _edge_label(edge), detail))
         elif edge.key is not None:
-            violations.append(Violation("UNEXPECTED_EDGE_KEY", subject, "execution edge must not carry a key"))
+            violations.append(Violation("UNEXPECTED_EDGE_KEY", _edge_label(edge), "execution edge must not carry a key"))
 
-    position, lineage, cycle = _kahn(graph)
+    preds, order, cycle = _kahn(graph)
+    position = {nid: at for at, nid in enumerate(order)} if knowledge_edges else {}
+    asked: dict[str, list[str]] = {}  # ordered source -> the ordered targets of its knowledge edges
+    for edge in knowledge_edges:
+        if edge.src in position and edge.dst in position:
+            asked.setdefault(edge.src, []).append(edge.dst)
+    fed = {src: _reached(preds, order, position, (src,), dsts) for src, dsts in asked.items()}
     for edge in knowledge_edges:
         # an edge into an unordered node is left alone: CYCLE rejects the graph
-        if edge.dst in lineage and not (edge.src in position and lineage[edge.dst] >> position[edge.src] & 1):
-            violations.append(
-                Violation(
-                    "UNORDERED_KNOWLEDGE_EDGE",
-                    _edge_label(edge),
-                    f"no execution path from {edge.src!r} to {edge.dst!r}, so {edge.dst!r} may run first",
-                )
-            )
+        if edge.dst in position and edge.src != edge.dst and edge.dst not in fed.get(edge.src, ()):
+            detail = f"no execution path from {edge.src!r} to {edge.dst!r}, so {edge.dst!r} may run first"
+            violations.append(Violation("UNORDERED_KNOWLEDGE_EDGE", _edge_label(edge), detail))
 
     if cycle:
         violations.append(Violation("CYCLE", " -> ".join(cycle), "execution edges must form a DAG"))
@@ -354,7 +358,7 @@ def _checked(graph: TaskGraph) -> tuple[ValidationReport, dict[str, int], dict[s
     if graph.mode == "dynamic" and not planners:
         violations.append(Violation("NO_PLANNER_IN_DYNAMIC", "<graph>", "dynamic graphs need at least one planner node"))
 
-    return ValidationReport(ok=not violations, violations=tuple(violations)), position, lineage
+    return ValidationReport(ok=not violations, violations=tuple(violations)), preds, order
 
 
 def ready_frontier(graph: TaskGraph, done: Iterable[str]) -> list[str]:
@@ -381,14 +385,16 @@ def apply_expansion(graph: TaskGraph, req: ExpansionRequest, seeded: Container[s
 
     candidate = graph._replace(nodes=graph.nodes + req.new_nodes, edges=graph.edges + req.new_edges)
 
-    report, position, lineage = _checked(candidate)
+    report, preds, order = _checked(candidate)
     if not report.ok:
         if "CYCLE" in report.codes():
             raise GraphError("CYCLE_INTRODUCED", "expansion would create an execution cycle")
         first = report.violations[0]
         raise GraphError("INVALID_EXPANSION", f"{first.code} on {first.subject}: {first.detail}")
 
-    orphans = sorted(n.id for n in req.new_nodes if not lineage[n.id] >> position[req.planner_id] & 1)
+    new_ids = [n.id for n in req.new_nodes]
+    reached = _reached(preds, order, {nid: at for at, nid in enumerate(order)}, (req.planner_id,), new_ids)
+    orphans = sorted(nid for nid in new_ids if nid not in reached)
     if orphans:
         raise GraphError(
             "UNREACHABLE_NODE",
@@ -396,7 +402,7 @@ def apply_expansion(graph: TaskGraph, req: ExpansionRequest, seeded: Container[s
         )
     # only new nodes: an existing node's input may come from a later expansion, but
     # a PLAN block adds edges only into its own nodes, so new nodes' ancestors are final
-    unproduced = _unproduced(candidate, position, lineage, seeded, req.new_nodes)
+    unproduced = _unproduced(candidate, preds, order, seeded, req.new_nodes)
     if unproduced:
         raise GraphError(
             "UNPRODUCED_INPUT",

@@ -67,11 +67,15 @@ def oracle_kb_dir(directory) -> list[tuple[str, str, tuple[str, ...]]]:
 
 # ---------------------------------------------------------------- graphs
 
+def execution_edges(graph: TaskGraph) -> list[TaskEdge]:
+    return [edge for edge in graph.edges if edge.kind == "execution"]
+
+
 def is_linear_extension(order: list[str], graph: TaskGraph) -> bool:
     position = {node_id: i for i, node_id in enumerate(order)}
     if len(position) != len(order):
         return False
-    for edge in graph.execution_edges():
+    for edge in execution_edges(graph):
         if edge.src in position and edge.dst in position:
             if position[edge.src] >= position[edge.dst]:
                 return False
@@ -80,7 +84,7 @@ def is_linear_extension(order: list[str], graph: TaskGraph) -> bool:
 
 def predecessor_sets(graph: TaskGraph) -> dict[str, set[str]]:
     preds: dict[str, set[str]] = {node.id: set() for node in graph.nodes}
-    for edge in graph.execution_edges():
+    for edge in execution_edges(graph):
         preds[edge.dst].add(edge.src)
     return preds
 
@@ -115,7 +119,7 @@ def random_dag(rng: random.Random, max_nodes: int = 20, mode: str = "static") ->
 def has_execution_cycle(graph: TaskGraph) -> bool:
     """DFS cycle oracle over execution edges."""
     adjacency: dict[str, list[str]] = {node.id: [] for node in graph.nodes}
-    for edge in graph.execution_edges():
+    for edge in execution_edges(graph):
         adjacency[edge.src].append(edge.dst)
     state: dict[str, int] = {}
 
@@ -134,7 +138,7 @@ def has_execution_cycle(graph: TaskGraph) -> bool:
 def reachable_pairs(graph: TaskGraph) -> set[tuple[str, str]]:
     """Every ``(a, b)`` with a path of one or more execution edges from ``a``
     to ``b``: the edge pairs, joined with themselves until nothing is added."""
-    pairs = {(edge.src, edge.dst) for edge in graph.execution_edges()}
+    pairs = {(edge.src, edge.dst) for edge in execution_edges(graph)}
     while True:
         joined = {(a, d) for a, b in pairs for c, d in pairs if b == c} - pairs
         if not joined:
@@ -178,6 +182,15 @@ def oracle_commit_order(graph: TaskGraph) -> list[str]:
 # call per key (a tool round); without, a content turn. A transcript entry is
 # ``(speaker, kind, content)`` with kind one of task, content, tool_call, tool
 # and moderator.
+
+PLAN_RE = re.compile(r"```PLAN\n(.*?)```", re.DOTALL)  # the PLAN fence, as a lazy regex
+
+
+def oracle_plan_body(content: str) -> str | None:
+    """The text between the first PLAN fence opening that is closed and the first ``` after it."""
+    match = PLAN_RE.search(content)
+    return None if match is None else match.group(1)
+
 
 def oracle_next_directive(content: str) -> str | None:
     lines = [line.strip() for line in content.split("\n") if line.strip()]

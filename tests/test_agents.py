@@ -31,7 +31,7 @@ from marco.gateway import ChatMessage, MockBackend, ScriptMatcher, ToolCallReque
 from marco.graph import ExpansionRequest, TaskEdge, TaskGraph, TaskNode
 from marco.knowledge import Blackboard, Document, KnowledgeBase, MemoryWindow
 from marco.tools import Param, ToolRegistry, ToolResult, ToolSpec
-from oracles import oracle_conversation
+from oracles import oracle_conversation, oracle_plan_body
 
 
 def role(name: str, model_ref: str = "m", **kwargs) -> RoleSpec:
@@ -852,6 +852,21 @@ if st is not None:
             else:
                 assert problem is None or isinstance(problem, str)
             assert fenced or "```PLAN" in text or (request, problem) == (None, None)
+
+    _FENCE_TEXT = st.lists(
+        st.sampled_from(["```PLAN\n", "```", "``", "`", "PLAN", "\n", " ", "t1 | T | g\n", "t2 | U | h", "x"]),
+        max_size=14,
+    ).map("".join)
+
+    class TestPlanFenceMatchesRegex:
+        @settings(max_examples=500, deadline=None)
+        @given(text=_FENCE_TEXT)
+        def test_same_block_as_the_lazy_regex(self, text):
+            body = oracle_plan_body(text)
+            expected = (None, None)
+            if body is not None:  # the same block, alone in a canonical fence
+                expected = parse_plan_block(f"```PLAN\n{body}```", planner_node(), planner_graph())
+            assert parse_plan_block(text, planner_node(), planner_graph()) == expected
 
 
 class TestRunNodePlanner:

@@ -431,6 +431,13 @@ class TestFixturesGen:
         assert code == 1
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize("argv", [["--paths", "10001", "--corners", "1"], ["--corners", "33"]])
+    def test_generation_above_its_limits_fails_before_writing(self, capsys, tmp_path, argv):
+        code, out, err = run_cli(capsys, "fixtures", "gen", *argv, "--out", str(tmp_path / "x"))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert not (tmp_path / "x").exists()
+
 
 class TestScore:
     def test_timing_debug_score_line(self, capsys, tmp_path):
@@ -614,6 +621,18 @@ class TestConsoleScript:
         with pytest.raises(ConfigError) as exc:
             load_config(fifo)
         assert exc.value.problems == [f"{fifo}: no such config file"]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_trace_out_that_cannot_be_written_is_named(self, tmp_path):
+        script, env = declared_script_command(tmp_path)
+        proc = subprocess.run(
+            [*script, "run", TIMING_DEBUG, "--deterministic", "--trace-out", "/dev/full"],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout.endswith("status: completed\n")
+        assert proc.stderr.startswith("error: /dev/full: [Errno ")
+        assert len(proc.stderr.splitlines()) == 1
 
     @pytest.mark.parametrize("command", ["run", "score"])
     def test_run_and_score_too_deep_file_print_no_traceback(self, tmp_path, command):

@@ -59,6 +59,10 @@ class TestGeneration:
             generate_fixture_set(1, corners=0)
         with pytest.raises(ValueError):
             generate_fixture_set(1, paths=7)
+        with pytest.raises(ValueError, match="corners must be from 1 to 32"):
+            generate_fixture_set(1, corners=33)
+        with pytest.raises(ValueError, match="to 10000"):
+            generate_fixture_set(1, paths=10_001)
 
     def test_shape(self):
         fixture_set = generate_fixture_set(DEFAULT_SEED)

@@ -13,6 +13,7 @@ import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, Future
 from pathlib import Path
+from types import MappingProxyType
 from unittest import mock
 
 import pytest
@@ -248,6 +249,29 @@ class TestTraceDocument:
             TraceDocument.from_dict(payload).validate()
         assert exc.value.code == "TRACE_ORDER"
         assert named in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "graph, outcomes, message",
+        [
+            ({"nodes": [{"id": "a"}, {"id": "b"}, {"title": "c"}]}, [], "trace graph_final node 2 has no str 'id'"),
+            ({"nodes": [MappingProxyType({"id": "a"}), 7]}, [], "trace graph_final node 1 has no str 'id'"),
+            ({"nodes": [{"id": "a"}]}, [{"node_id": "a"}, {"node_id": 1}], "trace outcome 1 has no str 'node_id'"),
+            (
+                {"nodes": [{"id": "a"}], "edges": [{"src": "a", "dst": "a"}] * 3 + [{"dst": "a"}]},
+                [],
+                "trace graph_final edge 3 has no str 'src'",
+            ),
+            (
+                {"nodes": [{"id": "a"}], "edges": [{"kind": "knowledge"}] * 2 + [{"kind": None}]},
+                [],
+                "trace graph_final edge 2 has no str 'kind'",
+            ),
+        ],
+    )
+    def test_malformed_item_after_the_first_is_named_by_its_index(self, graph, outcomes, message):
+        with pytest.raises(EngineError) as exc:
+            self.make_trace(graph_final=graph, outcomes=outcomes).validate()
+        assert str(exc.value) == f"TRACE_ORDER: {message}"
 
     def test_edge_kind_defaults_to_execution(self):
         graph = {"nodes": [{"id": "a"}, {"id": "b"}], "edges": [{"src": "a", "dst": "b"}]}

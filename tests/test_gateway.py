@@ -272,6 +272,51 @@ class TestReadJson:
         assert problems[0].startswith(f"script file {str(path)!r} is not readable JSON: ")
 
 
+class TestReadFile:
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        """Each ``os.read`` call's byte count, in order."""
+        counts, real = [], os.read
+
+        def counted(fd, size):
+            chunk = real(fd, size)
+            counts.append(len(chunk))
+            return chunk
+
+        monkeypatch.setattr(os, "read", counted)
+        return counts
+
+    @pytest.mark.parametrize("size", [0, 1, 4095, 4096, 100_000])
+    def test_an_unchanging_file_takes_one_read(self, tmp_path, reads, size):
+        path = tmp_path / "f.bin"
+        path.write_bytes(bytes(range(256)) * (size // 256) + b"x" * (size % 256))
+        data, st = read_file(path)
+        assert data == path.read_bytes() and st.st_size == size
+        assert reads == [size]
+
+    def test_a_file_grown_after_its_stat_is_read_to_eof(self, tmp_path, monkeypatch):
+        path = tmp_path / "f.txt"
+        path.write_bytes(b"abc")
+        real = os.read
+
+        def grow_then_read(fd, size):
+            if path.stat().st_size == 3:
+                with path.open("ab") as f:
+                    f.write(b"defgh")
+            return real(fd, size)
+
+        monkeypatch.setattr(os, "read", grow_then_read)
+        data, st = read_file(path)
+        assert (data, st.st_size) == (b"abcdefgh", 3)
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
+    def test_a_regular_file_of_stat_size_0_with_content_is_read_to_eof(self, reads):
+        data, st = read_file("/proc/self/status")
+        assert st.st_size == 0
+        assert data.startswith(b"Name:") and data.endswith(b"\n")
+        assert len(reads) > 1 and reads[-1] == 0
+
+
 class TestMockBackend:
     def test_ping_pong(self):
         backend = MockBackend()

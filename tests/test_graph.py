@@ -1,7 +1,9 @@
 """Task graph invariants, frontier scheduling, expansion, DOT export."""
 
+import gc
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -28,6 +30,7 @@ from marco.graph import (
 
 from oracles import (
     brute_frontier,
+    execution_edges,
     has_execution_cycle,
     is_linear_extension,
     oracle_commit_order,
@@ -188,6 +191,60 @@ class TestValidate:
         assert time.perf_counter() - started < 0.1
         assert report.ok
 
+    def test_chain_validates_in_linear_time_and_memory(self):
+        def chain(length: int) -> TaskGraph:
+            ids = [f"n{i:05d}" for i in range(length)]
+            return TaskGraph(nodes=tuple(map(node, ids)), edges=tuple(TaskEdge(a, b) for a, b in zip(ids, ids[1:])))
+
+        def peak(graph: TaskGraph) -> int:
+            # the interpreter's free lists hand a first few objects out without
+            # an allocation tracemalloc sees; emptied, both chains pay for each
+            gc.collect()
+            tracemalloc.start()
+            try:
+                assert validate_graph(graph).ok
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        short, long = chain(5_000), chain(20_000)
+        started = time.perf_counter()
+        assert validate_graph(long).ok
+        assert time.perf_counter() - started < 0.2
+        assert peak(long) <= 4 * peak(short)
+
+    def test_each_edge_violation_is_named_by_its_edge(self):
+        graph = TaskGraph(
+            nodes=(node("a", outputs=("k",)), node("b", inputs=("k",)), node("c")),
+            edges=(
+                TaskEdge("a", "b", kind="data"),
+                TaskEdge("c", "c"),
+                TaskEdge("a", "zz"),
+                TaskEdge("a", "b", kind="knowledge"),
+                TaskEdge("c", "a", kind="knowledge", key="j"),
+                TaskEdge("a", "c", key="k"),
+                TaskEdge("a", "b", kind="knowledge", key="k"),
+            ),
+        )
+        assert [(v.code, v.subject) for v in validate_graph(graph).violations] == [
+            ("BAD_EDGE_KIND", "a->b [data]"),
+            ("SELF_LOOP", "c->c [execution]"),
+            ("UNKNOWN_ENDPOINT", "a->zz [execution]"),
+            ("MISSING_EDGE_KEY", "a->b [knowledge]"),
+            ("DANGLING_KEY", "c->a [knowledge key='j']"),
+            ("DANGLING_KEY", "c->a [knowledge key='j']"),
+            ("UNEXPECTED_EDGE_KEY", "a->c [execution key='k']"),
+            ("UNORDERED_KNOWLEDGE_EDGE", "a->b [knowledge]"),
+            ("UNORDERED_KNOWLEDGE_EDGE", "c->a [knowledge key='j']"),
+            ("UNORDERED_KNOWLEDGE_EDGE", "a->b [knowledge key='k']"),
+            ("CYCLE", "c -> c"),
+        ]
+
+    def test_knowledge_self_loop_is_only_a_self_loop(self):
+        edge = TaskEdge("A", "A", kind="knowledge", key="k")
+        graph = TaskGraph(nodes=(node("A", inputs=("k",), outputs=("k",)),), edges=(edge,))
+        assert validate_graph(graph).codes() == ("SELF_LOOP",)
+
     def test_cycle_named_from_least_unordered_id(self):
         # "a" is only fed by the b-c cycle: the walk back goes a, c, b and meets
         # c again, so the cycle is named forwards from c
@@ -214,7 +271,7 @@ class TestValidate:
         graph = TaskGraph(nodes=graph.nodes, edges=graph.edges + tuple(e for e in back_edges if e.src != e.dst))
         cycles = [v.subject.split(" -> ") for v in validate_graph(graph).violations if v.code == "CYCLE"]
         assert bool(cycles) == has_execution_cycle(graph)
-        links = {(e.src, e.dst) for e in graph.execution_edges()}
+        links = {(e.src, e.dst) for e in execution_edges(graph)}
         for cycle in cycles:
             assert cycle[0] == cycle[-1]
             assert all((a, b) in links for a, b in zip(cycle, cycle[1:]))
