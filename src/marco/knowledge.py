@@ -13,8 +13,9 @@ import os
 import re
 from array import array
 from bisect import bisect_right
+from functools import reduce
 from itertools import accumulate, chain
-from operator import is_
+from operator import add, is_
 from pathlib import Path
 from time import time_ns
 from typing import Any, Iterable, Mapping, NamedTuple
@@ -292,8 +293,8 @@ def retrieve(kb: KnowledgeBase, query: str, k: int) -> list[tuple[Document, floa
     n_docs = len(kb)
     postings = {token: kb.postings(token) for token in set(tokens)}
     idf = {token: math.log((n_docs + 1) / (len(posting) + 1)) + 1.0 for token, posting in postings.items()}
-    ranked = sorted(
-        (-sum(postings[token].get(doc_id, 0) * idf[token] for token in tokens), doc_id)
+    ranked = sorted(  # scores add left to right, as ``sum`` did before Python 3.12
+        (-reduce(add, (postings[token].get(doc_id, 0) * idf[token] for token in tokens), 0), doc_id)
         for doc_id in set().union(*postings.values())
     )
     return [(kb.get(doc_id), -negated) for negated, doc_id in ranked[:k]]

@@ -8,7 +8,9 @@ against themselves.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import os
 import random
 import re
@@ -568,7 +570,7 @@ def oracle_metric_rows(reports, metric: str) -> dict[tuple[str, str], float]:
         if metric == "wns":
             out[key] = min(slacks)
         elif metric == "tns":
-            out[key] = float(sum(s for s in slacks if s < 0))
+            out[key] = float(functools.reduce(operator.add, (s for s in slacks if s < 0), 0))
         else:
             out[key] = float(sum(1 for s in slacks if s < 0))
     return out

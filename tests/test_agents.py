@@ -922,3 +922,30 @@ class TestRunNodePlanner:
         ]
         assert [n.id for n in outcome.grown.nodes] == ["P", "t1"]
         assert outcome.grown.edges == (TaskEdge("P", "t1"),)
+
+    @pytest.mark.parametrize(
+        "replies, status, planned",
+        [
+            (["```PLAN\nt1 | T | g\n```\nDONE"], "solved", ["t1"]),
+            (["```PLAN\nbad line\n```", "```PLAN\nt1 | T | g\n```\nDONE"], "solved", ["t1"]),
+            (["```PLAN\nt1 | T | g\n```", "```PLAN\nt2 | T | g | in=ghost\n```\nDONE", "DONE"], "solved", ["t1"]),
+            (["```PLAN\nt1 | T | g\n```", "still planning", "still planning"], "budget_exhausted", ["t1"]),
+            (["no plan", "no plan", "no plan"], "budget_exhausted", None),
+        ],
+        ids=["accepted", "rejected-then-accepted", "accepted-then-rejected", "accepted-then-budget", "no-plan"],
+    )
+    def test_grown_is_the_graph_the_expansion_grows(self, replies, status, planned):
+        # the engine commits ``grown`` as it is, so it must be this turn's check of ``expansion``
+        graph = planner_graph()
+        outcome = run_node(
+            planner_node(), graph, single_agent(stop_phrase="DONE", max_turns=3),
+            {"m": scripted(*replies)}, builtin_registry(), Blackboard({"P": ["plan"]}),
+        )
+        assert outcome.status == status
+        assert (outcome.expansion is None) == (outcome.grown is None)
+        if planned is not None:
+            assert [n.id for n in outcome.expansion.new_nodes] == planned
+            assert outcome.grown.nodes == graph.nodes + outcome.expansion.new_nodes
+            assert outcome.grown.edges == graph.edges + outcome.expansion.new_edges
+        else:
+            assert outcome.expansion is None

@@ -418,6 +418,14 @@ class TestFixturesGen:
         for name in names_a:
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
+    def test_default_generation_writes_the_bundled_fixtures(self, capsys, tmp_path):
+        bundled = BUNDLED.parent / "fixtures_3corner"
+        code, _, _ = run_cli(capsys, "fixtures", "gen", "--out", str(tmp_path))
+        assert code == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(p.name for p in bundled.iterdir())
+        for path in bundled.iterdir():
+            assert (tmp_path / path.name).read_bytes() == path.read_bytes(), path.name
+
     def test_out_through_a_file(self, capsys, tmp_path):
         (tmp_path / "file").write_text("", encoding="utf-8")
         code, out, err = run_cli(capsys, "fixtures", "gen", "--out", str(tmp_path / "file" / "set"))

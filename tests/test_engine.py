@@ -29,7 +29,6 @@ import marco.eda.toolpack
 import marco.engine
 import marco.graph
 import marco.knowledge
-from marco.agents import NodeOutcome
 from marco.config import load_config
 from marco.eda.report import parse_timing_report
 from marco.engine import (
@@ -40,7 +39,7 @@ from marco.engine import (
     run,
     run_baseline,
 )
-from marco.errors import EngineError, GatewayError, GraphError
+from marco.errors import EngineError, GatewayError
 from marco.gateway import Backend, ChatMessage, CompletionRequest, HttpBackend, MockBackend, ReplayBackend, ToolCallRequest
 
 BUNDLED = Path(marco.__file__).resolve().parent / "data" / "configs"
@@ -604,27 +603,6 @@ class TestRunDynamic:
         trace = run(config, deterministic=True)
         assert outcome_ids(trace) == ["P", "t1"]
         assert checked.count(2) == 1  # the grown graph: P and t1
-
-    def test_rejected_expansion_aborts(self, tmp_path, monkeypatch):
-        def explode(graph, expansion, seeded):
-            raise GraphError("CYCLE", "expansion would close a cycle")
-
-        def without_grown_graph(*args, **kwargs):
-            result = run_node(*args, **kwargs)
-            return result._replace(grown=None) if isinstance(result, NodeOutcome) else result
-
-        run_node = marco.engine.run_node
-        monkeypatch.setattr(marco.engine, "run_node", without_grown_graph)
-        monkeypatch.setattr(marco.engine, "apply_expansion", explode)
-        config = load_payload(tmp_path, planner_payload(), PLANNER_SCRIPTS)
-        with pytest.raises(EngineError) as exc:
-            run(config, deterministic=True)
-        assert exc.value.code == "EXPANSION_REJECTED"
-        assert "planner P produced an unusable expansion" in str(exc.value)
-        partial = exc.value.trace
-        assert partial.status == "aborted"
-        assert outcome_ids(partial) == ["P"]
-        assert partial.expansions == []
 
     def test_expansion_with_an_input_nothing_produces_is_reprompted(self, tmp_path):
         rejected = {"content": "```PLAN\nt1 | T | g | in=ghost\n```\nTASK COMPLETE"}

@@ -86,7 +86,6 @@ RUN_CODES = {
     "CACHE_WRITE": "changed after load",  # load_config checks a recording cache_dir can be made
     "HTTP_ERROR": "network",
     "BUDGET_EXCEEDED": "planner expansion",  # load_config holds the limit to the initial node count
-    "EXPANSION_REJECTED": "planner expansion",
     "UNKNOWN_BACKEND": "CLI flag",  # --backend
     "BASELINE_UNSUPPORTED": "CLI flag",  # --baseline
     "TRACE_ORDER": "engine invariant",

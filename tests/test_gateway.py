@@ -316,6 +316,12 @@ class TestReadFile:
         assert data.startswith(b"Name:") and data.endswith(b"\n")
         assert len(reads) > 1 and reads[-1] == 0
 
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
+    def test_a_file_of_stat_size_0_is_read_in_large_chunks(self, reads):
+        data, _ = read_file("/proc/self/status")
+        assert data.startswith(b"Name:")
+        assert len(reads) <= 3  # one byte, the rest, then EOF
+
 
 class TestMockBackend:
     def test_ping_pong(self):
@@ -786,6 +792,21 @@ class TestHttpBackend:
         assert exc.value.details["status"] == 0
         assert str(exc.value).startswith("HTTP_ERROR: request failed: ")
         assert len(open_calls) == 2
+
+    @pytest.mark.parametrize("scheme, loads", [("https", 1), ("http", 0)])
+    def test_one_tls_context_per_backend(self, monkeypatch, scheme, loads):
+        ssl = pytest.importorskip("ssl")
+        calls = []
+        load_default_certs = ssl.SSLContext.load_default_certs
+        monkeypatch.setattr(ssl.SSLContext, "load_default_certs", lambda *a: calls.append(a) or load_default_certs(*a))
+        with socket.socket() as sock:  # a port that was free a moment ago, now with nobody listening
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        backend = HttpBackend(base_url=f"{scheme}://127.0.0.1:{port}", api_key="k", retry_delay=0.0)
+        for _ in range(2):  # each call is two refused attempts
+            with pytest.raises(GatewayError):
+                backend.complete(req(sys_msg(), user("q")))
+        assert len(calls) == loads
 
     def test_timeout_is_a_transport_failure(self, chat_server):
         _ChatHandler.delay = 0.5
