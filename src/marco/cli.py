@@ -1,5 +1,6 @@
 """Command-line surface.
 
+Every failure leaves through ``main``: ``invalid:`` lines for a config's problems, else one ``error:`` line.
 Exit codes: 0 success, 1 validation or run failure, 2 usage errors
 (argparse's convention).
 """
@@ -12,7 +13,7 @@ from contextlib import nullcontext
 from pathlib import Path
 from typing import TextIO
 
-from .config import RunConfig, load_config
+from .config import load_config
 from .eda.fixtures import (
     DEFAULT_PATHS,
     DEFAULT_SEED,
@@ -63,37 +64,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(path: str) -> RunConfig | None:
-    """Load a config, or print each of its problems and return None."""
-    try:
-        return load_config(path)
-    except ConfigError as exc:
-        for problem in exc.problems:
-            print(f"invalid: {problem}", file=sys.stderr)
-        return None
-
-
 def _cmd_validate(args: argparse.Namespace) -> int:
-    config = _load(args.config)
-    if config is None:
-        return 1
-    unreadable = False
+    config = load_config(args.config)
+    problems = []
     for name, kb_dir in config.knowledge_bases.items():  # read as a run reads them, so a run cannot fail on one
         try:
             load_kb_dir(name, kb_dir)
         except KnowledgeError as exc:
-            print(f"invalid: knowledge_bases.{name}: {exc}", file=sys.stderr)
-            unreadable = True
-    if unreadable:
-        return 1
+            problems.append(f"knowledge_bases.{name}: {exc}")
+    if problems:
+        raise ConfigError(problems)
     print(f"ok: {len(config.graph.nodes)} node(s), {len(config.agents)} agent(s), mode={config.graph.mode}")
     return 0
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    config = _load(args.config)
-    if config is None:
-        return 1
+    config = load_config(args.config)
     runner = run_baseline if args.baseline else run
     # Opened before the run, so a path that cannot be written fails before any model call;
     # opened for appending, so a run that fails without a trace leaves an existing file as it was.
@@ -127,10 +113,7 @@ def _replace_contents(out: TextIO, trace: TraceDocument) -> None:
 
 
 def _cmd_graph_export(args: argparse.Namespace) -> int:
-    config = _load(args.config)
-    if config is None:
-        return 1
-    dot = export_dot(config.graph)
+    dot = export_dot(load_config(args.config).graph)
     if args.dot == "-":
         sys.stdout.write(dot)
     else:
@@ -140,11 +123,7 @@ def _cmd_graph_export(args: argparse.Namespace) -> int:
 
 
 def _cmd_fixtures_gen(args: argparse.Namespace) -> int:
-    try:
-        fixture_set = generate_fixture_set(args.seed, corners=args.corners, paths=args.paths)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    fixture_set = generate_fixture_set(args.seed, corners=args.corners, paths=args.paths)
     written = write_fixture_set(fixture_set, args.out)
     for path in written:
         print(f"wrote {path}")
@@ -162,18 +141,12 @@ def _read_input(path: str) -> bytes:
 
 
 def _cmd_score(args: argparse.Namespace) -> int:
-    try:
-        trace = read_json(_read_input(args.trace))
-        manifest = parse_manifest(_read_input(args.manifest).decode("utf-8"))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    trace = read_json(_read_input(args.trace))
+    manifest = parse_manifest(_read_input(args.manifest).decode("utf-8"))
     if not isinstance(trace, dict):
-        print("error: trace root must be a JSON object", file=sys.stderr)
-        return 1
+        raise ValueError("trace root must be a JSON object")
     if not isinstance(trace.get("blackboard", {}), dict):
-        print("error: trace blackboard must be a JSON object", file=sys.stderr)
-        return 1
+        raise ValueError("trace blackboard must be a JSON object")
     result = score_trace(trace, manifest)
     sys.stdout.write(render_score_report(result))
     return 0
@@ -187,9 +160,12 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except OSError as exc:  # an input or output path that cannot be opened
+    except ConfigError as exc:
+        for problem in exc.problems:
+            print(f"invalid: {problem}", file=sys.stderr)
+    except (OSError, ValueError) as exc:  # a path that cannot be used, or a bad input or argument
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+    return 1
 
 
 if __name__ == "__main__":

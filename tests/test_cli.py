@@ -200,6 +200,22 @@ class TestValidate:
         assert code == 1
         assert "no such config file" in err
 
+    def test_every_unreadable_knowledge_base_is_a_problem(self, capsys, tmp_path):
+        config_path = write_one_node_config(tmp_path)
+        payload = json.loads(config_path.read_text(encoding="utf-8"))
+        payload["knowledge_bases"] = {"a": "kb_a", "b": "kb_b"}
+        config_path.write_text(json.dumps(payload), encoding="utf-8")
+        for name in ("a", "b"):
+            (tmp_path / f"kb_{name}").mkdir()
+            (tmp_path / f"kb_{name}" / "bad.txt").write_bytes(b"\xff\xfe not utf-8")
+        code, out, err = run_cli(capsys, "validate", str(config_path))
+        assert (code, out) == (1, "")
+        lines = err.splitlines()
+        assert len(lines) == 2
+        for line, name in zip(lines, ("a", "b")):
+            assert line.startswith(f"invalid: knowledge_bases.{name}: KB_UNREADABLE: ")
+            assert str(tmp_path / f"kb_{name}" / "bad.txt") in line
+
 
 class TestRun:
     def test_timing_debug_run_with_trace(self, capsys, tmp_path):
@@ -495,6 +511,19 @@ class TestScore:
         code, _, err = run_cli(capsys, "score", str(trace_path), manifest_path.as_posix())
         assert code == 1
         assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["run", TIMING_DEBUG, "--deterministic", "--trace-out"], ["graph", "export", MCMM, "--dot"],
+     ["fixtures", "gen", "--out"]],
+    ids=["run", "graph_export", "fixtures_gen"],
+)
+def test_output_path_with_a_null_byte_is_one_error_line(capsys, tmp_path, argv):
+    code, out, err = run_cli(capsys, *argv, str(tmp_path / "out\x00put"))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 if st is not None:

@@ -180,6 +180,10 @@ class TestTraceDocument:
     def test_valid_trace_passes(self):
         self.make_trace().validate()
 
+    def test_unknown_field_is_a_type_error(self):
+        with pytest.raises(TypeError, match=r"unknown trace fields \['bogus'\]"):
+            TraceDocument(bogus=1)
+
     def test_unknown_status_rejected(self):
         with pytest.raises(EngineError) as exc:
             self.make_trace(status="running").validate()

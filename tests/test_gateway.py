@@ -393,6 +393,13 @@ class TestMockBackend:
         backend = MockBackend.from_script_file(path)
         assert backend.complete(req(sys_msg(), user("hello"))).content == "hi there"
 
+    def test_from_script_file_names_the_file_it_cannot_use(self, tmp_path):
+        path = tmp_path / "script.json"
+        path.write_text("{}", encoding="utf-8")
+        with pytest.raises(ValueError) as exc:
+            MockBackend.from_script_file(path)
+        assert str(exc.value).startswith(f"{path}: ")
+
 
 def _entry(response: ChatMessage) -> str:
     return canonical_json({"response": response.to_dict()})
@@ -505,6 +512,14 @@ class TestReplayBackend:
         replayer = self.recorded(tmp_path, req(*asked, ChatMessage(role="tool", content="r", tool_call_id="c1")))
         edited = req(*asked, ChatMessage(role="tool", content="r", tool_call_id="c2"))
         assert self.miss(replayer, edited).endswith("first differs at messages[2].tool_call_id (role tool)")
+
+    def test_miss_on_an_entry_stored_under_another_digest(self, tmp_path):
+        asked = req(sys_msg(), user("q"))
+        replayer = self.recorded(tmp_path, asked)
+        (tmp_path / f"{canonical_hash(asked)}.json").rename(tmp_path / f"{'0' * 64}.json")
+        assert self.miss(replayer, asked).endswith(
+            f"{'0' * 64}, first differs at no field: the entry is stored under another digest"
+        )
 
     def test_record_without_inner(self, tmp_path):
         backend = ReplayBackend(tmp_path, inner=None, record=True)

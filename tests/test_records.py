@@ -216,6 +216,11 @@ def test_positional_values_bind_in_field_order_beside_keywords():
     assert TaskNode("a", "t", "g", "x", expansion="planner") == build(TaskNode, inputs=(), outputs=())
 
 
+def test_records_of_two_classes_leave_equality_to_python():
+    assert NODE.__eq__(EDGE) is NotImplemented
+    assert NODE != EDGE and not NODE == EDGE
+
+
 @pytest.mark.parametrize("name", ["timing_debug", "mcmm", "baseline"])
 def test_no_record_reaches_the_trace_renderer(name):
     """``engine._render_json`` and ``gateway.canonical_json`` write any tuple
